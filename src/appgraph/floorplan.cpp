@@ -124,7 +124,7 @@ void apply_link_stages(topology::Topology& topo, const Floorplan& plan,
     const double length = plan.link_length_mm(topo, l);
     const auto cycles = static_cast<std::size_t>(
         std::ceil(length / mm_per_cycle));
-    topo.mutable_link(l).stages = cycles > 0 ? cycles - 1 : 0;
+    topo.set_link_stages(l, cycles > 0 ? cycles - 1 : 0);
   }
 }
 

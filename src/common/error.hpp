@@ -22,6 +22,12 @@ class Error : public std::runtime_error {
 inline void require(bool cond, const std::string& msg) {
   if (!cond) throw Error(msg);
 }
+/// Literal-message overload: the std::string is built only on failure,
+/// not on every passing check (which otherwise heap-allocates for any
+/// message longer than the small-string buffer).
+inline void require(bool cond, const char* msg) {
+  if (!cond) throw Error(msg);
+}
 
 namespace detail {
 [[noreturn]] inline void assert_fail(const char* expr, const char* file,

@@ -66,6 +66,11 @@ class XpipesCompiler {
   /// `target_mhz`.
   SynthesisReport estimate(const NocSpec& spec, double target_mhz,
                            double activity = 0.15) const;
+  /// The same model over an already built simulation view — the one a
+  /// campaign point simulates — so the network is elaborated once. Reads
+  /// only per-instance configuration, which simulating never changes.
+  SynthesisReport estimate(const noc::Network& network, double target_mhz,
+                           double activity = 0.15) const;
 
   /// Synthesis view: generated SystemC, filename -> content. One class
   /// per distinct component configuration plus the hierarchical top level

@@ -324,7 +324,7 @@ std::map<std::string, std::string> XpipesCompiler::emit_systemc(
     for (std::uint32_t s = 0; s < topo.num_switches(); ++s) {
       const std::string& sw = network->switch_at(s).name();
       os << "    " << sw << ".clock(clock); " << sw << ".reset(reset);\n";
-      const auto in_ports = topo.input_ports(s);
+      const auto& in_ports = topo.input_ports(s);
       for (std::size_t p = 0; p < in_ports.size(); ++p) {
         const auto& ref = in_ports[p];
         const std::string base =
@@ -335,7 +335,7 @@ std::map<std::string, std::string> XpipesCompiler::emit_systemc(
            << sw << ".flit_in_valid" << p << "(" << base << "_valid); "
            << sw << ".ack_out" << p << "(" << base << "_ack);\n";
       }
-      const auto out_ports = topo.output_ports(s);
+      const auto& out_ports = topo.output_ports(s);
       for (std::size_t p = 0; p < out_ports.size(); ++p) {
         const auto& ref = out_ports[p];
         const std::string base =

@@ -202,8 +202,8 @@ Network::Network(topology::Topology topo, const NetworkConfig& config)
 
   // ---- Switches, with wires ordered by the topology port maps.
   for (std::uint32_t s = 0; s < topo_.num_switches(); ++s) {
-    const auto in_ports = topo_.input_ports(s);
-    const auto out_ports = topo_.output_ports(s);
+    const auto& in_ports = topo_.input_ports(s);
+    const auto& out_ports = topo_.output_ports(s);
     std::vector<link::LinkWires> in_wires;
     for (const auto& ref : in_ports) {
       in_wires.push_back(ref.kind == topology::PortRef::Kind::kLink

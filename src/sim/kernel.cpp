@@ -7,7 +7,7 @@
 namespace xpl::sim {
 
 namespace detail {
-thread_local const std::uint64_t* g_cycle_override = nullptr;
+constinit thread_local const std::uint64_t* g_cycle_override = nullptr;
 }  // namespace detail
 
 Kernel::Kernel(Scheduler scheduler) : scheduler_(scheduler) {}

@@ -80,7 +80,10 @@ namespace detail {
 /// Kernel::cycle() must answer with the ticking partition's time — not
 /// the global counter, which only moves at epoch barriers. Null outside
 /// partitioned execution (the common case: one predictable branch).
-extern thread_local const std::uint64_t* g_cycle_override;
+/// constinit tells every includer the variable is statically initialised,
+/// so reads are plain TLS loads instead of calls through GCC's lazy-init
+/// wrapper (which UBSan flags as a null load under -fsanitize=null).
+extern thread_local constinit const std::uint64_t* g_cycle_override;
 }  // namespace detail
 
 /// A deterministic cross-partition conduit (e.g. link::CutLink). The

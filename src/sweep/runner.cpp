@@ -138,7 +138,7 @@ SweepResult SweepRunner::run_point(const SweepPoint& point) {
     result.avg_link_utilization = stats.avg_link_utilization;
 
     if (point.estimate) {
-      const auto report = xpipes.estimate(spec, point.target_mhz);
+      const auto report = xpipes.estimate(*network, point.target_mhz);
       result.area_mm2 = report.total_area_mm2;
       result.power_mw = report.total_power_mw;
       result.fmax_mhz = report.min_fmax_mhz;

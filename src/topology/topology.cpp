@@ -4,10 +4,26 @@
 
 namespace xpl::topology {
 
+namespace {
+
+// Link ports precede NI ports, and link ids only grow, so a new link's
+// port goes after the switch's last link port.
+void insert_link_port(std::vector<PortRef>& ports, std::uint32_t link) {
+  const auto first_ni =
+      std::find_if(ports.begin(), ports.end(), [](const PortRef& p) {
+        return p.kind == PortRef::Kind::kNi;
+      });
+  ports.insert(first_ni, PortRef{PortRef::Kind::kLink, link});
+}
+
+}  // namespace
+
 std::uint32_t Topology::add_switch(std::string name) {
   const auto id = static_cast<std::uint32_t>(switches_.size());
   if (name.empty()) name = "sw" + std::to_string(id);
   switches_.push_back(SwitchNode{std::move(name), -1, -1});
+  in_ports_.emplace_back();
+  out_ports_.emplace_back();
   return id;
 }
 
@@ -19,6 +35,8 @@ std::uint32_t Topology::add_link(std::uint32_t from, std::uint32_t to,
   require(from != to, "Topology::add_link: self-loops are not allowed");
   const auto id = static_cast<std::uint32_t>(links_.size());
   links_.push_back(Link{from, to, stages, vc_class, dateline});
+  insert_link_port(out_ports_[from], id);
+  insert_link_port(in_ports_[to], id);
   return id;
 }
 
@@ -43,6 +61,8 @@ std::uint32_t Topology::attach_initiator(std::uint32_t switch_id,
   const auto id = static_cast<std::uint32_t>(nis_.size());
   if (name.empty()) name = "ini" + std::to_string(id);
   nis_.push_back(NiNode{std::move(name), switch_id, /*initiator=*/true});
+  in_ports_[switch_id].push_back(PortRef{PortRef::Kind::kNi, id});
+  out_ports_[switch_id].push_back(PortRef{PortRef::Kind::kNi, id});
   return id;
 }
 
@@ -53,6 +73,8 @@ std::uint32_t Topology::attach_target(std::uint32_t switch_id,
   const auto id = static_cast<std::uint32_t>(nis_.size());
   if (name.empty()) name = "tgt" + std::to_string(id);
   nis_.push_back(NiNode{std::move(name), switch_id, /*initiator=*/false});
+  in_ports_[switch_id].push_back(PortRef{PortRef::Kind::kNi, id});
+  out_ports_[switch_id].push_back(PortRef{PortRef::Kind::kNi, id});
   return id;
 }
 
@@ -71,9 +93,9 @@ const Link& Topology::link(std::uint32_t id) const {
   return links_[id];
 }
 
-Link& Topology::mutable_link(std::uint32_t id) {
+void Topology::set_link_stages(std::uint32_t id, std::size_t stages) {
   require(id < links_.size(), "Topology: link id out of range");
-  return links_[id];
+  links_[id].stages = stages;
 }
 
 const NiNode& Topology::ni(std::uint32_t id) const {
@@ -97,41 +119,21 @@ std::vector<std::uint32_t> Topology::target_ids() const {
   return out;
 }
 
-std::vector<PortRef> Topology::input_ports(std::uint32_t switch_id) const {
+const std::vector<PortRef>& Topology::input_ports(
+    std::uint32_t switch_id) const {
   require(switch_id < switches_.size(), "Topology: switch id out of range");
-  std::vector<PortRef> ports;
-  for (std::uint32_t l = 0; l < links_.size(); ++l) {
-    if (links_[l].to == switch_id) {
-      ports.push_back(PortRef{PortRef::Kind::kLink, l});
-    }
-  }
-  for (std::uint32_t n = 0; n < nis_.size(); ++n) {
-    if (nis_[n].switch_id == switch_id) {
-      ports.push_back(PortRef{PortRef::Kind::kNi, n});
-    }
-  }
-  return ports;
+  return in_ports_[switch_id];
 }
 
-std::vector<PortRef> Topology::output_ports(std::uint32_t switch_id) const {
+const std::vector<PortRef>& Topology::output_ports(
+    std::uint32_t switch_id) const {
   require(switch_id < switches_.size(), "Topology: switch id out of range");
-  std::vector<PortRef> ports;
-  for (std::uint32_t l = 0; l < links_.size(); ++l) {
-    if (links_[l].from == switch_id) {
-      ports.push_back(PortRef{PortRef::Kind::kLink, l});
-    }
-  }
-  for (std::uint32_t n = 0; n < nis_.size(); ++n) {
-    if (nis_[n].switch_id == switch_id) {
-      ports.push_back(PortRef{PortRef::Kind::kNi, n});
-    }
-  }
-  return ports;
+  return out_ports_[switch_id];
 }
 
 std::size_t Topology::input_index(std::uint32_t switch_id,
                                   const PortRef& ref) const {
-  const auto ports = input_ports(switch_id);
+  const auto& ports = input_ports(switch_id);
   const auto it = std::find(ports.begin(), ports.end(), ref);
   return it == ports.end() ? npos
                            : static_cast<std::size_t>(it - ports.begin());
@@ -139,7 +141,7 @@ std::size_t Topology::input_index(std::uint32_t switch_id,
 
 std::size_t Topology::output_index(std::uint32_t switch_id,
                                    const PortRef& ref) const {
-  const auto ports = output_ports(switch_id);
+  const auto& ports = output_ports(switch_id);
   const auto it = std::find(ports.begin(), ports.end(), ref);
   return it == ports.end() ? npos
                            : static_cast<std::size_t>(it - ports.begin());
@@ -147,17 +149,13 @@ std::size_t Topology::output_index(std::uint32_t switch_id,
 
 std::size_t Topology::max_radix_in() const {
   std::size_t radix = 0;
-  for (std::uint32_t s = 0; s < switches_.size(); ++s) {
-    radix = std::max(radix, input_ports(s).size());
-  }
+  for (const auto& ports : in_ports_) radix = std::max(radix, ports.size());
   return radix;
 }
 
 std::size_t Topology::max_radix_out() const {
   std::size_t radix = 0;
-  for (std::uint32_t s = 0; s < switches_.size(); ++s) {
-    radix = std::max(radix, output_ports(s).size());
-  }
+  for (const auto& ports : out_ports_) radix = std::max(radix, ports.size());
   return radix;
 }
 
@@ -165,11 +163,12 @@ void Topology::validate() const {
   require(!switches_.empty(), "Topology: no switches");
   require(!nis_.empty(), "Topology: no network interfaces");
   for (std::uint32_t s = 0; s < switches_.size(); ++s) {
-    require(!input_ports(s).empty() && !output_ports(s).empty(),
+    require(!in_ports_[s].empty() && !out_ports_[s].empty(),
             "Topology: switch " + switches_[s].name + " has unused ports");
   }
   // Reachability of every switch from every NI's switch (strong
-  // connectivity over the link graph) guarantees routes exist.
+  // connectivity over the link graph) guarantees routes exist. One
+  // search per start switch over the out-port index: O(S * (S + L)).
   const std::size_t n = switches_.size();
   for (std::uint32_t start = 0; start < n; ++start) {
     std::vector<bool> seen(n, false);
@@ -178,10 +177,12 @@ void Topology::validate() const {
     while (!stack.empty()) {
       const std::uint32_t s = stack.back();
       stack.pop_back();
-      for (const Link& l : links_) {
-        if (l.from == s && !seen[l.to]) {
-          seen[l.to] = true;
-          stack.push_back(l.to);
+      for (const PortRef& port : out_ports_[s]) {
+        if (port.kind != PortRef::Kind::kLink) continue;
+        const std::uint32_t to = links_[port.id].to;
+        if (!seen[to]) {
+          seen[to] = true;
+          stack.push_back(to);
         }
       }
     }

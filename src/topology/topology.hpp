@@ -12,6 +12,13 @@
 // hardware:
 //   switch inputs:  [incoming links, in insertion order][attached NIs]
 //   switch outputs: [outgoing links, in insertion order][attached NIs]
+//
+// Both lists are kept per switch and updated by every mutation (add_link,
+// attach_*), so a port query is a reference to a stored vector rather
+// than a scan of every link and NI. The index is maintained eagerly, not
+// filled on first read, because one const Topology is read concurrently
+// by sweep workers; nothing can rewire a link behind it (only a link's
+// pipeline depth is mutable after insertion).
 #pragma once
 
 #include <cstdint>
@@ -95,17 +102,17 @@ class Topology {
   const SwitchNode& switch_node(std::uint32_t id) const;
   SwitchNode& switch_node(std::uint32_t id);
   const Link& link(std::uint32_t id) const;
-  /// Mutable access for post-construction adjustments (floorplan-derived
-  /// pipeline stages).
-  Link& mutable_link(std::uint32_t id);
+  /// Post-construction pipeline depth of a link (floorplan-derived relay
+  /// stages); endpoints and VC annotations are fixed at insertion.
+  void set_link_stages(std::uint32_t id, std::size_t stages);
   const NiNode& ni(std::uint32_t id) const;
 
   std::vector<std::uint32_t> initiator_ids() const;
   std::vector<std::uint32_t> target_ids() const;
 
   /// Ordered input/output port lists of a switch (see file comment).
-  std::vector<PortRef> input_ports(std::uint32_t switch_id) const;
-  std::vector<PortRef> output_ports(std::uint32_t switch_id) const;
+  const std::vector<PortRef>& input_ports(std::uint32_t switch_id) const;
+  const std::vector<PortRef>& output_ports(std::uint32_t switch_id) const;
 
   /// Port index of `ref` on the switch, or npos.
   static constexpr std::size_t npos = static_cast<std::size_t>(-1);
@@ -124,6 +131,9 @@ class Topology {
   std::vector<SwitchNode> switches_;
   std::vector<Link> links_;
   std::vector<NiNode> nis_;
+  /// Port lists per switch id, in port order (see file comment).
+  std::vector<std::vector<PortRef>> in_ports_;
+  std::vector<std::vector<PortRef>> out_ports_;
 };
 
 }  // namespace xpl::topology

@@ -3,9 +3,12 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdio>
 #include <fstream>
+#include <string>
 
 #include "src/topology/generators.hpp"
+#include "src/traffic/traffic.hpp"
 
 namespace xpl::compiler {
 namespace {
@@ -66,6 +69,58 @@ TEST(Compiler, ReportSeparatesComponentKinds) {
   EXPECT_EQ(switches, 4u);
   EXPECT_EQ(inis, 4u);
   EXPECT_EQ(tgts, 4u);
+}
+
+std::string hex(double v) {
+  char buf[64];
+  std::snprintf(buf, sizeof(buf), "%a", v);
+  return buf;
+}
+
+void expect_same_report(const SynthesisReport& a, const SynthesisReport& b) {
+  EXPECT_EQ(hex(a.total_area_mm2), hex(b.total_area_mm2));
+  EXPECT_EQ(hex(a.total_power_mw), hex(b.total_power_mw));
+  EXPECT_EQ(hex(a.min_fmax_mhz), hex(b.min_fmax_mhz));
+  ASSERT_EQ(a.instances.size(), b.instances.size());
+  for (std::size_t i = 0; i < a.instances.size(); ++i) {
+    const InstanceEstimate& x = a.instances[i];
+    const InstanceEstimate& y = b.instances[i];
+    EXPECT_EQ(x.name, y.name);
+    EXPECT_EQ(x.kind, y.kind);
+    EXPECT_EQ(hex(x.netlist.combinational), hex(y.netlist.combinational));
+    EXPECT_EQ(hex(x.netlist.flops), hex(y.netlist.flops));
+    EXPECT_EQ(hex(x.estimate.area_mm2), hex(y.estimate.area_mm2));
+    EXPECT_EQ(hex(x.estimate.power_mw), hex(y.estimate.power_mw));
+    EXPECT_EQ(hex(x.estimate.fmax_mhz), hex(y.estimate.fmax_mhz));
+    EXPECT_EQ(hex(x.estimate.target_mhz), hex(y.estimate.target_mhz));
+  }
+}
+
+// Campaign points estimate the network they simulate instead of building
+// a second one: the report must not depend on which it was given, nor on
+// whether the network has already run traffic and drained.
+TEST(Compiler, EstimateOfBuiltNetworkMatchesSpec) {
+  NocSpec credit = mesh_spec(3, 3);
+  credit.net.flow = link::FlowControl::kCredit;
+  credit.net.vcs = 2;
+  credit.net.flit_width = 64;
+  NocSpec sized = mesh_spec(4, 3);
+  XpipesCompiler xpipes;
+  xpipes.optimize_buffer_sizes(sized);
+  for (const NocSpec& spec : {mesh_spec(), credit, sized}) {
+    const SynthesisReport from_spec = xpipes.estimate(spec, 800.0, 0.2);
+    auto net = xpipes.build_simulation(spec);
+    expect_same_report(xpipes.estimate(*net, 800.0, 0.2), from_spec);
+
+    traffic::TrafficConfig traffic_cfg;
+    traffic_cfg.injection_rate = 0.05;
+    traffic::TrafficDriver driver(*net, traffic_cfg);
+    driver.run(400);
+    net->run_until_quiescent(20000);
+    ASSERT_TRUE(net->quiescent());
+    ASSERT_GT(driver.injected(), 0u);
+    expect_same_report(xpipes.estimate(*net, 800.0, 0.2), from_spec);
+  }
 }
 
 TEST(Compiler, MeshCaseStudyMatchesPaperInventory) {

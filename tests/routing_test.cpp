@@ -4,6 +4,9 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <deque>
+
 #include "src/common/error.hpp"
 #include "src/topology/generators.hpp"
 
@@ -200,20 +203,154 @@ TEST_P(RoutingSweep, EveryPairRoutes) {
   }
 }
 
-// The adjacency-indexed all-pairs builder must produce byte-identical
-// routes to per-pair compute_route (which also answers for the pre-index
-// behaviour: link exploration order is link-insertion order in both).
-TEST(Routing, AllRoutesMatchPerPairComputation) {
+// Per-pair reference search, independent of the port index and of the
+// per-source trees: breadth-first over (switch, phase) states, scanning
+// the whole link table at every step and stopping at the first dequeued
+// state of the destination switch. Ports are counted from the link and
+// NI tables directly.
+Route reference_route(const Topology& t, std::uint32_t src,
+                      std::uint32_t dst, RoutingAlgorithm algorithm) {
+  const std::size_t n = t.num_switches();
+  constexpr std::size_t kBlocked = static_cast<std::size_t>(-1);
+  std::vector<std::uint8_t> classes;
+  std::vector<std::size_t> level(n, kBlocked);
+  std::size_t phases = 2;
+  if (algorithm == RoutingAlgorithm::kShortestPath) {
+    for (std::uint32_t l = 0; l < t.num_links(); ++l) {
+      classes.push_back(t.link(l).vc_class);
+    }
+    std::sort(classes.begin(), classes.end());
+    classes.erase(std::unique(classes.begin(), classes.end()),
+                  classes.end());
+    phases = std::max<std::size_t>(classes.size(), 1);
+  } else {
+    std::deque<std::uint32_t> queue{0};
+    level[0] = 0;
+    while (!queue.empty()) {
+      const std::uint32_t s = queue.front();
+      queue.pop_front();
+      for (std::uint32_t l = 0; l < t.num_links(); ++l) {
+        const Link& link = t.link(l);
+        if (link.from == s && level[link.to] == kBlocked) {
+          level[link.to] = level[s] + 1;
+          queue.push_back(link.to);
+        }
+      }
+    }
+  }
+  auto next_phase = [&](const Link& link, std::size_t phase) {
+    if (algorithm == RoutingAlgorithm::kShortestPath) {
+      const auto p = static_cast<std::size_t>(
+          std::find(classes.begin(), classes.end(), link.vc_class) -
+          classes.begin());
+      return p < phase ? kBlocked : p;
+    }
+    const bool up = level[link.to] < level[link.from] ||
+                    (level[link.to] == level[link.from] && link.to < link.from);
+    if (phase == 1 && up) return kBlocked;
+    return up ? phase : std::size_t{1};
+  };
+
+  const std::uint32_t from_sw = t.ni(src).switch_id;
+  const std::uint32_t to_sw = t.ni(dst).switch_id;
+  // (previous state, link) per state; the start state points at itself.
+  std::vector<std::pair<std::size_t, std::uint32_t>> via(
+      n * phases, {kBlocked, 0});
+  std::deque<std::size_t> queue{from_sw * phases};
+  via[from_sw * phases] = {from_sw * phases, 0};
+  std::size_t final_state = kBlocked;
+  while (!queue.empty()) {
+    const std::size_t state = queue.front();
+    queue.pop_front();
+    if (state / phases == to_sw) {
+      final_state = state;
+      break;
+    }
+    for (std::uint32_t l = 0; l < t.num_links(); ++l) {
+      const Link& link = t.link(l);
+      if (link.from != state / phases) continue;
+      const std::size_t phase = next_phase(link, state % phases);
+      if (phase == kBlocked) continue;
+      const std::size_t next = link.to * phases + phase;
+      if (via[next].first == kBlocked) {
+        via[next] = {state, l};
+        queue.push_back(next);
+      }
+    }
+  }
+  require(final_state != kBlocked, "reference_route: unreachable");
+  std::vector<std::uint32_t> links;
+  for (std::size_t s = final_state; via[s].first != s; s = via[s].first) {
+    links.push_back(via[s].second);
+  }
+  std::reverse(links.begin(), links.end());
+
+  Route route;
+  for (const std::uint32_t l : links) {
+    std::uint8_t port = 0;  // earlier links out of the same switch
+    for (std::uint32_t k = 0; k < l; ++k) {
+      if (t.link(k).from == t.link(l).from) ++port;
+    }
+    route.push_back(port);
+  }
+  std::uint8_t exit = 0;  // every link out of to_sw, then earlier NIs
+  for (std::uint32_t k = 0; k < t.num_links(); ++k) {
+    if (t.link(k).from == to_sw) ++exit;
+  }
+  for (std::uint32_t k = 0; k < dst; ++k) {
+    if (t.ni(k).switch_id == to_sw) ++exit;
+  }
+  route.push_back(exit);
+  return route;
+}
+
+// An irregular custom topology: a ring with class-1 chords (one of them
+// one-way), a shortcut, several NIs per switch and NIs attached between
+// links.
+Topology irregular_topology() {
+  Topology t;
+  for (int i = 0; i < 6; ++i) t.add_switch();
+  t.attach_initiator(0);
+  for (std::uint32_t i = 0; i < 6; ++i) t.add_duplex(i, (i + 1) % 6);
+  t.attach_target(1);
+  t.add_duplex(0, 3, 0, /*vc_class=*/1);
+  t.attach_initiator(2);
+  t.attach_target(3);
+  t.add_link(2, 5, 0, /*vc_class=*/1);
+  t.add_duplex(4, 1);
+  t.attach_initiator(4);
+  t.attach_target(5);
+  t.attach_initiator(3);
+  t.attach_target(0);
+  return t;
+}
+
+// The all-pairs tables read one search tree per source switch; every
+// route must equal what a per-pair search from scratch returns.
+TEST(Routing, PerSourceTreesMatchPerPairSearch) {
+  const std::vector<std::pair<const char*, Topology>> topos = {
+      {"torus", make_torus(4, 3, NiPlan::uniform(12, 1, 1))},
+      {"spidergon", make_spidergon(8, NiPlan::uniform(8, 1, 1))},
+      {"ring", make_ring(6, NiPlan::uniform(6, 1, 2))},
+      {"mesh", make_mesh(4, 4, NiPlan::uniform(16, 1, 1))},
+      {"star", make_star(5, NiPlan::uniform(6, 1, 1))},
+      {"irregular", irregular_topology()},
+  };
   for (const auto algorithm :
        {RoutingAlgorithm::kShortestPath, RoutingAlgorithm::kUpDown}) {
-    for (const auto& topo :
-         {make_mesh(4, 4, NiPlan::uniform(16, 1, 1)),
-          make_ring(6, NiPlan::uniform(6, 1, 1)),
-          make_star(5, NiPlan::uniform(6, 1, 1))}) {
+    for (const auto& [name, topo] : topos) {
       const RoutingTables tables = compute_all_routes(topo, algorithm);
+      EXPECT_EQ(tables.routes.size(),
+                2 * topo.initiator_ids().size() * topo.target_ids().size());
       for (const auto& [key, route] : tables.routes) {
-        EXPECT_EQ(route,
-                  compute_route(topo, key.first, key.second, algorithm));
+        const Route expected =
+            reference_route(topo, key.first, key.second, algorithm);
+        EXPECT_EQ(route, expected) << name << " " << routing_name(algorithm)
+                                   << " " << key.first << "->" << key.second;
+        EXPECT_EQ(compute_route(topo, key.first, key.second, algorithm),
+                  expected)
+            << name;
+        EXPECT_EQ(walk_route(topo, key.first, route), key.second) << name;
       }
     }
   }

@@ -3,6 +3,9 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <string>
+
 #include "src/common/error.hpp"
 #include "src/topology/generators.hpp"
 
@@ -72,6 +75,149 @@ TEST(Topology, ValidateCatchesDisconnected) {
   t.attach_initiator(a);
   t.attach_target(c);  // c has no links
   EXPECT_THROW(t.validate(), Error);
+}
+
+// validate()'s message for `t`, or "" if it passes.
+std::string validate_error(const Topology& t) {
+  try {
+    t.validate();
+  } catch (const Error& e) {
+    return e.what();
+  }
+  return "";
+}
+
+TEST(Topology, ValidateMessages) {
+  {
+    Topology t;  // c has neither links nor NIs
+    t.add_switch("a");
+    t.add_switch("b");
+    t.add_switch("c");
+    t.add_duplex(0, 1);
+    t.attach_initiator(0);
+    t.attach_target(1);
+    EXPECT_EQ(validate_error(t), "Topology: switch c has unused ports");
+  }
+  {
+    Topology t;  // two islands: {a, b} and {c, d}
+    for (const char* name : {"a", "b", "c", "d"}) t.add_switch(name);
+    t.add_duplex(0, 1);
+    t.add_duplex(2, 3);
+    t.attach_initiator(0);
+    t.attach_target(3);
+    EXPECT_EQ(validate_error(t), "Topology: switch c unreachable from a");
+  }
+  {
+    Topology t;  // c is a sink: only its NI ports lead out of it
+    t.add_switch("a");
+    t.add_switch("b");
+    t.add_switch("c");
+    t.add_duplex(0, 1);
+    t.add_link(1, 2);
+    t.attach_target(2);
+    EXPECT_EQ(validate_error(t), "Topology: switch a unreachable from c");
+  }
+  {
+    Topology t;
+    EXPECT_EQ(validate_error(t), "Topology: no switches");
+    t.add_switch("a");
+    EXPECT_EQ(validate_error(t), "Topology: no network interfaces");
+  }
+}
+
+// The whole-table scan the per-switch port index replaces.
+std::vector<PortRef> scan_ports(const Topology& t, std::uint32_t s,
+                                bool outputs) {
+  std::vector<PortRef> ports;
+  for (std::uint32_t l = 0; l < t.num_links(); ++l) {
+    if ((outputs ? t.link(l).from : t.link(l).to) == s) {
+      ports.push_back(PortRef{PortRef::Kind::kLink, l});
+    }
+  }
+  for (std::uint32_t n = 0; n < t.num_nis(); ++n) {
+    if (t.ni(n).switch_id == s) ports.push_back(PortRef{PortRef::Kind::kNi, n});
+  }
+  return ports;
+}
+
+void expect_index_matches_scan(const Topology& t, const std::string& name) {
+  std::size_t max_in = 0;
+  std::size_t max_out = 0;
+  for (std::uint32_t s = 0; s < t.num_switches(); ++s) {
+    const auto& ins = t.input_ports(s);
+    const auto& outs = t.output_ports(s);
+    EXPECT_EQ(ins, scan_ports(t, s, /*outputs=*/false)) << name << " " << s;
+    EXPECT_EQ(outs, scan_ports(t, s, /*outputs=*/true)) << name << " " << s;
+    for (std::size_t i = 0; i < ins.size(); ++i) {
+      EXPECT_EQ(t.input_index(s, ins[i]), i) << name << " " << s;
+    }
+    for (std::size_t i = 0; i < outs.size(); ++i) {
+      EXPECT_EQ(t.output_index(s, outs[i]), i) << name << " " << s;
+    }
+    max_in = std::max(max_in, ins.size());
+    max_out = std::max(max_out, outs.size());
+  }
+  EXPECT_EQ(t.max_radix_in(), max_in) << name;
+  EXPECT_EQ(t.max_radix_out(), max_out) << name;
+}
+
+TEST(Topology, PortIndexMatchesScanOnEveryGenerator) {
+  expect_index_matches_scan(make_mesh(4, 3, NiPlan::uniform(12, 1, 2)),
+                            "mesh");
+  expect_index_matches_scan(make_torus(4, 3, NiPlan::uniform(12, 1, 1)),
+                            "torus");
+  expect_index_matches_scan(make_ring(5, NiPlan::uniform(5, 2, 1), 1),
+                            "ring");
+  expect_index_matches_scan(make_spidergon(8, NiPlan::uniform(8, 1, 1)),
+                            "spidergon");
+  expect_index_matches_scan(make_star(5, NiPlan::uniform(6, 1, 1)), "star");
+  expect_index_matches_scan(make_binary_tree(3, NiPlan::uniform(7, 1, 1)),
+                            "tree");
+  expect_index_matches_scan(make_cmesh(3, 2, 3), "cmesh");
+  expect_index_matches_scan(make_paper_case_study(), "paper");
+}
+
+TEST(Topology, PortIndexKeepsLinksBeforeNisWhenInterleaved) {
+  Topology t;
+  const auto a = t.add_switch();
+  const auto b = t.add_switch();
+  const auto c = t.add_switch();
+  const auto ni0 = t.attach_initiator(b);  // before any link of b
+  t.add_duplex(a, b);                      // links 0 (a->b), 1 (b->a)
+  const auto ni1 = t.attach_target(b);
+  t.add_link(c, b);  // link 2
+  t.attach_initiator(a);
+  t.add_link(b, c);  // link 3
+  t.add_duplex(a, c);
+  t.attach_target(c);
+  expect_index_matches_scan(t, "interleaved");
+  using K = PortRef::Kind;
+  EXPECT_EQ(t.output_ports(b),
+            (std::vector<PortRef>{{K::kLink, 1}, {K::kLink, 3},
+                                  {K::kNi, ni0}, {K::kNi, ni1}}));
+  EXPECT_EQ(t.input_ports(b),
+            (std::vector<PortRef>{{K::kLink, 0}, {K::kLink, 2},
+                                  {K::kNi, ni0}, {K::kNi, ni1}}));
+}
+
+TEST(Topology, CopyCarriesItsOwnIndex) {
+  const Topology original = make_ring(4, NiPlan::uniform(4, 1, 1));
+  Topology copy = original;
+  copy.add_link(0, 2);
+  expect_index_matches_scan(original, "original");
+  expect_index_matches_scan(copy, "copy");
+  EXPECT_EQ(copy.output_ports(0).size(), original.output_ports(0).size() + 1);
+}
+
+TEST(Topology, SetLinkStagesChangesOnlyTheDepth) {
+  Topology t = make_mesh(2, 2, NiPlan::uniform(4, 1, 1));
+  const Link before = t.link(1);
+  t.set_link_stages(1, 3);
+  EXPECT_EQ(t.link(1).stages, 3u);
+  EXPECT_EQ(t.link(1).from, before.from);
+  EXPECT_EQ(t.link(1).to, before.to);
+  expect_index_matches_scan(t, "restaged");
+  EXPECT_THROW(t.set_link_stages(99, 1), Error);
 }
 
 TEST(Topology, InitiatorAndTargetLists) {
