@@ -140,33 +140,27 @@ void loaded_cycles(benchmark::State& state, double injection_rate,
 }
 
 // Scheduler selector shared by the scheduler-parametrized benchmarks:
-// 0 = full, 1 = gated, 2 = time_leap (matches the enum but kept explicit
-// so a reordering of sim::Scheduler cannot silently repoint bench rows).
+// 0 = full, 2 = time_leap. The numbers are explicit, not the enum's, so
+// the row names recorded in BENCH_*.json keep their meaning (1 was the
+// since-removed gated scheduler).
 xpl::sim::Scheduler sched_from_arg(std::int64_t v) {
-  switch (v) {
-    case 2:
-      return xpl::sim::Scheduler::kTimeLeap;
-    case 1:
-      return xpl::sim::Scheduler::kGated;
-    default:
-      return xpl::sim::Scheduler::kFull;
-  }
+  return v == 2 ? xpl::sim::Scheduler::kTimeLeap
+                : xpl::sim::Scheduler::kFull;
 }
 
 // The activity-gating payoff at sweep-campaign operating points: low
 // injection rates leave most of the network quiescent most cycles, and
-// the gated scheduler (sched == 1) skips those modules' ticks and the
-// full signal-pool scan entirely, while the full scheduler (sched == 0)
-// pays for every module every cycle; time-leap (sched == 2) additionally
-// skips whole quiescent cycle gaps via the wake calendar. Results are
-// bit-identical (tests/kernel_equiv_test.cpp, tests/timeleap_test.cpp);
-// only the wall clock may differ. awake_frac reports the active-set
-// share at the end of the run (1.0 under full — every module ticks) and
-// leapt_frac the share of cycles never walked at all — the two knobs the
-// speedups ride on. This benchmark steps cycle-by-cycle (the sweep
-// driver's external protocol), so time-leap can only take single-cycle
-// leaps here; BM_IdleCyclesSched and BM_LowLoadCampaign below run
-// batched spans where multi-cycle leaps engage.
+// time-leap (sched == 2) skips those modules' ticks and whole quiescent
+// cycle gaps, while the full reference (sched == 0) pays for every
+// module every cycle. Results are bit-identical
+// (tests/kernel_equiv_test.cpp, tests/timeleap_test.cpp); only the wall
+// clock may differ. awake_frac reports the active-set share at the end
+// of the run (1.0 under full — every module ticks) and leapt_frac the
+// share of cycles never walked at all — the two knobs the speedups ride
+// on. This benchmark steps cycle-by-cycle (the sweep driver's external
+// protocol), so time-leap can only take single-cycle leaps here;
+// BM_IdleCyclesSched and BM_LowLoadCampaign below run batched spans
+// where multi-cycle leaps engage.
 void BM_GatedSweep(benchmark::State& state) {
   using namespace xpl;
   const auto n = static_cast<std::size_t>(state.range(0));
@@ -196,21 +190,19 @@ void BM_GatedSweep(benchmark::State& state) {
 BENCHMARK(BM_GatedSweep)
     ->ArgNames({"mesh", "sched"})
     ->Args({4, 0})
-    ->Args({4, 1})
     ->Args({4, 2})
     ->Args({8, 0})
-    ->Args({8, 1})
     ->Args({8, 2});
 
 // The time-leap headline: a quiescent network advanced in batched spans,
 // where the calendar is empty and every span collapses into one leap.
 // BM_IdleCycles above steps one cycle per iteration (its rows feed the
-// cross-record gated-vs-PR-6 gate and must keep their names and
+// cross-record BM_IdleCycles gate and must keep their names and
 // semantics); this variant hands the kernel kIdleSpan cycles at a time,
 // which is the granularity real campaigns use (TrafficDriver::run) and
-// the only one where multi-cycle leaps can engage. The gated and
+// the only one where multi-cycle leaps can engage. The full and
 // time-leap rows are registered back-to-back and paired within one
-// record by CI (time_leap >= 5x gated; see .github/workflows/ci.yml) —
+// record by CI (time_leap >= 100x full; see .github/workflows/ci.yml) —
 // same throttle-drift rationale as the partitioned twins below.
 void BM_IdleCyclesSched(benchmark::State& state) {
   using namespace xpl;
@@ -236,7 +228,6 @@ void BM_IdleCyclesSched(benchmark::State& state) {
 BENCHMARK(BM_IdleCyclesSched)
     ->ArgNames({"mesh", "sched"})
     ->Args({8, 0})
-    ->Args({8, 1})
     ->Args({8, 2});
 
 // A low-load campaign operating point end to end: the injector runs as
@@ -244,14 +235,12 @@ BENCHMARK(BM_IdleCyclesSched)
 // kernel), so between arrivals the network drains, quiesces, and
 // time-leap jumps straight to the next injection the calendar announces.
 // The rate is a trickle — the saturation-bisection probes below the knee
-// and the low end of xsweep rate sweeps, where auto_scheduler picks
-// time_leap — chosen so arrival gaps (~780 cycles at 64 initiators x
-// rate 2e-5) dwarf the ~60-cycle packet drain: leapt_frac lands around
-// 0.92 and the walked cycles that remain are the irreducible in-flight
-// ones. The claim is >= 3x over gated here while staying bit-exact
-// (tests/timeleap_test.cpp pins the digests, this row pins the wall
-// clock; CI pairs the two rows within one record at >= 2x as a gross-
-// regression backstop, the committed BENCH_pr10.json records the 3x).
+// and the low end of xsweep rate sweeps — chosen so arrival gaps (~780
+// cycles at 64 initiators x rate 2e-5) dwarf the ~60-cycle packet drain:
+// leapt_frac lands around 0.92 and the walked cycles that remain are the
+// irreducible in-flight ones. tests/timeleap_test.cpp pins the digests,
+// this row pins the wall clock: CI pairs the two rows within one record
+// at time_leap >= 35x full.
 void BM_LowLoadCampaign(benchmark::State& state) {
   using namespace xpl;
   const auto n = static_cast<std::size_t>(state.range(0));
@@ -287,7 +276,6 @@ void BM_LowLoadCampaign(benchmark::State& state) {
 BENCHMARK(BM_LowLoadCampaign)
     ->ArgNames({"mesh", "sched"})
     ->Args({8, 0})
-    ->Args({8, 1})
     ->Args({8, 2});
 
 void BM_LoadedCycles(benchmark::State& state) {
@@ -364,11 +352,10 @@ BENCHMARK(BM_SaturatedCyclesPartitioned)
     ->Args({8, 1, 2, 1});
 
 // Time-leap's failure-mode guard: at saturation the network never
-// quiesces, leapt_frac pins to ~0, and the calendar must cost nothing —
-// the scheduler degenerates to gated plus a cheap emptiness check on the
-// drained-active-set path that never triggers. The two rows are paired
-// within one record by CI (time_leap >= 0.90x gated, the same bounded-
-// overhead shape as the partitioned twins below).
+// quiesces, leapt_frac pins to ~0, and the active set and calendar must
+// cost no more than ticking everything. The two rows are paired within
+// one record by CI (time_leap >= 0.95x full, the same bounded-overhead
+// shape as the partitioned twins above).
 void BM_SaturatedSched(benchmark::State& state) {
   using namespace xpl;
   const auto n = static_cast<std::size_t>(state.range(0));
@@ -396,7 +383,7 @@ void BM_SaturatedSched(benchmark::State& state) {
 }
 BENCHMARK(BM_SaturatedSched)
     ->ArgNames({"mesh", "sched"})
-    ->Args({8, 1})
+    ->Args({8, 0})
     ->Args({8, 2});
 
 // The partitioned datapath across shapes and degrees of parallelism:
@@ -656,7 +643,7 @@ bool write_bench_json(const std::string& path,
     }
     // Scheduler-efficiency fractions (three decimals: these are shares,
     // not counts). Same NaN filter as above: the cv aggregate of an
-    // all-zero counter (leapt_frac under full/gated) is 0/0.
+    // all-zero counter (leapt_frac under full) is 0/0.
     for (const char* key : {"awake_frac", "leapt_frac"}) {
       const auto it3 = run.counters.find(key);
       if (it3 != run.counters.end() &&

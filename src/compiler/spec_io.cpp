@@ -155,14 +155,12 @@ NocSpec parse_spec(const std::string& text) {
       spec.net.sim_threads = parse_u64(tokens[1], lineno);
       if (spec.net.sim_threads < 1) fail(lineno, "sim_threads must be >= 1");
     } else if (key == "scheduler") {
-      // Kernel scheduling policy (bit-identical results; DESIGN.md §9,
-      // §12): gated (default) | full | time_leap.
+      // Kernel scheduling policy (bit-identical results; DESIGN.md §2):
+      // full | time_leap (the default; gated is its legacy alias).
       need(2);
-      if (tokens[1] == "gated") {
-        spec.net.scheduler = sim::Scheduler::kGated;
-      } else if (tokens[1] == "full") {
+      if (tokens[1] == "full") {
         spec.net.scheduler = sim::Scheduler::kFull;
-      } else if (tokens[1] == "time_leap") {
+      } else if (tokens[1] == "time_leap" || tokens[1] == "gated") {
         spec.net.scheduler = sim::Scheduler::kTimeLeap;
       } else {
         fail(lineno, "unknown scheduler '" + tokens[1] +
@@ -284,8 +282,8 @@ std::string write_spec(const NocSpec& spec) {
   if (spec.net.sim_threads != 1) {
     os << "sim_threads " << spec.net.sim_threads << "\n";
   }
-  if (spec.net.scheduler != sim::Scheduler::kGated) {
-    os << "scheduler " << sim::scheduler_name(spec.net.scheduler) << "\n";
+  if (spec.net.scheduler == sim::Scheduler::kFull) {
+    os << "scheduler full\n";
   }
   if (spec.net.lookahead != 0) {
     os << "lookahead " << spec.net.lookahead << "\n";

@@ -78,14 +78,15 @@ class CreditSender {
   /// and no lane sitting at zero credits. The zero-credit clause is a
   /// counter contract, not a progress requirement: end_cycle counts one
   /// credit_stall per starved cycle, so a starved sender must keep
-  /// ticking for the gated and full schedulers to report equal stats.
+  /// ticking (or catch up in closed form) for both schedulers to report
+  /// equal stats.
   bool gate_idle() const;
 
   /// gate_idle without the zero-credit counter clause — the quiescence
   /// bound the time-leap scheduler uses. A sender idle by this predicate
   /// does no *work* on a frozen tick; the per-cycle credit_stall count it
   /// would have accumulated is restored in closed form by
-  /// catch_up_stalls() (the owner tracks the gap; DESIGN.md §12).
+  /// catch_up_stalls() (the owner tracks the gap; DESIGN.md §2).
   bool gate_idle_leap() const;
 
   /// True when a frozen (skipped) tick of the owner would have counted

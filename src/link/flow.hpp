@@ -86,7 +86,7 @@ class LinkSender {
     flow_ == FlowControl::kAckNack ? ack_.watch(owner)
                                    : credit_.watch(owner);
   }
-  /// Endpoint part of the owner's quiescence predicate (gated scheduler).
+  /// Endpoint part of the owner's quiescence predicate.
   bool gate_idle() const {
     return flow_ == FlowControl::kAckNack ? ack_.gate_idle()
                                           : credit_.gate_idle();
@@ -157,7 +157,7 @@ class LinkReceiver {
     flow_ == FlowControl::kAckNack ? ack_.watch(owner)
                                    : credit_.watch(owner);
   }
-  /// Endpoint part of the owner's quiescence predicate (gated scheduler).
+  /// Endpoint part of the owner's quiescence predicate.
   bool gate_idle() const {
     return flow_ == FlowControl::kAckNack ? ack_.gate_idle()
                                           : credit_.gate_idle();

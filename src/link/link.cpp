@@ -10,7 +10,7 @@ PipelinedLink::PipelinedLink(std::string name, const LinkWires& upstream,
       up_(upstream),
       down_(downstream),
       rng_(config.seed) {
-  // Wake on traffic from either end (gated scheduler; no-op under full).
+  // Wake on traffic from either end (a no-op under the full reference).
   up_.fwd->watch(*this);
   down_.rev->watch(*this);
 }

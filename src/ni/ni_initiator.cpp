@@ -34,7 +34,7 @@ InitiatorNi::InitiatorNi(std::string name, const InitiatorConfig& config,
       tx_(config.flow, net_out, config.protocol),
       rx_(config.flow, net_in, config.protocol) {
   config_.validate();
-  // Gated-scheduler wake sources: OCP request beats and response credits
+  // Wake sources: OCP request beats and response credits
   // from the core, ACK/credit returns and response flits from the network.
   ocp_req_.watch(*this);
   ocp_resp_.watch(*this);

@@ -62,16 +62,16 @@ class InitiatorNi : public sim::Module {
 
   void tick(sim::Kernel& kernel) override;
 
-  /// Quiescence predicate (gated scheduler): nothing buffered toward the
+  /// Quiescence predicate: nothing buffered toward the
   /// network or the core and every endpoint inert. Outstanding
   /// transactions, the reorder buffer, a half-built packet and mid-packet
   /// reassembly are input-driven state: a tick moves them only when a
-  /// beat arrives, and arrivals wake this module. See DESIGN.md §9.
+  /// beat arrives, and arrivals wake this module. See DESIGN.md §2.
   bool is_idle() const override;
 
   /// Time-leap next event: kNever when busy only by the network sender's
   /// zero-credit counter clause (stalls caught up in closed form on wake
-  /// — DESIGN.md §12), next cycle otherwise.
+  /// — DESIGN.md §2), next cycle otherwise.
   std::uint64_t next_event(std::uint64_t now) const override;
 
   const InitiatorConfig& config() const { return config_; }

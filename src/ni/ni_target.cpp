@@ -28,7 +28,7 @@ TargetNi::TargetNi(std::string name, const TargetConfig& config,
       ocp_req_(ocp.req, config.ocp_req_credits),
       ocp_resp_(ocp.resp, config.ocp_resp_fifo) {
   config_.validate();
-  // Gated-scheduler wake sources: request flits and ACK/credit returns
+  // Wake sources: request flits and ACK/credit returns
   // from the network, response beats and request credits from the core.
   rx_.watch(*this);
   tx_.watch(*this);

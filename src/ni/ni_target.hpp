@@ -58,15 +58,15 @@ class TargetNi : public sim::Module {
 
   void tick(sim::Kernel& kernel) override;
 
-  /// Quiescence predicate (gated scheduler): no job queued or issuing,
+  /// Quiescence predicate: no job queued or issuing,
   /// nothing buffered toward the network, and every endpoint inert.
   /// Pending/collecting response bookkeeping and mid-packet reassembly
-  /// are input-driven (sleepable) state. See DESIGN.md §9.
+  /// are input-driven (sleepable) state. See DESIGN.md §2.
   bool is_idle() const override;
 
   /// Time-leap next event: kNever when busy only by the network sender's
   /// zero-credit counter clause (stalls caught up in closed form on wake
-  /// — DESIGN.md §12), next cycle otherwise.
+  /// — DESIGN.md §2), next cycle otherwise.
   std::uint64_t next_event(std::uint64_t now) const override;
 
   const TargetConfig& config() const { return config_; }

@@ -66,11 +66,11 @@ struct NetworkConfig {
   std::size_t max_outstanding = 8;   ///< per initiator NI
   std::uint32_t slave_latency = 2;   ///< target core service latency
 
-  /// Kernel scheduling policy. kGated (the default) skips quiescent
-  /// modules and is proven bit-exact against kFull by the differential
-  /// harness (tests/kernel_equiv_test.cpp); kFull is the escape hatch
-  /// for debugging a suspected gating divergence (DESIGN.md §9).
-  sim::Scheduler scheduler = sim::Scheduler::kGated;
+  /// Kernel scheduling policy. kTimeLeap (the default) skips quiescent
+  /// modules and cycle gaps and is proven bit-exact against the kFull
+  /// reference by the differential harness (tests/kernel_equiv_test.cpp);
+  /// kFull is for cross-checking a suspected divergence (DESIGN.md §2).
+  sim::Scheduler scheduler = sim::Scheduler::kTimeLeap;
 
   /// Partitioned execution (DESIGN.md §10): split the network into this
   /// many switch groups that simulate concurrently, exchanging link

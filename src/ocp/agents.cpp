@@ -29,7 +29,7 @@ void MasterCore::push_transaction_at(Transaction txn,
   require(txn.burst_len >= 1, "MasterCore: burst_len must be >= 1");
   if (on_push) on_push(txn, release);
   queue_.push_back({std::move(txn), release});
-  // External injection: no signal write re-arms a gated master, so the
+  // External injection: no signal write re-arms a sleeping master, so the
   // push itself must (wake-hazard regression: tests/wake_hazard_test.cpp).
   // A future release keeps the master awake until it arrives (is_idle
   // tests queue_.empty()); pre-release ticks change nothing.

@@ -65,7 +65,7 @@ class MasterCore : public sim::Module {
   /// True when nothing is queued, in flight, or awaiting response.
   bool quiescent() const;
 
-  /// Quiescence predicate (gated scheduler): nothing to issue and both
+  /// Quiescence predicate: nothing to issue and both
   /// socket endpoints inert. Transactions awaiting responses are
   /// sleepable — the response beat wakes this module. push_transaction
   /// wakes the module itself (external injection bypasses the wires).
@@ -130,7 +130,7 @@ class SlaveCore : public sim::Module {
 
   void tick(sim::Kernel& kernel) override;
 
-  /// Quiescence predicate (gated scheduler). Jobs awaiting their service
+  /// Quiescence predicate. Jobs awaiting their service
   /// latency MUST keep the slave awake: ready_cycle promotion is
   /// time-driven, not input-driven, so no wire write would re-arm it.
   bool is_idle() const override;

@@ -32,7 +32,7 @@ class Monitor : public sim::Module {
 
   void tick(sim::Kernel& kernel) override;
 
-  /// Always idle under the gated scheduler: the monitor's state advances
+  /// Always idle: the monitor's state advances
   /// only on valid beats, and it registers as a watcher on both data
   /// wires, so any beat (or its drive-idle reset) wakes it for exactly
   /// the cycles where it would observe something.

@@ -1,4 +1,4 @@
-// Timed-wake calendar for the time-leap scheduler (DESIGN.md §12).
+// Timed-wake calendar for the time-leap scheduler (DESIGN.md §2).
 //
 // Modules that go idle *with pending future state* (a link beat mid-pipe,
 // a slave job inside its latency window, a master blocked on a release
@@ -20,7 +20,7 @@
 // Entries are never deleted early. A module woken by a signal before its
 // due cycle leaves a stale entry behind; the resulting spurious wake
 // ticks a module whose frozen ticks are observable no-ops (the same
-// contract that makes gated == full), so duplicates and stale entries
+// contract that makes time-leap == full), so duplicates and stale entries
 // are harmless by construction.
 #pragma once
 

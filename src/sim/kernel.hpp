@@ -5,11 +5,12 @@
 // discipline matches fully synchronous, fully registered RTL:
 //
 //  * Every inter-module connection is a Signal<T> with current/next values.
-//  * Each cycle the kernel calls Module::tick() on every module. A tick
-//    reads only *current* signal values and writes *next* values, then the
-//    kernel commits all signals at once. Module evaluation order therefore
-//    cannot affect results, and every signal hop costs exactly one cycle —
-//    the same semantics as a flop-to-flop path in the synthesizable RTL.
+//  * Each cycle the kernel calls Module::tick() on every awake module. A
+//    tick reads only *current* signal values and writes *next* values,
+//    then the kernel commits all written signals at once. Module
+//    evaluation order therefore cannot affect results, and every signal
+//    hop costs exactly one cycle — the same semantics as a flop-to-flop
+//    path in the synthesizable RTL.
 //  * xpipes lite was explicitly "designed for pipelined links", i.e. all of
 //    its interfaces tolerate register stages, so this discipline models the
 //    real library without combinational cross-module paths.
@@ -19,46 +20,37 @@
 // so a wire's committed per-cycle value sequence is identical to the
 // classic drive-every-cycle discipline.
 //
-// Three schedulers share this contract (Scheduler, DESIGN.md §9/§12):
+// One loop body runs every cycle (Kernel::run_cycle, DESIGN.md §2): serve
+// the wake calendar, tick the awake modules, commit the signals written
+// this cycle, then update the active set. A ticked module leaves the set
+// when its is_idle() predicate holds, until a signal it watches is
+// written (Signal::watch) or it is woken explicitly (Module::wake). A busy
+// module whose next self-driven change lies beyond the next cycle
+// declares that cycle via Module::next_event() and parks on a timed-wake
+// calendar (calendar.hpp). When nothing is awake the kernel leaps the
+// clock to the calendar's next due cycle instead of walking the gap.
 //
-//  * kFull ticks every module every cycle and commits per-type signal
-//    pools in a tight devirtualized loop (one virtual dispatch per *type*
-//    per cycle; the per-signal work is a predictable written-flag branch).
-//    At ~100% write density an explicit dirty list measured slower — see
-//    DESIGN.md §2 — which is why the full path keeps the flag scan.
-//  * kGated additionally maintains an active set: modules whose is_idle()
-//    predicate holds are skipped entirely until a signal they watch is
-//    written (Signal::watch wires the wake) or they are woken explicitly
-//    (Module::wake, e.g. on an external push_transaction). Under gating
-//    write density is low, so commit walks the cycle's dirty list instead
-//    of scanning every signal.
-//  * kTimeLeap is gated plus clock skipping: a module that stays busy
-//    only because of *future* state (a beat mid-pipe, a job inside its
-//    service window, a blocked release) declares the cycle of its next
-//    self-driven change via Module::next_event() and sleeps on a timed-
-//    wake calendar (calendar.hpp). When the active set drains the kernel
-//    leaps cycle_ straight to the calendar's next due cycle instead of
-//    walking the gap one bookkeeping-only cycle at a time.
+// Two schedulers share the body (Scheduler): kTimeLeap, the production
+// loop, and kFull, the reference, which never lets a module sleep and
+// never leaps. The differential harness (tests/kernel_equiv_test.cpp,
+// tests/timeleap_test.cpp) checks per-cycle Kernel::digest() equality
+// between the two over randomized scenarios.
 //
-// All schedulers are required to be bit-exact with each other; the
-// differential harness in tests/kernel_equiv_test.cpp and
-// tests/timeleap_test.cpp checks per-cycle Kernel::digest() equality over
-// randomized scenarios.
-//
-// PR 8 adds conservative-window partitioned execution on top of either
-// scheduler: the module/signal graph is split into partitions that never
-// share a signal, cross-partition links are replaced by CutChannel
-// mailboxes, and every partition advances `lookahead` cycles between
-// exchange barriers (DESIGN.md §10). Exports stay byte-identical at any
-// partition and thread count because signal creation order — and hence
-// digest order — is independent of the partitioning, and mailboxes are
-// flushed single-threaded in registration order.
+// Partitioned execution (DESIGN.md §10) splits the module/signal graph
+// into partitions that never share a signal; cross-partition links are
+// replaced by CutChannel mailboxes, and every partition advances
+// `lookahead` cycles between exchange barriers. An unpartitioned kernel is
+// one partition. Exports stay byte-identical at any partition and thread
+// count because signal creation order — and hence digest order — is
+// independent of the partitioning, and mailboxes are flushed
+// single-threaded in registration order.
 #pragma once
 
 #include <cstdint>
 #include <deque>
 #include <functional>
 #include <memory>
+#include <span>
 #include <string>
 #include <type_traits>
 #include <typeindex>
@@ -103,21 +95,12 @@ class CutChannel {
 
 /// Kernel scheduling mode; fixed at Kernel construction.
 enum class Scheduler : std::uint8_t {
-  kFull,     ///< tick every module every cycle (classic two-phase)
-  kGated,    ///< skip quiescent modules; wake on watched-signal writes
-  kTimeLeap, ///< gated + skip quiescent cycle gaps via a wake calendar
+  kFull,      ///< reference: tick every module every cycle, never leap
+  kTimeLeap,  ///< skip quiescent modules and quiescent cycle gaps
 };
 
 inline const char* scheduler_name(Scheduler s) {
-  switch (s) {
-    case Scheduler::kGated:
-      return "gated";
-    case Scheduler::kTimeLeap:
-      return "time_leap";
-    case Scheduler::kFull:
-      break;
-  }
-  return "full";
+  return s == Scheduler::kFull ? "full" : "time_leap";
 }
 
 /// Base class of all clocked hardware modules.
@@ -132,16 +115,16 @@ class Module {
   const std::string& name() const { return name_; }
 
   /// One clock cycle: read current signal values, write next values and
-  /// stage internal state updates. Called exactly once per Kernel::step()
-  /// under the full scheduler; skipped while quiescent under the gated one.
+  /// stage internal state updates. Called once per cycle while the module
+  /// is awake (every cycle under the full reference).
   virtual void tick(Kernel& kernel) = 0;
 
-  /// Quiescence predicate for the gated scheduler: return true only when
+  /// Quiescence predicate of the active set: return true only when
   /// the next tick() would provably change no internal state and write no
   /// signal value that differs from what the wires already hold. Modules
   /// that cannot promise this keep the safe default (never skipped). The
   /// kernel evaluates this after commit, so implementations read committed
-  /// signal values. See DESIGN.md §9 for the per-module contracts.
+  /// signal values. See DESIGN.md §2 for the per-module contracts.
   virtual bool is_idle() const { return false; }
 
   /// Re-arms this module. Called automatically when a watched signal is
@@ -156,11 +139,11 @@ class Module {
     awake_ = true;
   }
 
-  /// True while the gated scheduler is ticking this module (always true
-  /// under the full scheduler, which ignores the flag).
+  /// True while the module is in the active set (always true under the
+  /// full reference, which never lets a module sleep).
   bool awake() const { return awake_; }
 
-  /// Time-leap scheduler only: the cycle of this module's next
+  /// The cycle of this module's next
   /// *self-driven* state change, consulted right after a tick when
   /// is_idle() is still false. Contract:
   ///
@@ -170,7 +153,7 @@ class Module {
   ///    tick in (now, c) must be an observable no-op (no committed signal
   ///    change, no internal state change that a later cycle could see).
   ///    Counters that would have advanced during the gap must be caught
-  ///    up in closed form on the next tick (DESIGN.md §12).
+  ///    up in closed form on the next tick (DESIGN.md §2).
   ///
   /// Spurious early wakes are harmless by the same contract; returning a
   /// too-late cycle is a correctness bug the differential harness catches.
@@ -182,13 +165,13 @@ class Module {
   friend class Kernel;
 
   std::string name_;
-  bool awake_ = true;  ///< gated scheduler: ticked this cycle
-  bool woken_ = false; ///< gated scheduler: wake requested during this cycle
+  bool awake_ = true;   ///< in the active set: ticks this cycle
+  bool woken_ = false;  ///< wake requested during this cycle
   std::size_t partition_ = 0;  ///< owning partition (0 when unpartitioned)
 };
 
 /// Accumulating 64-bit state hash (FNV-1a style). Used by the differential
-/// kernel-equivalence tests to compare full vs gated schedulers per cycle;
+/// kernel-equivalence tests to compare the schedulers per cycle;
 /// never touched on the simulation hot path.
 class Digest {
  public:
@@ -212,7 +195,7 @@ inline void hash_append(Digest& d, const T& v) {
   d.mix(static_cast<std::uint64_t>(v));
 }
 
-/// One staged signal awaiting commit under the gated scheduler. The commit
+/// One staged signal awaiting commit in its partition's dirty list. The commit
 /// thunk devirtualizes per-entry dispatch into a direct function-pointer
 /// call; committing a signal whose written flag is already clear is a no-op,
 /// so duplicate entries (possible when a test commits a signal by hand) are
@@ -227,8 +210,9 @@ using DirtyList = std::vector<DirtyEntry>;
 ///
 /// read() returns the value as of the last commit; write() stages a value
 /// that becomes visible after the current cycle's commit. Signals have no
-/// virtual functions: the kernel owns them in per-type pools and commits
-/// them with direct calls.
+/// virtual functions: the kernel owns them in per-type pools, and the
+/// first write of a cycle enqueues the signal on its partition's dirty
+/// list, which the kernel commits through a direct function pointer.
 template <typename T>
 class Signal {
  public:
@@ -241,13 +225,13 @@ class Signal {
 
   void write(T value) {
     next_ = std::move(value);
-    if (dirty_list_ != nullptr && !written_) {
+    if (!written_) {
       dirty_list_->push_back(
           {this, [](void* s) { static_cast<Signal<T>*>(s)->commit(); }});
       if (watchers_[0] != nullptr) watchers_[0]->wake();
       if (watchers_[1] != nullptr) watchers_[1]->wake();
+      written_ = true;
     }
-    written_ = true;
   }
 
   bool written() const { return written_; }
@@ -260,9 +244,9 @@ class Signal {
   /// exactly the uncut PipelinedLink timing (DESIGN.md §10).
   const T& staged() const { return written_ ? next_ : curr_; }
 
-  /// Registers `consumer` to be woken whenever this signal is written
-  /// (gated scheduler). Two slots: one reading consumer plus one passive
-  /// observer (e.g. an ocp::Monitor snooping a wire it does not own).
+  /// Registers `consumer` to be woken whenever this signal is written.
+  /// Two slots: one reading consumer plus one passive observer (e.g. an
+  /// ocp::Monitor snooping a wire it does not own).
   void watch(Module& consumer) {
     if (watchers_[0] == nullptr || watchers_[0] == &consumer) {
       watchers_[0] = &consumer;
@@ -272,10 +256,8 @@ class Signal {
     watchers_[1] = &consumer;
   }
 
-  /// Applies the staged value. Called from the pool commit loop (full
-  /// scheduler) or via the dirty-list thunk (gated); the written-flag test
-  /// keeps idle signals at one predictable branch and makes duplicate
-  /// dirty entries no-ops.
+  /// Applies the staged value. Called via the dirty-list thunk; the
+  /// written-flag test makes duplicate dirty entries no-ops.
   void commit() {
     if (written_) {
       curr_ = std::move(next_);
@@ -289,7 +271,7 @@ class Signal {
   T curr_;
   T next_;
   bool written_ = false;
-  DirtyList* dirty_list_ = nullptr;  ///< non-null iff the kernel is gated
+  DirtyList* dirty_list_ = nullptr;  ///< the owning partition's list
   Module* watchers_[2] = {nullptr, nullptr};
 };
 
@@ -297,6 +279,8 @@ class Signal {
 class Kernel {
  public:
   // Both out of line: PartitionPool is incomplete here (pool_ member).
+  /// The default is the full reference: unit tests that drive single
+  /// modules by hand get every module ticked every cycle.
   explicit Kernel(Scheduler scheduler = Scheduler::kFull);
   ~Kernel();
 
@@ -307,23 +291,23 @@ class Kernel {
 
   /// Splits execution into `partitions` groups of modules/signals that
   /// run concurrently on up to `threads` worker threads (clamped to the
-  /// partition count; 1 = serial epochs, still batched for locality).
-  /// Must be called before any signal or module is created; partitions
-  /// <= 1 is a no-op and leaves the kernel on the unpartitioned path.
+  /// partition count; 1 = serial epochs). Must be called before any
+  /// signal or module is created; partitions <= 1 is a no-op and leaves
+  /// the kernel unpartitioned (one partition holding everything).
   /// Signals and modules created afterwards join the partition selected
   /// by set_creation_partition(). Cross-partition connections must go
   /// through a registered CutChannel — a signal written in one partition
   /// and read or watched in another is a data race by construction.
   void configure_partitions(std::size_t partitions, std::size_t threads);
 
-  bool partitioned() const { return !partitions_.empty(); }
+  bool partitioned() const { return partitions_.size() > 1; }
   std::size_t partition_count() const { return partitions_.size(); }
   std::size_t thread_count() const { return threads_; }
 
   /// Selects the partition that subsequently created signals and modules
-  /// join (construction-time only; ignored when unpartitioned).
+  /// join (construction-time only).
   void set_creation_partition(std::size_t partition) {
-    XPL_ASSERT(partitions_.empty() || partition < partitions_.size());
+    XPL_ASSERT(partition < partitions_.size());
     creation_partition_ = partition;
   }
 
@@ -350,83 +334,79 @@ class Kernel {
 
   /// Creates a kernel-owned signal and returns a stable reference. The
   /// signal joins the pool of its type (pools use deque storage, so
-  /// references never move while the pool grows). Pool membership — and
-  /// hence digest order — tracks creation order only, never partition
-  /// assignment, which is what keeps digests comparable across
-  /// partitionings.
+  /// references never move while the pool grows) and commits through the
+  /// creation partition's dirty list. Pool membership — and hence digest
+  /// order — tracks creation order only, never partition assignment,
+  /// which is what keeps digests comparable across partitionings.
   template <typename T>
   Signal<T>& make_signal(T reset = T{}) {
     SignalPool<T>& pool = pool_for<T>();
     pool.signals.emplace_back(std::move(reset));
     ++signal_count_;
-    Signal<T>& sig = pool.signals.back();
-    if (partitioned()) {
-      // Partitioned commits always walk per-partition dirty lists (the
-      // per-type pool sweep cannot be split by partition), under either
-      // scheduler.
-      sig.dirty_list_ = &partitions_[creation_partition_]->dirty;
-    } else if (scheduler_ != Scheduler::kFull) {
-      sig.dirty_list_ = &dirty_;
+    Partition& part = *partitions_[creation_partition_];
+    // A signal enters its dirty list at most once per cycle, so room for
+    // every signal of the partition keeps commits allocation-free.
+    if (part.dirty.capacity() < ++part.signals) {
+      part.dirty.reserve(2 * part.signals);
     }
+    Signal<T>& sig = pool.signals.back();
+    sig.dirty_list_ = &part.dirty;
     return sig;
   }
 
   /// Registers a module. The kernel does not take ownership; modules must
-  /// outlive the kernel's run (the Network owns them in practice). When
-  /// partitioned the module also joins the current creation partition's
-  /// tick list (a subsequence of the global registration order).
+  /// outlive the kernel's run (the Network owns them in practice). The
+  /// module also joins the current creation partition's tick list (a
+  /// subsequence of the global registration order).
   void add_module(Module& module) {
     modules_.push_back(&module);
-    if (partitioned()) {
-      module.partition_ = creation_partition_;
-      partitions_[creation_partition_]->modules.push_back(&module);
-    }
+    module.partition_ = creation_partition_;
+    partitions_[creation_partition_]->modules.push_back(&module);
   }
 
   /// Registers a callback run after every commit (statistics probes).
-  /// Probes run every cycle under both schedulers. Incompatible with
-  /// partitioned execution: inside an epoch there is no globally
-  /// committed cycle to observe.
+  /// Probes see every cycle, so the kernel never leaps while one is
+  /// registered. Incompatible with partitioned execution: inside an
+  /// epoch there is no globally committed cycle to observe.
   void add_probe(std::function<void(std::uint64_t cycle)> probe) {
     XPL_ASSERT(!partitioned());
     probes_.push_back(std::move(probe));
   }
 
-  /// Advances one clock cycle: tick (awake) modules, commit staged
-  /// signals, update the active set (gated), run probes. Partitioned:
-  /// a one-cycle epoch (exact, just without lookahead batching).
+  /// Advances exactly one clock cycle and never leaps: the cycle-exact
+  /// primitive. Partitioned: a one-cycle epoch.
   void step();
 
-  /// Advances `cycles` clock cycles. Partitioned: runs epochs of up to
-  /// lookahead() cycles with a cut exchange between epochs.
+  /// Advances `cycles` clock cycles, leaping gaps in which nothing is
+  /// awake. Partitioned: runs epochs of up to lookahead() cycles with a
+  /// cut exchange between epochs.
   void run(std::uint64_t cycles);
 
   /// Runs until `done()` returns true or `max_cycles` elapse; returns the
-  /// number of cycles actually run. Always cycle-exact: `done` is
-  /// evaluated at every cycle boundary even when partitioned (callers
-  /// count drain cycles; lookahead batching would overshoot).
+  /// number of cycles actually run. `done` is evaluated at every cycle
+  /// boundary the kernel walks, so partitioned runs use one-cycle epochs
+  /// (lookahead batching would overshoot). A leap skips only boundaries at
+  /// which nothing is awake: done() predicates read module state, which is
+  /// frozen across the gap, so the one evaluation before the leap covers
+  /// every skipped boundary.
   std::uint64_t run_until(const std::function<bool()>& done,
                           std::uint64_t max_cycles);
 
-  /// Parks `m` on the wake calendar for cycle `due` (time-leap scheduler).
-  /// Under kFull/kGated — or when `due` is not in the future — this wakes
+  /// Parks `m` on its partition's wake calendar for cycle `due`. Under
+  /// the full reference — or when `due` is not in the future — this wakes
   /// the module immediately instead: an extra awake tick is a no-op by the
   /// is_idle() contract, so callers need no scheduler-specific logic.
   void schedule_wake(Module& m, std::uint64_t due) {
-    if (scheduler_ != Scheduler::kTimeLeap || due <= cycle()) {
+    if (scheduler_ == Scheduler::kFull || due <= cycle()) {
       m.wake();
       return;
     }
-    if (partitioned()) {
-      partitions_[m.partition_]->calendar.schedule(due, &m);
-    } else {
-      calendar_.schedule(due, &m);
-    }
+    partitions_[m.partition_]->calendar.schedule(due, &m);
   }
 
-  /// Cycles skipped (never walked) by time-leap clock jumps. 0 under
-  /// kFull/kGated; the bench suite reports leapt_cycles()/cycles as
-  /// leapt_frac.
+  /// Cycles skipped (never walked) by clock leaps, summed over partitions.
+  /// 0 under the full reference; the bench suite reports
+  /// leapt_cycles()/cycles as leapt_frac.
   std::uint64_t leapt_cycles() const;
 
   /// Cycles elapsed since construction. Callable from module ticks even
@@ -442,9 +422,9 @@ class Kernel {
   /// this to check every module's is_idle() claim after a drain).
   const std::vector<Module*>& modules() const { return modules_; }
   std::size_t signal_count() const { return signal_count_; }
-  /// Distinct signal types in use (== virtual dispatches per commit).
+  /// Distinct signal types in use.
   std::size_t signal_pool_count() const { return pools_.size(); }
-  /// Modules ticked last cycle (== module_count() under kFull).
+  /// Modules in the active set (== module_count() under kFull).
   std::size_t awake_count() const;
 
   /// Hash of every signal's committed value, in creation order. Two
@@ -454,22 +434,17 @@ class Kernel {
   std::uint64_t digest() const;
 
  private:
-  /// Type-erased pool handle: one virtual call per type per cycle.
+  /// Type-erased pool handle (digest only; commits go through dirty lists).
   struct SignalPoolBase {
     virtual ~SignalPoolBase() = default;
-    virtual void commit_all() = 0;
     virtual void digest_into(Digest& d) const = 0;
   };
 
   /// All signals of one type T. Deque storage keeps references stable
-  /// under growth while the commit loop walks large contiguous chunks.
+  /// under growth.
   template <typename T>
   struct SignalPool final : SignalPoolBase {
     std::deque<Signal<T>> signals;
-
-    void commit_all() override {
-      for (Signal<T>& s : signals) s.commit();  // direct, inlinable call
-    }
 
     void digest_into(Digest& d) const override {
       for (const Signal<T>& s : signals) hash_append(d, s.read());
@@ -489,41 +464,47 @@ class Kernel {
     return *static_cast<SignalPool<T>*>(it->second);
   }
 
-  void step_gated();
-  void step_timeleap();
-  void step_partitions_fused();
-
-  /// Unpartitioned time-leap run loop: step while anything is awake, leap
-  /// cycle_ to the calendar's next due cycle when the active set drains.
-  void run_timeleap(std::uint64_t cycles);
-
-  /// Re-derives awake_n_ from the modules' awake flags. Needed at
-  /// run-entry: external wakes (push_transaction between runs) flip
-  /// awake_ without the kernel seeing them.
-  void refresh_awake_n();
-
   /// One execution group: its modules (a subsequence of modules_), its
-  /// own dirty list (no sharing — commits race-free by construction),
-  /// and its clock inside the current epoch. The wake calendar and leap
-  /// counter are partition-local too, so the time-leap path stays free of
-  /// cross-thread state.
+  /// own dirty list (no sharing — commits race-free by construction), its
+  /// wake calendar and leap counter, and its clock inside the current
+  /// epoch. Nothing here is shared across threads.
   struct Partition {
     std::vector<Module*> modules;
     DirtyList dirty;
+    std::size_t signals = 0;  ///< signals committing through `dirty`
     std::uint64_t local_cycle = 0;
     WakeCalendar calendar;
-    std::size_t awake_n = 0;
     std::uint64_t leapt = 0;
   };
+  using Parts = std::span<const std::unique_ptr<Partition>>;
 
-  /// Runs every partition for `k` cycles (pooled or serial), advances
-  /// global time, then flushes cuts in registration order.
-  void run_epoch(std::uint64_t k);
+  /// The kernel loop body: one cycle of `modules` against `clock`,
+  /// serving the calendars and dirty lists of `parts`. Returns whether
+  /// any module is still awake for the next cycle.
+  bool run_cycle(const std::vector<Module*>& modules, Parts parts,
+                 std::uint64_t& clock);
 
-  /// Advances one partition `k` cycles: per-cycle tick / dirty-commit /
-  /// active-set update against the partition's local clock. Called from
+  /// The leap helper: the cycle a loop with nothing awake may jump to
+  /// from `now` — the earliest calendar due among `parts`, capped at
+  /// `end`. Returns `now` (no leap) under the full reference and while
+  /// probes exist.
+  std::uint64_t leap_target(Parts parts, std::uint64_t now,
+                            std::uint64_t end) const;
+
+  /// Shared driver of run() and run_until(): walks or leaps toward `end`,
+  /// stopping early once `done` (when given) holds. Returns cycles run.
+  std::uint64_t advance(std::uint64_t end, const std::function<bool()>* done);
+
+  /// One epoch of up to `k` cycles (one cycle when unpartitioned): runs
+  /// every partition (pooled, fused when k == 1, else one by one),
+  /// advances global time, then flushes cuts in registration order.
+  /// Returns whether any module is awake afterwards.
+  bool run_epoch(std::uint64_t k);
+
+  /// Advances partition `i` for `k` cycles against its local clock,
+  /// leaping inside the epoch when the partition sleeps. Called from
   /// worker threads; touches only partition-local state.
-  void run_partition(Partition& p, std::uint64_t k);
+  void run_partition(std::size_t i, std::uint64_t k);
 
   friend class PartitionPool;
 
@@ -532,17 +513,10 @@ class Kernel {
   std::vector<std::unique_ptr<SignalPoolBase>> pools_;
   std::unordered_map<std::type_index, SignalPoolBase*> pool_index_;
   std::size_t signal_count_ = 0;
-  DirtyList dirty_;  ///< signals written this cycle (gated, unpartitioned)
   std::vector<std::function<void(std::uint64_t)>> probes_;
   std::uint64_t cycle_ = 0;
 
-  // Time-leap scheduler (unpartitioned; partitions carry their own).
-  WakeCalendar calendar_;
-  std::size_t awake_n_ = 0;      ///< modules ticked last step_timeleap
-  std::uint64_t leapt_cycles_ = 0;
-
-  // Partitioned execution (empty/idle unless configure_partitions ran).
-  std::vector<std::unique_ptr<Partition>> partitions_;
+  std::vector<std::unique_ptr<Partition>> partitions_;  ///< at least one
   std::vector<CutChannel*> cuts_;
   std::size_t creation_partition_ = 0;
   std::size_t threads_ = 1;

@@ -24,7 +24,7 @@ PartitionPool::~PartitionPool() {
 void PartitionPool::run_slice(std::size_t worker, std::uint64_t k) {
   for (std::size_t p = worker; p < kernel_.partitions_.size();
        p += threads_) {
-    kernel_.run_partition(*kernel_.partitions_[p], k);
+    kernel_.run_partition(p, k);
   }
 }
 

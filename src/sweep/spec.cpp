@@ -112,14 +112,6 @@ std::uint64_t derive_seed(std::uint64_t spec_seed, std::uint64_t salt) {
   return z ^ (z >> 31);
 }
 
-sim::Scheduler auto_scheduler(double injection_rate) {
-  // At <= 5% offered load the network spends most cycles quiescent and
-  // the time-leap calendar pays for itself; above it, gated's per-cycle
-  // active set is already tight (BENCH_pr10.json).
-  return injection_rate <= 0.05 ? sim::Scheduler::kTimeLeap
-                                : sim::Scheduler::kGated;
-}
-
 std::size_t SweepPoint::num_switches() const {
   if (topology == "mesh" || topology == "torus" || topology == "cmesh") {
     return width * height;
@@ -305,16 +297,8 @@ SweepPoint SweepSpec::resolve_grid_point(std::size_t grid_index,
                         ? topology::RoutingAlgorithm::kXY
                         : topology::RoutingAlgorithm::kUpDown;
   }
-  if (scheduler_pinned) {
-    p.net.scheduler = scheduler == "full"        ? sim::Scheduler::kFull
-                      : scheduler == "time_leap" ? sim::Scheduler::kTimeLeap
-                                                 : sim::Scheduler::kGated;
-  } else {
-    // No directive: pick per point by offered load. Results are
-    // scheduler-invariant (bit-identical), so the choice is free to vary
-    // across points and across resumes of the same campaign.
-    p.net.scheduler = auto_scheduler(injection_rates[rate_i]);
-  }
+  p.net.scheduler = scheduler == "full" ? sim::Scheduler::kFull
+                                        : sim::Scheduler::kTimeLeap;
   // Seeds derive from the *grid* cell, never from scheduling order:
   // bit-identical results for any --jobs value.
   p.net.seed = derive_seed(seed, grid_index * 2 + 0);
@@ -433,7 +417,6 @@ SweepSpec parse_sweep(const std::string& text) {
                          "' (expected gated | full | time_leap)");
       }
       spec.scheduler = tokens[1];
-      spec.scheduler_pinned = true;
     } else if (key == "threads") {
       need(2);
       spec.threads = parse_u64(tokens[1], lineno);

@@ -33,7 +33,7 @@
 //   read_fraction 0.5
 //   max_burst 2
 //   routing auto           # campaign-wide: auto | minimal | xy | updown
-//   scheduler gated        # campaign-wide: gated | full (bit-identical)
+//   scheduler gated        # campaign-wide: full | time_leap (gated = alias)
 //   threads 1              # campaign-wide: sim threads per point
 //   partitions 1           # campaign-wide: kernel partitions per point
 //   concentration 4        # campaign-wide: cmesh NIs per switch
@@ -135,17 +135,13 @@ struct SweepSpec {
   /// Campaign-wide routing selection: "auto" | "minimal" | "xy" |
   /// "updown" (see file comment).
   std::string routing = "auto";
-  /// Campaign-wide kernel scheduling policy: "gated" (skip quiescent
-  /// modules, the default) | "full" (tick everything — the escape hatch
-  /// for cross-checking a suspected gating divergence) | "time_leap"
-  /// (skip quiescent *cycles* too; DESIGN.md §12). All three produce
-  /// byte-identical results; see DESIGN.md §9.
+  /// Campaign-wide kernel scheduling policy: "full" runs the tick-
+  /// everything reference (for cross-checking a suspected divergence);
+  /// "time_leap" and "gated" (a legacy alias, and the default) run the
+  /// production time-leap kernel. Both kernels produce byte-identical
+  /// results (DESIGN.md §2). The default stays "gated" and is always
+  /// written back, because checkpoint sidecars embed the canonical text.
   std::string scheduler = "gated";
-  /// True when the spec carried an explicit `scheduler` directive. An
-  /// unpinned spec lets resolve_grid_point() pick per point via
-  /// auto_scheduler() — safe because every scheduler is bit-identical,
-  /// so checkpoints and exports do not depend on the choice.
-  bool scheduler_pinned = false;
   /// Campaign-wide partitioned-simulation knobs (DESIGN.md §10): every
   /// point's kernel is split into `partitions` conservative partitions
   /// run by `threads` worker threads. Results are byte-identical at any
@@ -202,12 +198,6 @@ struct SweepSpec {
 /// Deterministic per-job seed: splitmix64 of the spec seed and the point's
 /// campaign index. Exposed for tests.
 std::uint64_t derive_seed(std::uint64_t spec_seed, std::uint64_t salt);
-
-/// Default scheduler for a point whose spec does not pin one: time-leap
-/// when the offered load is low enough that quiescent gaps dominate,
-/// gated otherwise. Pure function of the injection rate so the choice —
-/// which never changes results, only wall-clock — is reproducible.
-sim::Scheduler auto_scheduler(double injection_rate);
 
 /// Parses a sweep specification; throws xpl::Error with a line number on
 /// malformed input.

@@ -68,7 +68,7 @@ Switch::Switch(std::string name, const SwitchConfig& config,
     InputPort port;
     port.rx = link::LinkReceiver(config_.flow, input_wires[i],
                                  config_.input_protocol(i));
-    port.rx.watch(*this);  // arriving flits re-arm a gated switch
+    port.rx.watch(*this);  // arriving flits re-arm a sleeping switch
     port.lanes.resize(config_.vcs);
     for (InLane& lane : port.lanes) {
       lane.fifo.reserve(config_.input_fifo_depth);
@@ -80,7 +80,7 @@ Switch::Switch(std::string name, const SwitchConfig& config,
     OutputPort port(config.arbiter, config.num_inputs * config_.vcs);
     port.tx = link::LinkSender(config_.flow, output_wires[o],
                                config_.output_protocol(o));
-    port.tx.watch(*this);  // ACK/credit returns re-arm a gated switch
+    port.tx.watch(*this);  // ACK/credit returns re-arm a sleeping switch
     port.lanes.resize(config_.vcs);
     for (OutLane& lane : port.lanes) {
       lane.fifo.reserve(config_.output_fifo_depth);
@@ -334,7 +334,7 @@ std::uint64_t Switch::credit_stalls() const {
   // Time-leap correction: cycles this module has slept through so far
   // while a sender sat starved would each have counted one stall under
   // per-cycle ticking; the frozen state says exactly how many. Zero under
-  // kFull/kGated (next_tick_ == cycle(): a starved switch never sleeps).
+  // kFull (next_tick_ == cycle(): a switch that never sleeps).
   if (kernel_ != nullptr) {
     const std::uint64_t now = kernel_->cycle();
     if (now > next_tick_) {

@@ -110,15 +110,15 @@ class Switch : public sim::Module {
 
   void tick(sim::Kernel& kernel) override;
 
-  /// Quiescence predicate (gated scheduler): every buffer, delay line and
+  /// Quiescence predicate: every buffer, delay line and
   /// endpoint is inert. Held wormhole locks are static state and do NOT
   /// keep the switch awake — the next body flit wakes it through its
-  /// input wire. See DESIGN.md §9.
+  /// input wire. See DESIGN.md §2.
   bool is_idle() const override;
 
   /// Time-leap next event: kNever when the switch is busy only by the
   /// credit-counter clause of is_idle() (a starved sender's per-cycle
-  /// stall count is restored in closed form on wake — DESIGN.md §12),
+  /// stall count is restored in closed form on wake — DESIGN.md §2),
   /// next cycle otherwise.
   std::uint64_t next_event(std::uint64_t now) const override;
 
@@ -213,7 +213,7 @@ class Switch : public sim::Module {
 
   /// Stall catch-up bookkeeping (time-leap): the first cycle this module
   /// has not yet ticked, and the kernel whose clock measures the gap. A
-  /// module that ticks every cycle (kFull/kGated) keeps next_tick_ ==
+  /// module that ticks every cycle (kFull) keeps next_tick_ ==
   /// cycle() so both corrections below are identically zero.
   std::uint64_t next_tick_ = 0;
   const sim::Kernel* kernel_ = nullptr;

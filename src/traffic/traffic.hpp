@@ -110,7 +110,7 @@ std::vector<TraceEntry> load_trace(const std::string& path);
 /// injector module with the kernel so run() can hand the whole span to
 /// Kernel::run at once: the injector declares the next entry's cycle via
 /// next_event(), the kernel leaps the silent gaps, and the release gate
-/// in MasterCore keeps the issue schedule bit-exact (DESIGN.md §12).
+/// in MasterCore keeps the issue schedule bit-exact (DESIGN.md §2).
 class TracePlayer {
  public:
   /// Write payload for beat `beat` of entry `index`. The default (null)

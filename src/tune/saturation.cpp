@@ -32,11 +32,6 @@ bool SaturationSearch::saturated(double avg_latency, double lat_lo,
 sweep::SweepPoint SaturationSearch::point_at(double rate) const {
   sweep::SweepPoint p = base_;
   p.traffic.injection_rate = rate;
-  // Tune specs never pin a scheduler, so re-apply the load-based default
-  // the resolver used — low-rate calibration probes leap their quiescent
-  // gaps while the saturation bracket stays on the gated scheduler.
-  // Results are scheduler-invariant, so this only changes wall-clock.
-  p.net.scheduler = sweep::auto_scheduler(rate);
   return p;
 }
 

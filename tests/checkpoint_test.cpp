@@ -166,49 +166,95 @@ TEST(Checkpoint, ResumeIsByteIdenticalAcrossSimThreadCounts) {
 }
 
 TEST(Checkpoint, ResumeIsByteIdenticalAcrossSchedulerChoice) {
-  // tiny_spec carries no scheduler directive, so the resolver picks per
-  // point by load (time-leap at the low rates, gated above). A resume may
-  // land on a different choice — an xsweep --gated/--timeleap override,
-  // or a changed auto_scheduler threshold — and must still finish with
-  // the same bytes: schedulers are throughput knobs, never axes.
-  SweepSpec gated = tiny_spec();
-  gated.scheduler = "gated";
-  gated.scheduler_pinned = true;
-  const ResultTable reference = SweepRunner(1).run(gated);
+  // A campaign interrupted under the default kernel and resumed under
+  // `scheduler full` must finish with the same bytes as either
+  // uninterrupted run: schedulers are throughput knobs, never axes.
+  const SweepSpec spec = tiny_spec();
+  const ResultTable reference = SweepRunner(1).run(spec);
   const std::string ref_csv = reference.to_csv();
   const std::string ref_json = reference.to_json();
+  SweepSpec full = tiny_spec();
+  full.scheduler = "full";
+  const ResultTable full_table = SweepRunner(1).run(full);
+  EXPECT_EQ(full_table.to_csv(), ref_csv);
+  EXPECT_EQ(full_table.to_json(), ref_json);
 
-  // Unpinned (mixed-scheduler) campaign: same exports, and the sidecar
-  // bytes are identical too — a checkpoint never records the choice.
-  const SweepSpec auto_spec = tiny_spec();
-  const ResultTable auto_table = SweepRunner(1).run(auto_spec);
-  EXPECT_EQ(auto_table.to_csv(), ref_csv);
-  EXPECT_EQ(auto_table.to_json(), ref_json);
-  EXPECT_EQ(write_checkpoint(make_checkpoint(auto_spec, auto_table)),
-            write_checkpoint(make_checkpoint(gated, reference)));
-
-  // Interrupt under the auto choice, resume pinned to time_leap (as
-  // xsweep --resume --timeleap would).
   Checkpoint saved;
   {
     const SweepRunner runner(1);
     RunOptions opts;
     opts.halt_after = 3;
     opts.on_progress = [&](const ResultTable& partial) {
-      saved = make_checkpoint(auto_spec, partial);
+      saved = make_checkpoint(spec, partial);
     };
-    runner.run(auto_spec, opts);
+    runner.run(spec, opts);
   }
   Checkpoint reloaded = parse_checkpoint(write_checkpoint(saved));
   ASSERT_EQ(reloaded.results.size(), 3u);
   SweepSpec restored = checkpoint_spec(reloaded);
-  restored.scheduler = "time_leap";
-  restored.scheduler_pinned = true;
+  restored.scheduler = "full";
   RunOptions opts;
   opts.resume = &reloaded.results;
   const ResultTable table = SweepRunner(1).run(restored, opts);
   EXPECT_EQ(table.to_csv(), ref_csv);
   EXPECT_EQ(table.to_json(), ref_json);
+}
+
+TEST(Checkpoint, LegacyGatedSidecarResumesByteIdentically) {
+  // A sidecar exactly as written before the gated scheduler was folded
+  // into time-leap: tiny_spec() halted after three points. Its embedded
+  // spec says `scheduler gated`, which must stay canonical (so the
+  // sidecar still loads), resolve to the production kernel, and finish
+  // the campaign with the CSV the three-scheduler kernel exported.
+  const char* kSidecar =
+      "# xsweep campaign checkpoint\n"
+      "checkpoint 1\n"
+      "spec_begin\n"
+      "# xsweep campaign specification\n"
+      "sweep ckpt_scan\n"
+      "seed 7\n"
+      "cycles 200\n"
+      "drain 4000\n"
+      "samples 0\n"
+      "target_mhz 800\n"
+      "read_fraction 0.5\n"
+      "max_burst 2\n"
+      "routing auto\n"
+      "scheduler gated\n"
+      "topology mesh\n"
+      "width 2\n"
+      "height 2\n"
+      "flit_width 32\n"
+      "fifo_depth 2 4\n"
+      "vcs 1\n"
+      "flow ack_nack\n"
+      "pattern uniform\n"
+      "warmup 0\n"
+      "burstiness 0\n"
+      "injection_rate 0.01 0.05 0.1\n"
+      "spec_end\n"
+      "points 6\n"
+      "result 0 1 9 110 0 0 0x1.f333333333333p+4 0x1p+5 0x1.70a3d70a3d70ap-5 0x1.7777777777777p-6 0x1.a7b08c6ce92f1p-1 0x1.cdd9bcb74fb08p+5 0x1.0bf3ed5787457p+10\n"
+      "result 1 1 42 558 2 0 0x1.1f83e0f83e0f8p+4 0x1.5p+5 0x1.ae147ae147ae1p-3 0x1.dc28f5c28f5c3p-4 0x1.a7b08c6ce92f1p-1 0x1.cdd9bcb74fb08p+5 0x1.0bf3ed5787457p+10\n"
+      "result 2 1 65 926 13 0 0x1.63c8253c8253dp+4 0x1.78p+5 0x1.4cccccccccccdp-2 0x1.8b17e4b17e4b1p-3 0x1.a7b08c6ce92f1p-1 0x1.cdd9bcb74fb08p+5 0x1.0bf3ed5787457p+10\n";
+  const char* kCsv =
+      "index,label,topology,width,height,switches,flit_width,fifo_depth,pattern,injection_rate,burstiness,warmup,cycles,ok,transactions,avg_latency_cycles,p95_latency_cycles,throughput_tpc,link_flits,retransmissions,avg_link_utilization,area_mm2,power_mw,fmax_mhz,error\n"
+      "0,mesh_2x2_f32_q2_uniform_r0.01,mesh,2,2,4,32,2,uniform,0.01,0,0,200,1,9,31.2,32,0.045,110,0,0.0229166666666667,0.827518833441529,57.7313169785685,1071.81136120043,\n"
+      "1,mesh_2x2_f32_q2_uniform_r0.05,mesh,2,2,4,32,2,uniform,0.05,0,0,200,1,42,17.969696969697,42,0.21,558,2,0.11625,0.827518833441529,57.7313169785685,1071.81136120043,\n"
+      "2,mesh_2x2_f32_q2_uniform_r0.1,mesh,2,2,4,32,2,uniform,0.1,0,0,200,1,65,22.2363636363636,47,0.325,926,13,0.192916666666667,0.827518833441529,57.7313169785685,1071.81136120043,\n"
+      "3,mesh_2x2_f32_q4_uniform_r0.01,mesh,2,2,4,32,4,uniform,0.01,0,0,200,1,9,20.2,32,0.045,110,0,0.0229166666666667,0.889950878199687,61.8827279556924,1071.81136120043,\n"
+      "4,mesh_2x2_f32_q4_uniform_r0.05,mesh,2,2,4,32,4,uniform,0.05,0,0,200,1,34,19.3636363636364,36,0.17,429,2,0.089375,0.889950878199687,61.8827279556924,1071.81136120043,\n"
+      "5,mesh_2x2_f32_q4_uniform_r0.1,mesh,2,2,4,32,4,uniform,0.1,0,0,200,1,91,23.972602739726,48,0.455,1264,20,0.263333333333333,0.889950878199687,61.8827279556924,1071.81136120043,\n";
+  Checkpoint ckpt = parse_checkpoint(kSidecar);
+  EXPECT_EQ(write_checkpoint(ckpt), kSidecar);
+  const SweepSpec spec = checkpoint_spec(ckpt);
+  EXPECT_EQ(write_sweep(spec), write_sweep(tiny_spec()));
+  ASSERT_EQ(ckpt.results.size(), 3u);
+  RunOptions opts;
+  opts.resume = &ckpt.results;
+  const ResultTable table = SweepRunner(1).run(spec, opts);
+  EXPECT_EQ(table.to_csv(), kCsv);
+  EXPECT_EQ(table.to_json(), SweepRunner(1).run(tiny_spec()).to_json());
 }
 
 TEST(Checkpoint, SaveIsAtomicAndLoadable) {

@@ -3,7 +3,7 @@
 // hold: routes terminate correctly, up*/down* stays deadlock-free,
 // every injected transaction completes, every byte survives. The traffic
 // sweep runs through the differential kernel-equivalence harness, so
-// each random network is simultaneously a gated-vs-full bit-exactness
+// each random network is simultaneously a leap-vs-full bit-exactness
 // trial on a topology class the named generators cannot produce.
 #include <gtest/gtest.h>
 
@@ -96,26 +96,26 @@ TEST_P(RandomTrafficSweep, EverythingCompletesOnRandomNetwork) {
   tcfg.seed = 123 + GetParam();
 
   // Twin networks, one per scheduler, through the shared differential
-  // harness: the irregular graph must behave identically gated vs full.
+  // harness: the irregular graph must behave identically time-leap vs full.
   auto full_cfg = cfg;
   full_cfg.scheduler = sim::Scheduler::kFull;
-  cfg.scheduler = sim::Scheduler::kGated;
+  cfg.scheduler = sim::Scheduler::kTimeLeap;
   noc::Network full(topo, full_cfg);
-  noc::Network gated(std::move(topo), cfg);
+  noc::Network leap(std::move(topo), cfg);
   traffic::TrafficDriver full_driver(full, tcfg);
-  traffic::TrafficDriver gated_driver(gated, tcfg);
+  traffic::TrafficDriver leap_driver(leap, tcfg);
   const auto diff = testsupport::run_lockstep(
-      full, gated, full_driver, gated_driver, 2500, 400000,
+      full, leap, full_driver, leap_driver, 2500, 400000,
       "fuzz irregular topology, seed " + std::to_string(GetParam()));
   ASSERT_TRUE(diff.ok) << diff.detail;
 
   std::size_t completed = 0;
-  for (std::size_t i = 0; i < gated.num_initiators(); ++i) {
-    EXPECT_TRUE(gated.master(i).quiescent())
+  for (std::size_t i = 0; i < leap.num_initiators(); ++i) {
+    EXPECT_TRUE(leap.master(i).quiescent())
         << "seed " << GetParam() << " master " << i;
-    completed += gated.master(i).completed().size();
+    completed += leap.master(i).completed().size();
   }
-  EXPECT_EQ(completed, gated_driver.injected()) << "seed " << GetParam();
+  EXPECT_EQ(completed, leap_driver.injected()) << "seed " << GetParam();
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, RandomTrafficSweep, ::testing::Range(0, 15));

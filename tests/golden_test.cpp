@@ -5,8 +5,8 @@
 // were generated *before* the hot-path refactor (inline flit storage,
 // pooled signal commit, ring-buffer FIFOs) landed, so any refactor of the
 // core must reproduce the seed behaviour bit for bit to stay green. Both
-// kernel schedulers are pinned: the default runs exercise `scheduler
-// gated`, and the scheduler-invariance test re-runs the campaign under
+// kernel schedulers are pinned: the default runs exercise the time-leap
+// kernel, and the scheduler-invariance test re-runs the campaign under
 // `scheduler full` against the same bytes.
 //
 // Regenerating (only when an intentional behaviour change is reviewed):
@@ -98,16 +98,13 @@ TEST(Golden, CampaignIsThreadCountInvariant) {
 }
 
 TEST(Golden, CampaignIsSchedulerInvariantAgainstGolden) {
-  // The pinned artifacts predate the activity-gated kernel. The unpinned
-  // runs above leave the scheduler to auto_scheduler() (time-leap at this
-  // campaign's low rate); this pins `scheduler full` against the *same*
-  // bytes, so the schedulers are anchored to the seed behaviour
-  // independently (not merely to each other).
+  // The pinned artifacts predate the event-driven kernel. The runs above
+  // use the default time-leap kernel; this pins `scheduler full` against
+  // the *same* bytes, so both schedulers are anchored to the seed
+  // behaviour independently (not merely to each other).
   sweep::SweepSpec spec = sweep::parse_sweep(kCampaignSpec);
   ASSERT_EQ(spec.scheduler, "gated");  // the campaign-wide default
-  ASSERT_FALSE(spec.scheduler_pinned);
   spec.scheduler = "full";
-  spec.scheduler_pinned = true;
   sweep::SweepRunner runner(1);
   const sweep::ResultTable table = runner.run(spec);
   expect_golden("campaign.csv", table.to_csv());
@@ -116,12 +113,11 @@ TEST(Golden, CampaignIsSchedulerInvariantAgainstGolden) {
 
 TEST(Golden, CampaignIsTimeLeapInvariantAgainstGolden) {
   // Pins `scheduler time_leap` — quiescent cycle gaps skipped via the
-  // wake calendar (DESIGN.md §12) — directly against the pre-time-leap
-  // artifact bytes, gated and pinned `scheduler gated` likewise.
+  // wake calendar (DESIGN.md §2) — and its legacy alias `scheduler gated`
+  // directly against the pre-time-leap artifact bytes.
   for (const char* name : {"time_leap", "gated"}) {
     sweep::SweepSpec spec = sweep::parse_sweep(kCampaignSpec);
     spec.scheduler = name;
-    spec.scheduler_pinned = true;
     sweep::SweepRunner runner(1);
     const sweep::ResultTable table = runner.run(spec);
     expect_golden("campaign.csv", table.to_csv());
@@ -137,7 +133,6 @@ TEST(Golden, CampaignIsPartitionedTimeLeapInvariantAgainstGolden) {
   spec.partitions = 4;
   spec.threads = 4;
   spec.scheduler = "time_leap";
-  spec.scheduler_pinned = true;
   sweep::SweepRunner runner(1);
   const sweep::ResultTable table = runner.run(spec);
   expect_golden("campaign.csv", table.to_csv());
@@ -186,10 +181,10 @@ TEST(Golden, FlowCampaignCsvIsByteStable) {
   expect_golden("campaign_flow.csv", table.to_csv());
 }
 
-/// The low-load campaign: injection rates so sparse that the gated
-/// scheduler skips most of the network most cycles — the regime the
-/// activity gating optimizes. Pinned so the fast path has a golden of
-/// its own, and cross-checked against the full scheduler in-test.
+/// The low-load campaign: injection rates so sparse that the time-leap
+/// kernel skips most of the network most cycles — the regime it
+/// optimizes. Pinned so the fast path has a golden of its own, and
+/// cross-checked against the full reference in-test.
 const char* kLowLoadCampaignSpec =
     "sweep golden_lowload\n"
     "seed 13\n"
@@ -201,22 +196,17 @@ const char* kLowLoadCampaignSpec =
     "injection_rate 0.002 0.01\n";
 
 TEST(Golden, LowLoadCampaignCsvIsByteStable) {
-  // Unpinned: auto_scheduler() picks time-leap at these rates, so the
-  // default leg anchors the leaping kernel to the pinned bytes; the
-  // pinned gated and full legs cross-check the per-cycle schedulers.
+  // The default leg anchors the leaping kernel to the pinned bytes; the
+  // full leg cross-checks the reference.
   sweep::SweepSpec spec = sweep::parse_sweep(kLowLoadCampaignSpec);
-  ASSERT_FALSE(spec.scheduler_pinned);
   sweep::SweepRunner runner(1);
   const sweep::ResultTable table = runner.run(spec);
   for (const auto& r : table.rows()) ASSERT_TRUE(r.ok) << r.error;
   expect_golden("campaign_lowload.csv", table.to_csv());
 
-  spec.scheduler_pinned = true;
-  for (const char* name : {"gated", "full"}) {
-    spec.scheduler = name;
-    const sweep::ResultTable pinned_table = runner.run(spec);
-    EXPECT_EQ(pinned_table.to_csv(), table.to_csv()) << name;
-  }
+  spec.scheduler = "full";
+  const sweep::ResultTable full_table = runner.run(spec);
+  EXPECT_EQ(full_table.to_csv(), table.to_csv());
 }
 
 TEST(Golden, RecordedTraceIsByteStable) {

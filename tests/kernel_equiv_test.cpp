@@ -1,8 +1,7 @@
-// Differential kernel-equivalence suite (PR 7's headline proof,
-// extended to the time-leap scheduler in PR 10).
+// Differential kernel-equivalence suite.
 //
-// The gated and time-leap schedulers must be indistinguishable from the
-// full scheduler on every observable. These tests drive the
+// The time-leap scheduler must be indistinguishable from the full
+// reference on every observable. These tests drive the
 // differential harness (tests/support/differential.hpp) over randomized
 // topologies × traffic × flow control × lane counts — per-cycle and
 // chunked for the time-leap twin, partitioned across {2,4} partitions ×
@@ -27,7 +26,6 @@ namespace xpl {
 namespace {
 
 using testsupport::DiffScenario;
-using testsupport::run_differential;
 using testsupport::run_differential_shrunk;
 using testsupport::run_differential_timeleap;
 using testsupport::run_differential_timeleap_partitioned;
@@ -97,7 +95,7 @@ DiffScenario random_scenario(std::uint64_t seed) {
   return s;
 }
 
-/// The randomized sweep: >= 200 seeds by default. XPL_EQUIV_TRIALS
+/// The randomized per-cycle sweep: >= 200 seeds by default. XPL_EQUIV_TRIALS
 /// overrides the count (the CI kernel-equiv job raises it; local
 /// debugging can lower it).
 TEST(KernelEquiv, RandomizedScenariosAreBitExact) {
@@ -112,9 +110,9 @@ TEST(KernelEquiv, RandomizedScenariosAreBitExact) {
   }
 }
 
-/// The same randomized sweep against the time-leap scheduler: >= 200
-/// fresh seeds, each proven per-cycle (leaps digest-checked inside the
-/// leapt region) and chunked (injector + multi-cycle leaps).
+/// The same randomized sweep at both granularities: >= 200 fresh seeds,
+/// each proven per-cycle (leaps digest-checked inside the leapt region)
+/// and chunked (injector + multi-cycle leaps).
 TEST(KernelEquiv, TimeLeapRandomizedScenariosAreBitExact) {
   std::size_t trials = 200;
   if (const char* env = std::getenv("XPL_EQUIV_TRIALS")) {
@@ -187,16 +185,13 @@ TEST(KernelEquiv, CornerScenariosAreBitExact) {
   corners[5].injection_rate = 0.002;  // near-silent: gating dominates
   corners[5].cycles = 600;
   for (std::size_t i = 0; i < 6; ++i) {
-    const auto result = run_differential(corners[i]);
+    const auto result = run_differential_timeleap(corners[i]);
     ASSERT_TRUE(result.ok) << "corner " << i << ": " << result.detail;
-    const auto leap_result = run_differential_timeleap(corners[i]);
-    ASSERT_TRUE(leap_result.ok)
-        << "corner " << i << " (time-leap): " << leap_result.detail;
   }
 }
 
 /// Campaign-level equality: the same sweep spec with `scheduler full`
-/// vs `scheduler gated` must export byte-identical CSV and JSON.
+/// vs the default must export byte-identical CSV and JSON.
 TEST(KernelEquiv, CampaignExportsAreSchedulerInvariant) {
   const char* kSpec =
       "sweep equiv\n"
@@ -209,12 +204,12 @@ TEST(KernelEquiv, CampaignExportsAreSchedulerInvariant) {
       "injection_rate 0.02 0.15\n";
   sweep::SweepSpec full_spec = sweep::parse_sweep(kSpec);
   full_spec.scheduler = "full";
-  sweep::SweepSpec gated_spec = sweep::parse_sweep(kSpec);
-  ASSERT_EQ(gated_spec.scheduler, "gated");  // the default
+  const sweep::SweepSpec leap_spec = sweep::parse_sweep(kSpec);
+  ASSERT_EQ(leap_spec.point(0).net.scheduler, sim::Scheduler::kTimeLeap);
   const auto full_table = sweep::SweepRunner(1).run(full_spec);
-  const auto gated_table = sweep::SweepRunner(1).run(gated_spec);
-  EXPECT_EQ(full_table.to_csv(), gated_table.to_csv());
-  EXPECT_EQ(full_table.to_json(), gated_table.to_json());
+  const auto leap_table = sweep::SweepRunner(1).run(leap_spec);
+  EXPECT_EQ(full_table.to_csv(), leap_table.to_csv());
+  EXPECT_EQ(full_table.to_json(), leap_table.to_json());
 }
 
 /// Recorded traces must be byte-identical across schedulers: the
@@ -239,20 +234,20 @@ TEST(KernelEquiv, RecordedTraceBytesAreSchedulerInvariant) {
     return workload::write_trace(recorder.trace());
   };
   const std::string full = record(sim::Scheduler::kFull);
-  const std::string gated = record(sim::Scheduler::kGated);
+  const std::string leap = record(sim::Scheduler::kTimeLeap);
   ASSERT_FALSE(full.empty());
-  EXPECT_EQ(full, gated);
+  EXPECT_EQ(full, leap);
 }
 
-/// Sanity that the optimization is real: at low load the gated kernel
-/// must actually skip most modules most cycles (otherwise these
+/// Sanity that the optimization is real: at low load the time-leap
+/// kernel must actually skip most modules most cycles (otherwise these
 /// equivalence proofs are vacuous).
-TEST(KernelEquiv, GatedKernelActuallySkipsIdleModules) {
+TEST(KernelEquiv, TimeLeapKernelActuallySkipsIdleModules) {
   DiffScenario s;
   s.injection_rate = 0.002;
   s.cycles = 400;
   noc::Network net(s.build_topology(),
-                   s.net_config(sim::Scheduler::kGated));
+                   s.net_config(sim::Scheduler::kTimeLeap));
   traffic::TrafficDriver driver(net, s.traffic_config());
   std::uint64_t awake_sum = 0;
   std::uint64_t min_awake = net.kernel().module_count();

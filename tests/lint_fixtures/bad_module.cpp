@@ -4,8 +4,8 @@
 
 namespace fixture {
 
-// A concrete module that never claims quiescence: the gated scheduler
-// could never skip it, and nothing documents whether that is intended.
+// A concrete module that never claims quiescence: the kernel loop could
+// never let it sleep, and nothing documents whether that is intended.
 class Counter : public sim::Module {  // xlint-expect: XL201
  public:
   void tick(sim::Kernel& kernel) override { ++count_; }

@@ -3,7 +3,7 @@
 //
 // The partitioned kernel splits one Network across conservative
 // partitions synchronized at link-latency boundaries (DESIGN.md §10).
-// The contract mirrors the gated scheduler's (PR 7): partitioning is a
+// The contract mirrors the time-leap kernel's: partitioning is a
 // pure throughput optimization — per-epoch signal digests, drain
 // behaviour, statistics, campaign exports and recorded traces must be
 // byte-identical to the unpartitioned kernel for every (partitions,
@@ -40,10 +40,10 @@ using testsupport::run_lockstep_partitioned;
 void expect_invariant(const DiffScenario& scenario, std::size_t partitions,
                       std::size_t threads) {
   noc::Network ref(scenario.build_topology(),
-                   scenario.net_config(sim::Scheduler::kGated));
+                   scenario.net_config(sim::Scheduler::kFull));
   noc::Network part(
       scenario.build_topology(),
-      scenario.net_config(sim::Scheduler::kGated, partitions, threads));
+      scenario.net_config(sim::Scheduler::kTimeLeap, partitions, threads));
   traffic::TrafficDriver ref_driver(ref, scenario.traffic_config());
   traffic::TrafficDriver part_driver(part, scenario.traffic_config());
   const DiffResult result = run_lockstep_partitioned(
@@ -134,8 +134,8 @@ TEST(PartitionInvariance, CornersAcrossPartitionAndThreadCounts) {
 }
 
 TEST(PartitionInvariance, FullSchedulerPartitionsToo) {
-  // Partitioning composes with the full (ungated) scheduler: partitioned
-  // signals commit via the partition dirty lists either way.
+  // Partitioning composes with the full reference too: its partitioned
+  // twin ticks every module of every partition every cycle.
   DiffScenario s;
   s.topology = "mesh";
   s.width = 4;
@@ -163,7 +163,7 @@ TEST(PartitionInvariance, EpochMachineryActuallyEngaged) {
   s.height = 2;
   s.concentration = 2;
   noc::Network net(s.build_topology(),
-                   s.net_config(sim::Scheduler::kGated, 4, 2));
+                   s.net_config(sim::Scheduler::kTimeLeap, 4, 2));
   ASSERT_TRUE(net.kernel().partitioned());
   EXPECT_EQ(net.kernel().partition_count(), 4u);
   EXPECT_EQ(net.kernel().thread_count(), 2u);
@@ -186,13 +186,13 @@ TEST(PartitionInvariance, LookaheadRespectsConfigCap) {
   s.width = 4;
   s.height = 2;
   s.concentration = 2;
-  noc::NetworkConfig cfg = s.net_config(sim::Scheduler::kGated, 2, 1);
+  noc::NetworkConfig cfg = s.net_config(sim::Scheduler::kTimeLeap, 2, 1);
   cfg.lookahead = 1;  // force single-cycle epochs despite staged cuts
   noc::Network net(s.build_topology(), cfg);
   EXPECT_EQ(net.kernel().lookahead(), 1u);
 
   // Zero-stage cuts bound the window at 1 cycle regardless of config.
-  noc::NetworkConfig cfg2 = s.net_config(sim::Scheduler::kGated, 2, 1);
+  noc::NetworkConfig cfg2 = s.net_config(sim::Scheduler::kTimeLeap, 2, 1);
   cfg2.lookahead = 8;
   noc::Network mesh_net(
       topology::make_mesh(4, 4, topology::NiPlan::uniform(16, 1, 1)), cfg2);
@@ -209,9 +209,9 @@ TEST(PartitionInvariance, LinkStatsViewIsPartitionInvariant) {
   s.cycles = 200;
   s.injection_rate = 0.08;
   noc::Network ref(s.build_topology(),
-                   s.net_config(sim::Scheduler::kGated));
+                   s.net_config(sim::Scheduler::kFull));
   noc::Network part(s.build_topology(),
-                    s.net_config(sim::Scheduler::kGated, 4, 2));
+                    s.net_config(sim::Scheduler::kTimeLeap, 4, 2));
   ASSERT_EQ(ref.num_links(), part.num_links());
 
   traffic::TrafficDriver ref_driver(ref, s.traffic_config());
@@ -251,7 +251,7 @@ TEST(PartitionInvariance, RecordedTraceIsByteIdentical) {
     s.height = 3;
     noc::Network net(
         s.build_topology(),
-        s.net_config(sim::Scheduler::kGated, partitions, threads));
+        s.net_config(sim::Scheduler::kTimeLeap, partitions, threads));
     traffic::TrafficConfig tcfg;
     tcfg.injection_rate = 0.08;
     tcfg.burstiness = 0.4;

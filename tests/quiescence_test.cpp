@@ -1,6 +1,6 @@
-// Per-module quiescence invariants for the activity-gated scheduler.
+// Per-module quiescence invariants for the time-leap kernel's active set.
 //
-// The gated kernel skips a module whenever its is_idle() predicate
+// The time-leap kernel skips a module whenever its is_idle() predicate
 // holds, so the predicate's contract is load-bearing for correctness:
 // is_idle() may return true only when the next tick would provably
 // change no internal state and write no signal value differing from
@@ -100,7 +100,7 @@ class Counter : public sim::Module {
 };
 
 TEST(Quiescence, ActiveSetDrainsToZeroAndDigestIsAFixedPoint) {
-  sim::Kernel kernel(sim::Scheduler::kGated);
+  sim::Kernel kernel(sim::Scheduler::kTimeLeap);
   Pulser pulser(kernel, 3);
   Counter counter(pulser.out());
   kernel.add_module(pulser);
@@ -116,7 +116,7 @@ TEST(Quiescence, ActiveSetDrainsToZeroAndDigestIsAFixedPoint) {
 }
 
 TEST(Quiescence, WatchedWriteWakesASleepingConsumer) {
-  sim::Kernel kernel(sim::Scheduler::kGated);
+  sim::Kernel kernel(sim::Scheduler::kTimeLeap);
   Pulser pulser(kernel, 0);
   Counter counter(pulser.out());
   kernel.add_module(pulser);
@@ -142,7 +142,7 @@ TEST(Quiescence, ExplicitWakeArmsTheCurrentCycle) {
   // wake() must make the very next step() tick the module — matching the
   // full scheduler for externally injected work (MasterCore's
   // push_transaction is this exact pattern).
-  sim::Kernel kernel(sim::Scheduler::kGated);
+  sim::Kernel kernel(sim::Scheduler::kTimeLeap);
   Pulser pulser(kernel, 1);
   Counter counter(pulser.out());
   kernel.add_module(pulser);
@@ -158,7 +158,7 @@ TEST(Quiescence, ExplicitWakeArmsTheCurrentCycle) {
 }
 
 TEST(Quiescence, BothWatcherSlotsAreWoken) {
-  sim::Kernel kernel(sim::Scheduler::kGated);
+  sim::Kernel kernel(sim::Scheduler::kTimeLeap);
   Pulser pulser(kernel, 0);
   Counter first(pulser.out(), "first");
   Counter second(pulser.out(), "second");  // second watcher slot
@@ -285,7 +285,7 @@ TEST(Quiescence, MasterIdleTracksItsWorkQueue) {
 
 TEST(Quiescence, SlaveStaysAwakeThroughItsLatencyWindow) {
   // The service-latency wait is time-driven: no wire write will re-arm
-  // the slave, so is_idle() == true mid-window would hang the gated
+  // the slave, so is_idle() == true mid-window would hang the time-leap
   // kernel. Probe the middle of a long window directly.
   OcpBench b(/*latency=*/30);
   ocp::Transaction txn;
@@ -383,10 +383,12 @@ TEST(Quiescence, NetworkIsNeverFullyAsleepWithWorkPending) {
   EXPECT_EQ(completed, driver.injected());
 }
 
-TEST(Quiescence, OnlyTheSlaveStaysUpDuringItsServiceWindow) {
+TEST(Quiescence, ServiceWindowSleepsOnTheCalendarAndIsLeapt) {
   // End-to-end view of the latency-window contract: one read through a
   // quiet network; while the slave waits out its (long) service latency
-  // everything else goes to sleep around it.
+  // everything else goes to sleep around it, and the slave itself parks
+  // on the wake calendar (is_idle() stays false, next_event() names the
+  // window's end), so the kernel leaps the window instead of walking it.
   noc::NetworkConfig cfg = mesh_config();
   cfg.slave_latency = 60;
   noc::Network net(topology::make_mesh(2, 2, topology::NiPlan::uniform(4, 1, 1)),
@@ -408,9 +410,10 @@ TEST(Quiescence, OnlyTheSlaveStaysUpDuringItsServiceWindow) {
   }
   ASSERT_TRUE(net.quiescent());
   EXPECT_EQ(net.master(0).completed().size(), 1u);
-  EXPECT_GE(min_busy_awake, 1u);
-  EXPECT_LE(min_busy_awake, 2u)
-      << "the service window should idle everything but the slave";
+  EXPECT_EQ(min_busy_awake, 0u)
+      << "the service window should put the whole network to sleep";
+  EXPECT_GT(net.kernel().leapt_cycles(), cfg.slave_latency / 2)
+      << "the service window was walked, not leapt";
 }
 
 }  // namespace

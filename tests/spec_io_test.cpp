@@ -79,6 +79,26 @@ TEST(SpecIo, RoundTripIsStable) {
   EXPECT_EQ(once, twice);
 }
 
+TEST(SpecIo, SchedulerAliasesParseToTheDefaultAndFullRoundTrips) {
+  // `gated` (the legacy name) and `time_leap` both select the default
+  // production kernel, which is never written back; only the full
+  // reference is.
+  const std::string plain = write_spec(parse_spec(kSample));
+  EXPECT_EQ(plain.find("scheduler"), std::string::npos);
+  for (const char* name : {"gated", "time_leap"}) {
+    const NocSpec spec =
+        parse_spec(std::string(kSample) + "scheduler " + name + "\n");
+    EXPECT_EQ(spec.net.scheduler, sim::Scheduler::kTimeLeap) << name;
+    EXPECT_EQ(write_spec(spec), plain) << name;
+  }
+  const NocSpec full = parse_spec(std::string(kSample) + "scheduler full\n");
+  EXPECT_EQ(full.net.scheduler, sim::Scheduler::kFull);
+  const std::string text = write_spec(full);
+  EXPECT_NE(text.find("scheduler full\n"), std::string::npos);
+  EXPECT_EQ(parse_spec(text).net.scheduler, sim::Scheduler::kFull);
+  EXPECT_EQ(write_spec(parse_spec(text)), text);
+}
+
 TEST(SpecIo, GeneratedTopologyRoundTrips) {
   NocSpec spec;
   spec.name = "mesh";

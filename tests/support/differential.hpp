@@ -1,15 +1,15 @@
-// Differential kernel-equivalence harness (PR 7, extended in PR 10).
+// Differential kernel-equivalence harness.
 //
-// The activity-gated scheduler (sim::Scheduler::kGated) and the
-// time-leap scheduler (sim::Scheduler::kTimeLeap) are pure
-// optimizations: each must be *bit-exact* against the full scheduler on
-// every observable — per-cycle signal values, end-of-run statistics,
-// campaign exports, recorded traces. This header is the proof engine:
-// it builds two identically-configured networks, one per scheduler,
-// drives them in lockstep with twin traffic generators, and compares
-// the kernels' signal digests every cycle. A divergence is reported
-// with the first divergent cycle and the modules whose state differs,
-// and scenarios shrink toward a minimal reproduction before reporting.
+// The time-leap scheduler (sim::Scheduler::kTimeLeap) is a pure
+// optimization: it must be *bit-exact* against the full reference
+// (sim::Scheduler::kFull, which ticks every module every cycle) on every
+// observable — per-cycle signal values, end-of-run statistics, campaign
+// exports, recorded traces. This header is the proof engine: it builds
+// two identically-configured networks, one per scheduler, drives them in
+// lockstep with twin traffic generators, and compares the kernels'
+// signal digests every cycle. A divergence is reported with the first
+// divergent cycle and the modules whose state differs, and scenarios
+// shrink toward a minimal reproduction before reporting.
 //
 // The time-leap twin is proven at two granularities. Network::step()
 // routes through Kernel::run(1), so a per-cycle-driven kTimeLeap
@@ -135,60 +135,59 @@ namespace detail {
 /// labels default to the scheduler-equivalence pairing; the partition
 /// harness passes "ref"/"part".
 inline std::string attribute_divergence(noc::Network& full,
-                                        noc::Network& gated,
+                                        noc::Network& leap,
                                         const char* label_a = "full",
-                                        const char* label_b = "gated") {
+                                        const char* label_b = "leap") {
   std::ostringstream os;
   for (std::size_t s = 0; s < full.num_switches(); ++s) {
     const std::string a = full.switch_at(s).debug_state();
-    const std::string b = gated.switch_at(s).debug_state();
+    const std::string b = leap.switch_at(s).debug_state();
     if (a != b) {
       os << "\n  switch " << s << " " << label_a << ":  " << a
          << "\n  switch " << s << " " << label_b << ": " << b;
     }
   }
   for (std::size_t i = 0; i < full.num_initiators(); ++i) {
-    if (full.master(i).issued_count() != gated.master(i).issued_count() ||
+    if (full.master(i).issued_count() != leap.master(i).issued_count() ||
         full.master(i).completed().size() !=
-            gated.master(i).completed().size()) {
+            leap.master(i).completed().size()) {
       os << "\n  master " << i << ": issued "
          << full.master(i).issued_count() << "/"
-         << gated.master(i).issued_count() << " completed "
+         << leap.master(i).issued_count() << " completed "
          << full.master(i).completed().size() << "/"
-         << gated.master(i).completed().size();
+         << leap.master(i).completed().size();
     }
   }
   for (std::size_t t = 0; t < full.num_targets(); ++t) {
     if (full.target_ni(t).packets_received() !=
-        gated.target_ni(t).packets_received()) {
+        leap.target_ni(t).packets_received()) {
       os << "\n  target_ni " << t << ": packets_received "
          << full.target_ni(t).packets_received() << "/"
-         << gated.target_ni(t).packets_received();
+         << leap.target_ni(t).packets_received();
     }
   }
-  os << "\n  awake(" << label_b << ") = " << gated.kernel().awake_count()
-     << "/" << gated.kernel().module_count();
+  os << "\n  awake(" << label_b << ") = " << leap.kernel().awake_count()
+     << "/" << leap.kernel().module_count();
   return os.str();
 }
 
 }  // namespace detail
 
-/// Lockstep comparator over caller-built twins: `full` and `gated` must
+/// Lockstep comparator over caller-built twins: `full` and `leap` must
 /// be identically constructed except for the scheduler, and the drivers
 /// identically seeded. Drives both for `cycles`, then drains, comparing
 /// the kernels' signal digests after every cycle and the end-of-run
 /// statistics at the end. `describe` labels the failure report. This is
 /// the reusable core: DiffScenario-based callers go through
 /// run_differential below; suites with their own topology generators
-/// (tests/fuzz_test.cpp) call this directly. The labels default to the
-/// full/gated pairing; the time-leap runners pass "gated"/"leap".
-inline DiffResult run_lockstep(noc::Network& full, noc::Network& gated,
+/// (tests/fuzz_test.cpp) call this directly.
+inline DiffResult run_lockstep(noc::Network& full, noc::Network& leap,
                                traffic::TrafficDriver& full_driver,
-                               traffic::TrafficDriver& gated_driver,
+                               traffic::TrafficDriver& leap_driver,
                                std::size_t cycles, std::size_t drain_cycles,
-                               const std::string& describe,
-                               const char* label_a = "full",
-                               const char* label_b = "gated") {
+                               const std::string& describe) {
+  const char* label_a = "full";
+  const char* label_b = "leap";
   DiffResult result;
   auto diverged = [&](std::uint64_t cycle, const char* phase) {
     result.ok = false;
@@ -196,44 +195,44 @@ inline DiffResult run_lockstep(noc::Network& full, noc::Network& gated,
     std::ostringstream os;
     os << "digest divergence at cycle " << cycle << " (" << phase
        << " phase)\n  scenario: " << describe
-       << detail::attribute_divergence(full, gated, label_a, label_b);
+       << detail::attribute_divergence(full, leap, label_a, label_b);
     result.detail = os.str();
     return result;
   };
 
   for (std::size_t c = 0; c < cycles; ++c) {
     full_driver.step();
-    gated_driver.step();
+    leap_driver.step();
     full.step();
-    gated.step();
-    if (full.kernel().digest() != gated.kernel().digest()) {
+    leap.step();
+    if (full.kernel().digest() != leap.kernel().digest()) {
       return diverged(full.kernel().cycle(), "driven");
     }
   }
   for (std::size_t c = 0; c < drain_cycles; ++c) {
-    if (full.quiescent() && gated.quiescent()) break;
+    if (full.quiescent() && leap.quiescent()) break;
     full.step();
-    gated.step();
-    if (full.kernel().digest() != gated.kernel().digest()) {
+    leap.step();
+    if (full.kernel().digest() != leap.kernel().digest()) {
       return diverged(full.kernel().cycle(), "drain");
     }
   }
-  if (full.quiescent() != gated.quiescent()) {
+  if (full.quiescent() != leap.quiescent()) {
     result.ok = false;
     result.first_divergent_cycle = full.kernel().cycle();
     result.detail = "drain divergence (" + std::string(label_a) + " " +
                     std::string(full.quiescent() ? "quiescent" : "stuck") +
                     ", " + std::string(label_b) + " " +
-                    std::string(gated.quiescent() ? "quiescent" : "stuck") +
+                    std::string(leap.quiescent() ? "quiescent" : "stuck") +
                     ")\n  scenario: " + describe +
-                    detail::attribute_divergence(full, gated, label_a,
+                    detail::attribute_divergence(full, leap, label_a,
                                                  label_b);
     return result;
   }
 
   // Per-cycle digests agreed; the aggregate statistics must too.
   const auto fs = traffic::collect_run(full, cycles);
-  const auto gs = traffic::collect_run(gated, cycles);
+  const auto gs = traffic::collect_run(leap, cycles);
   std::ostringstream os;
   auto check = [&os, label_a, label_b](const char* what, auto a, auto b) {
     if (a != b) {
@@ -340,31 +339,32 @@ inline DiffResult run_lockstep_partitioned(
   return result;
 }
 
-/// Builds the full- and gated-scheduler twins of `scenario`, drives them
-/// in lockstep, and compares the kernels' signal digests after every
-/// cycle (driven phase and drain phase alike), then the end-of-run
-/// statistics. Returns the first divergence, if any.
+/// Builds the full-reference and time-leap twins of `scenario`, drives
+/// them in lockstep per cycle, and compares the kernels' signal digests
+/// after every cycle (driven phase and drain phase alike), then the
+/// end-of-run statistics. Because Network::step() is Kernel::run(1), the
+/// twin's kernel takes the leap decision every cycle and skips (freezes)
+/// each quiescent one — so the digest comparison runs *inside* leapt
+/// regions: a frozen cycle must be byte-identical to the reference's
+/// ticked one, which is exactly the "skipped ticks are observable
+/// no-ops" obligation. Returns the first divergence, if any.
 inline DiffResult run_differential(const DiffScenario& scenario) {
   noc::Network full(scenario.build_topology(),
                     scenario.net_config(sim::Scheduler::kFull));
-  noc::Network gated(scenario.build_topology(),
-                     scenario.net_config(sim::Scheduler::kGated));
+  noc::Network leap(scenario.build_topology(),
+                    scenario.net_config(sim::Scheduler::kTimeLeap));
   traffic::TrafficDriver full_driver(full, scenario.traffic_config());
-  traffic::TrafficDriver gated_driver(gated, scenario.traffic_config());
-  return run_lockstep(full, gated, full_driver, gated_driver,
+  traffic::TrafficDriver leap_driver(leap, scenario.traffic_config());
+  return run_lockstep(full, leap, full_driver, leap_driver,
                       scenario.cycles, scenario.drain_cycles,
                       scenario.to_string());
 }
 
-/// Time-leap differential (PR 10): kGated reference vs kTimeLeap twin,
-/// proven at both leap granularities.
+/// Time-leap differential at both leap granularities, full reference vs
+/// kTimeLeap twin.
 ///
-/// Leg 1 drives both networks per cycle through run_lockstep. Because
-/// Network::step() is Kernel::run(1), the twin's kernel takes the leap
-/// decision every cycle and skips (freezes) each quiescent one — so the
-/// digest comparison runs *inside* leapt regions: a frozen cycle must
-/// be byte-identical to the reference's ticked one, which is exactly
-/// the "skipped ticks are observable no-ops" obligation.
+/// Leg 1 is run_differential: per-cycle driving, digests compared inside
+/// leapt regions.
 ///
 /// Leg 2 re-runs the scenario advancing the twin in mixed-width
 /// driver.run() spans. That path registers the driver's injector module
@@ -374,21 +374,15 @@ inline DiffResult run_differential(const DiffScenario& scenario) {
 /// clocks realign, and the drain advances both sides in fixed windows.
 inline DiffResult run_differential_timeleap(const DiffScenario& scenario) {
   {
-    noc::Network gated(scenario.build_topology(),
-                       scenario.net_config(sim::Scheduler::kGated));
-    noc::Network leap(scenario.build_topology(),
-                      scenario.net_config(sim::Scheduler::kTimeLeap));
-    traffic::TrafficDriver gated_driver(gated, scenario.traffic_config());
-    traffic::TrafficDriver leap_driver(leap, scenario.traffic_config());
-    DiffResult per_cycle = run_lockstep(
-        gated, leap, gated_driver, leap_driver, scenario.cycles,
-        scenario.drain_cycles, scenario.to_string() + " [leap per-cycle]",
-        "gated", "leap");
-    if (!per_cycle.ok) return per_cycle;
+    DiffResult per_cycle = run_differential(scenario);
+    if (!per_cycle.ok) {
+      per_cycle.detail += "\n  [leap per-cycle]";
+      return per_cycle;
+    }
   }
 
   noc::Network ref(scenario.build_topology(),
-                   scenario.net_config(sim::Scheduler::kGated));
+                   scenario.net_config(sim::Scheduler::kFull));
   noc::Network leap(scenario.build_topology(),
                     scenario.net_config(sim::Scheduler::kTimeLeap));
   traffic::TrafficDriver ref_driver(ref, scenario.traffic_config());
@@ -402,7 +396,7 @@ inline DiffResult run_differential_timeleap(const DiffScenario& scenario) {
     std::ostringstream os;
     os << "digest divergence at cycle " << cycle << " (" << phase
        << " phase)\n  scenario: " << describe
-       << detail::attribute_divergence(ref, leap, "gated", "leap");
+       << detail::attribute_divergence(ref, leap, "full", "leap");
     result.detail = os.str();
     return result;
   };
@@ -437,11 +431,11 @@ inline DiffResult run_differential_timeleap(const DiffScenario& scenario) {
     result.ok = false;
     result.first_divergent_cycle = ref.kernel().cycle();
     result.detail =
-        "drain divergence (gated " +
+        "drain divergence (full " +
         std::string(ref.quiescent() ? "quiescent" : "stuck") + ", leap " +
         std::string(leap.quiescent() ? "quiescent" : "stuck") +
         ")\n  scenario: " + describe +
-        detail::attribute_divergence(ref, leap, "gated", "leap");
+        detail::attribute_divergence(ref, leap, "full", "leap");
     return result;
   }
 
@@ -449,7 +443,7 @@ inline DiffResult run_differential_timeleap(const DiffScenario& scenario) {
   const auto ls = traffic::collect_run(leap, scenario.cycles);
   std::ostringstream os;
   auto check = [&os](const char* what, auto a, auto b) {
-    if (a != b) os << "\n  " << what << ": gated=" << a << " leap=" << b;
+    if (a != b) os << "\n  " << what << ": full=" << a << " leap=" << b;
   };
   check("transactions", rs.transactions, ls.transactions);
   check("latency.mean", rs.latency.mean, ls.latency.mean);
@@ -469,7 +463,7 @@ inline DiffResult run_differential_timeleap(const DiffScenario& scenario) {
   return result;
 }
 
-/// Partitioned time-leap twin vs the unpartitioned gated reference:
+/// Partitioned time-leap twin vs the unpartitioned full reference:
 /// partition-local leaps are capped at the epoch barrier and the
 /// wholesale fast-forward only fires when every partition sleeps, so
 /// the PR 8 barrier protocol (digests compared per epoch, per-cycle
@@ -478,7 +472,7 @@ inline DiffResult run_differential_timeleap_partitioned(
     const DiffScenario& scenario, std::size_t partitions,
     std::size_t sim_threads) {
   noc::Network ref(scenario.build_topology(),
-                   scenario.net_config(sim::Scheduler::kGated));
+                   scenario.net_config(sim::Scheduler::kFull));
   noc::Network part(scenario.build_topology(),
                     scenario.net_config(sim::Scheduler::kTimeLeap,
                                         partitions, sim_threads));
@@ -497,7 +491,7 @@ inline DiffResult run_differential_timeleap_partitioned(
 /// keeps each one that still reproduces a divergence. Returns the
 /// minimal still-failing scenario (the input if nothing smaller fails).
 /// `still_fails` decides reproduction, so the same shrinker serves the
-/// full/gated and gated/time-leap pairings.
+/// per-cycle and both-granularity time-leap differentials.
 template <typename StillFails>
 inline DiffScenario shrink_divergence_with(DiffScenario scenario,
                                            StillFails still_fails) {
@@ -553,7 +547,7 @@ inline DiffScenario shrink_divergence_with(DiffScenario scenario,
   return scenario;
 }
 
-/// Full/gated shrinker (the PR 7 behavior).
+/// Per-cycle full/time-leap shrinker.
 inline DiffScenario shrink_divergence(DiffScenario scenario) {
   return shrink_divergence_with(std::move(scenario),
                                 [](const DiffScenario& s) {

@@ -89,6 +89,7 @@ TEST(SweepSpec, MalformedLinesReportTheirLineNumber) {
   expect_line_error(ok + "topology klein_bottle\n", 3); // unknown value
   expect_line_error(ok + "flow sideband\n", 3);         // unknown protocol
   expect_line_error(ok + "routing zigzag\n", 3);        // unknown routing
+  expect_line_error(ok + "scheduler gated_full\n", 3);  // unknown kernel
   expect_line_error(ok + "vcs 99\n", 3);                // out of range
   expect_line_error(ok + "vcs 0\n", 3);                 // out of range
   expect_line_error(ok + "burstiness 1.5\n", 3);        // out of range

@@ -1,7 +1,7 @@
 // Time-leap scheduler corner tests (PR 10).
 //
 // The calendar-driven kTimeLeap kernel must be bit-exact against the
-// gated scheduler while actually skipping quiescent cycle gaps. The
+// full reference while actually skipping quiescent cycle gaps. The
 // randomized sweep lives in tests/kernel_equiv_test.cpp; this file pins
 // the corners a random draw undersamples:
 //   - a leap truncated at a partitioned epoch barrier,
@@ -9,13 +9,15 @@
 //   - an external push_transaction at a cycle the kernel reached by
 //     leaping (stale calendars, sleeping masters),
 //   - closed-form catch-up of credit-stall and go-back-N counters
-//     queried mid-sleep.
+//     queried mid-sleep,
+//   - a partitioned drain (run_until) leaping its all-asleep stretches.
 // Each correctness assertion is paired with an anti-vacuousness check
 // (leapt_cycles() > 0 or a nonzero stall/retransmission count) so a
 // regression that silently stops leaping fails loudly too.
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <map>
 #include <string>
 
 #include "src/link/flow.hpp"
@@ -102,44 +104,44 @@ TEST(TimeLeap, LeapIsTruncatedAtEpochBarriers) {
 // afterwards) shifts.
 TEST(TimeLeap, WakeLandsExactlyOnLeapTarget) {
   DiffScenario s;  // 2x2 mesh, no traffic driver
-  noc::Network gated(s.build_topology(),
-                     s.net_config(sim::Scheduler::kGated));
+  noc::Network full(s.build_topology(),
+                     s.net_config(sim::Scheduler::kFull));
   noc::Network leap(s.build_topology(),
                     s.net_config(sim::Scheduler::kTimeLeap));
 
   constexpr std::uint64_t kRelease = 200;
   ocp::Transaction txn;
   txn.cmd = ocp::Cmd::kRead;
-  txn.addr = gated.target_base(1) + 0x40;
-  gated.master(0).push_transaction_at(txn, kRelease);
+  txn.addr = full.target_base(1) + 0x40;
+  full.master(0).push_transaction_at(txn, kRelease);
   leap.master(0).push_transaction_at(txn, kRelease);
 
   // One span across the whole gap: the leap kernel should jump from
   // (nearly) cycle 0 to the release cycle in one hop.
-  gated.step(400);
+  full.step(400);
   leap.step(400);
-  EXPECT_EQ(gated.kernel().digest(), leap.kernel().digest())
+  EXPECT_EQ(full.kernel().digest(), leap.kernel().digest())
       << "digest mismatch after leaping to a scheduled release";
-  EXPECT_EQ(gated.kernel().cycle(), leap.kernel().cycle());
+  EXPECT_EQ(full.kernel().cycle(), leap.kernel().cycle());
   EXPECT_GT(leap.kernel().leapt_cycles(), kRelease / 2)
       << "kernel walked the pre-release gap instead of leaping it";
 
   for (std::size_t c = 0; c < 4000; ++c) {
-    if (gated.quiescent() && leap.quiescent()) break;
-    gated.step();
+    if (full.quiescent() && leap.quiescent()) break;
+    full.step();
     leap.step();
-    ASSERT_EQ(gated.kernel().digest(), leap.kernel().digest())
-        << "drain digest mismatch at cycle " << gated.kernel().cycle();
+    ASSERT_EQ(full.kernel().digest(), leap.kernel().digest())
+        << "drain digest mismatch at cycle " << full.kernel().cycle();
   }
-  ASSERT_TRUE(gated.quiescent());
+  ASSERT_TRUE(full.quiescent());
   ASSERT_TRUE(leap.quiescent());
-  ASSERT_EQ(gated.master(0).completed().size(), 1u);
+  ASSERT_EQ(full.master(0).completed().size(), 1u);
   ASSERT_EQ(leap.master(0).completed().size(), 1u);
-  EXPECT_EQ(gated.master(0).completed()[0].issue_cycle,
+  EXPECT_EQ(full.master(0).completed()[0].issue_cycle,
             leap.master(0).completed()[0].issue_cycle);
-  EXPECT_EQ(gated.master(0).completed()[0].complete_cycle,
+  EXPECT_EQ(full.master(0).completed()[0].complete_cycle,
             leap.master(0).completed()[0].complete_cycle);
-  EXPECT_GE(gated.master(0).completed()[0].issue_cycle, kRelease);
+  EXPECT_GE(full.master(0).completed()[0].issue_cycle, kRelease);
 }
 
 // --- Corner: external push at a cycle reached by leaping -------------
@@ -152,23 +154,23 @@ TEST(TimeLeap, WakeLandsExactlyOnLeapTarget) {
 // cycle, and the stale calendar entry must stay harmless.
 TEST(TimeLeap, PushDuringLeapedGapIssuesSameCycle) {
   DiffScenario s;  // 2x2 mesh, no traffic driver
-  noc::Network gated(s.build_topology(),
-                     s.net_config(sim::Scheduler::kGated));
+  noc::Network full(s.build_topology(),
+                     s.net_config(sim::Scheduler::kFull));
   noc::Network leap(s.build_topology(),
                     s.net_config(sim::Scheduler::kTimeLeap));
 
   constexpr std::uint64_t kFarRelease = 300;
   ocp::Transaction far;
   far.cmd = ocp::Cmd::kRead;
-  far.addr = gated.target_base(2) + 0x10;
-  gated.master(0).push_transaction_at(far, kFarRelease);
+  far.addr = full.target_base(2) + 0x10;
+  full.master(0).push_transaction_at(far, kFarRelease);
   leap.master(0).push_transaction_at(far, kFarRelease);
 
   // Advance into the gap: the leap twin jumps these 100 cycles.
-  gated.step(100);
+  full.step(100);
   leap.step(100);
-  ASSERT_EQ(gated.kernel().cycle(), leap.kernel().cycle());
-  ASSERT_EQ(gated.kernel().digest(), leap.kernel().digest());
+  ASSERT_EQ(full.kernel().cycle(), leap.kernel().cycle());
+  ASSERT_EQ(full.kernel().digest(), leap.kernel().digest());
   ASSERT_GT(leap.kernel().leapt_cycles(), 50u)
       << "the pre-push gap was walked, not leapt; corner not exercised";
 
@@ -177,10 +179,10 @@ TEST(TimeLeap, PushDuringLeapedGapIssuesSameCycle) {
   // is now stale-but-pending).
   ocp::Transaction now_txn;
   now_txn.cmd = ocp::Cmd::kWrite;
-  now_txn.addr = gated.target_base(1);
+  now_txn.addr = full.target_base(1);
   now_txn.data = {0xABCDu};
   now_txn.burst_len = 1;
-  for (noc::Network* net : {&gated, &leap}) {
+  for (noc::Network* net : {&full, &leap}) {
     net->master(1).push_transaction(now_txn);
     net->master(0).push_transaction(now_txn);
   }
@@ -189,17 +191,17 @@ TEST(TimeLeap, PushDuringLeapedGapIssuesSameCycle) {
   // digests must match every cycle, including the re-leapt stretch
   // between the pushed writes completing and kFarRelease.
   for (std::size_t c = 0; c < 4000; ++c) {
-    if (gated.quiescent() && leap.quiescent()) break;
-    gated.step();
+    if (full.quiescent() && leap.quiescent()) break;
+    full.step();
     leap.step();
-    ASSERT_EQ(gated.kernel().digest(), leap.kernel().digest())
-        << "digest mismatch at cycle " << gated.kernel().cycle();
+    ASSERT_EQ(full.kernel().digest(), leap.kernel().digest())
+        << "digest mismatch at cycle " << full.kernel().cycle();
   }
-  ASSERT_TRUE(gated.quiescent());
+  ASSERT_TRUE(full.quiescent());
   ASSERT_TRUE(leap.quiescent());
-  ASSERT_EQ(gated.master(0).completed().size(), 2u);
+  ASSERT_EQ(full.master(0).completed().size(), 2u);
   ASSERT_EQ(leap.master(1).completed().size(), 1u);
-  EXPECT_EQ(gated.master(1).completed()[0].issue_cycle,
+  EXPECT_EQ(full.master(1).completed()[0].issue_cycle,
             leap.master(1).completed()[0].issue_cycle);
 }
 
@@ -225,26 +227,26 @@ TEST(TimeLeap, CreditStallCountersCatchUpExactly) {
   s.cycles = 3000;
   s.traffic_seed = 77;
 
-  noc::Network gated(s.build_topology(),
-                     s.net_config(sim::Scheduler::kGated));
+  noc::Network full(s.build_topology(),
+                     s.net_config(sim::Scheduler::kFull));
   noc::Network leap(s.build_topology(),
                     s.net_config(sim::Scheduler::kTimeLeap));
-  traffic::TrafficDriver gated_driver(gated, s.traffic_config());
+  traffic::TrafficDriver full_driver(full, s.traffic_config());
   traffic::TrafficDriver leap_driver(leap, s.traffic_config());
 
   for (std::size_t done = 0; done < s.cycles; done += 60) {
-    gated_driver.run(60);
+    full_driver.run(60);
     leap_driver.run(60);
-    ASSERT_EQ(gated.kernel().digest(), leap.kernel().digest())
-        << "digest mismatch at span ending cycle " << gated.kernel().cycle();
-    ASSERT_EQ(gated.total_credit_stalls(), leap.total_credit_stalls())
-        << "credit-stall totals diverged at cycle " << gated.kernel().cycle();
+    ASSERT_EQ(full.kernel().digest(), leap.kernel().digest())
+        << "digest mismatch at span ending cycle " << full.kernel().cycle();
+    ASSERT_EQ(full.total_credit_stalls(), leap.total_credit_stalls())
+        << "credit-stall totals diverged at cycle " << full.kernel().cycle();
   }
-  gated.run_until_quiescent(20000);
+  full.run_until_quiescent(20000);
   leap.run_until_quiescent(20000);
-  EXPECT_EQ(gated.kernel().digest(), leap.kernel().digest());
-  EXPECT_EQ(gated.total_credit_stalls(), leap.total_credit_stalls());
-  EXPECT_GT(gated.total_credit_stalls(), 0u)
+  EXPECT_EQ(full.kernel().digest(), leap.kernel().digest());
+  EXPECT_EQ(full.total_credit_stalls(), leap.total_credit_stalls());
+  EXPECT_GT(full.total_credit_stalls(), 0u)
       << "scenario produced no credit stalls; catch-up not exercised";
   EXPECT_GT(leap.kernel().leapt_cycles(), 0u);
 }
@@ -264,28 +266,88 @@ TEST(TimeLeap, GoBackNRetransmissionCountersMatch) {
   s.net_seed = 11;
   s.traffic_seed = 13;
 
-  noc::Network gated(s.build_topology(),
-                     s.net_config(sim::Scheduler::kGated));
+  noc::Network full(s.build_topology(),
+                     s.net_config(sim::Scheduler::kFull));
   noc::Network leap(s.build_topology(),
                     s.net_config(sim::Scheduler::kTimeLeap));
-  traffic::TrafficDriver gated_driver(gated, s.traffic_config());
+  traffic::TrafficDriver full_driver(full, s.traffic_config());
   traffic::TrafficDriver leap_driver(leap, s.traffic_config());
 
   for (std::size_t done = 0; done < s.cycles; done += 45) {
-    gated_driver.run(45);
+    full_driver.run(45);
     leap_driver.run(45);
-    ASSERT_EQ(gated.kernel().digest(), leap.kernel().digest())
-        << "digest mismatch at span ending cycle " << gated.kernel().cycle();
-    ASSERT_EQ(gated.total_retransmissions(), leap.total_retransmissions())
+    ASSERT_EQ(full.kernel().digest(), leap.kernel().digest())
+        << "digest mismatch at span ending cycle " << full.kernel().cycle();
+    ASSERT_EQ(full.total_retransmissions(), leap.total_retransmissions())
         << "retransmission totals diverged at cycle "
-        << gated.kernel().cycle();
+        << full.kernel().cycle();
   }
-  gated.run_until_quiescent(20000);
+  full.run_until_quiescent(20000);
   leap.run_until_quiescent(20000);
-  EXPECT_EQ(gated.kernel().digest(), leap.kernel().digest());
-  EXPECT_EQ(gated.total_retransmissions(), leap.total_retransmissions());
-  EXPECT_GT(gated.total_retransmissions(), 0u)
+  EXPECT_EQ(full.kernel().digest(), leap.kernel().digest());
+  EXPECT_EQ(full.total_retransmissions(), leap.total_retransmissions());
+  EXPECT_GT(full.total_retransmissions(), 0u)
       << "scenario produced no retransmissions; corner not exercised";
+}
+
+// --- Corner: a partitioned drain leaps --------------------------------
+
+// run_until (and so run_until_quiescent) evaluates its predicate at every
+// boundary it walks and leaps, like run(), when every partition sleeps.
+// The partitioned drain must stop on the reference's exact cycle, and
+// every boundary it does evaluate must carry the reference's digest for
+// that cycle.
+TEST(TimeLeap, PartitionedDrainLeapsToQuiescence) {
+  DiffScenario s = quiet_scenario();
+  s.width = 4;
+  s.height = 4;
+  s.cycles = 400;
+  noc::Network full(s.build_topology(), s.net_config(sim::Scheduler::kFull));
+  noc::Network part(s.build_topology(),
+                    s.net_config(sim::Scheduler::kTimeLeap, 2, 1));
+  traffic::TrafficDriver full_driver(full, s.traffic_config());
+  traffic::TrafficDriver part_driver(part, s.traffic_config());
+  full_driver.run(s.cycles);
+  part_driver.run(s.cycles);
+  ASSERT_EQ(full.kernel().digest(), part.kernel().digest());
+
+  // A read released well past the driven window leaves a long all-asleep
+  // stretch inside the drain.
+  const std::uint64_t release = s.cycles + 300;
+  for (noc::Network* net : {&full, &part}) {
+    ocp::Transaction txn;
+    txn.cmd = ocp::Cmd::kRead;
+    txn.addr = net->target_base(1);
+    net->master(0).push_transaction_at(txn, release);
+  }
+
+  std::map<std::uint64_t, std::uint64_t> full_digests;
+  const std::uint64_t full_drained = full.kernel().run_until(
+      [&] {
+        full_digests[full.kernel().cycle()] = full.kernel().digest();
+        return full.quiescent();
+      },
+      s.drain_cycles);
+  const std::uint64_t leapt_before = part.kernel().leapt_cycles();
+  std::size_t boundaries = 0;
+  const std::uint64_t part_drained = part.kernel().run_until(
+      [&] {
+        const auto it = full_digests.find(part.kernel().cycle());
+        EXPECT_TRUE(it != full_digests.end() &&
+                    it->second == part.kernel().digest())
+            << "digest mismatch at boundary " << part.kernel().cycle();
+        ++boundaries;
+        return part.quiescent();
+      },
+      s.drain_cycles);
+  ASSERT_TRUE(full.quiescent());
+  ASSERT_TRUE(part.quiescent());
+  EXPECT_EQ(part_drained, full_drained);
+  EXPECT_GT(part.kernel().leapt_cycles(), leapt_before)
+      << "the partitioned drain walked its all-asleep stretch";
+  EXPECT_LT(boundaries, full_digests.size());
+  EXPECT_EQ(full.kernel().digest(), part.kernel().digest());
+  EXPECT_GE(full.master(0).completed().back().issue_cycle, release);
 }
 
 }  // namespace

@@ -1,7 +1,7 @@
-// Wake-hazard regressions for the activity-gated scheduler.
+// Wake-hazard regressions for the time-leap scheduler.
 //
 // A wake hazard is a path that hands a module new work without going
-// through a watched-signal write — the gated kernel would skip the
+// through a watched-signal write — the time-leap kernel would skip the
 // module forever (or miscount) unless the path explicitly re-arms it.
 // Each test here pins one such path:
 //
@@ -46,12 +46,12 @@ struct MonitorCounts {
   std::uint64_t resp_beats = 0;
   std::uint64_t transactions = 0;
   bool clean = false;
-  bool slept_between = false;  ///< gated bench reached awake_count == 0
+  bool slept_between = false;  ///< time-leap bench reached awake_count == 0
 };
 
 /// Runs six spaced transactions through a master/slave pair with a
 /// monitor snooping the socket. The idle gaps put the whole bench to
-/// sleep between transactions under the gated scheduler, so every beat
+/// sleep between transactions under the time-leap kernel, so every beat
 /// the monitor sees after the first gap arrives via its wire watches.
 MonitorCounts run_monitored(sim::Scheduler scheduler) {
   sim::Kernel kernel(scheduler);
@@ -86,18 +86,18 @@ MonitorCounts run_monitored(sim::Scheduler scheduler) {
 
 TEST(WakeHazard, MonitorOnSleepingBenchSeesEveryBeat) {
   const MonitorCounts full = run_monitored(sim::Scheduler::kFull);
-  const MonitorCounts gated = run_monitored(sim::Scheduler::kGated);
+  const MonitorCounts leap = run_monitored(sim::Scheduler::kTimeLeap);
 
-  // The scenario is only a regression test if the gated bench really
+  // The scenario is only a regression test if the time-leap bench really
   // slept between transactions — otherwise the watches were never the
   // monitor's only wake source.
-  EXPECT_TRUE(gated.slept_between);
+  EXPECT_TRUE(leap.slept_between);
   EXPECT_TRUE(full.clean);
-  EXPECT_TRUE(gated.clean);
-  EXPECT_EQ(gated.transactions, 6u);
-  EXPECT_EQ(gated.req_beats, full.req_beats);
-  EXPECT_EQ(gated.resp_beats, full.resp_beats);
-  EXPECT_EQ(gated.transactions, full.transactions);
+  EXPECT_TRUE(leap.clean);
+  EXPECT_EQ(leap.transactions, 6u);
+  EXPECT_EQ(leap.req_beats, full.req_beats);
+  EXPECT_EQ(leap.resp_beats, full.resp_beats);
+  EXPECT_EQ(leap.transactions, full.transactions);
 }
 
 // ---------------------------------------------------------------------
@@ -106,7 +106,7 @@ TEST(WakeHazard, MonitorOnSleepingBenchSeesEveryBeat) {
 
 TEST(WakeHazard, PushIntoDrainedNetworkCompletesInLockstep) {
   // Drain both twins to a dead stop, then inject the same transaction
-  // into each. The gated twin must serve it on the same cycles as the
+  // into each. The time-leap twin must serve it on the same cycles as the
   // full twin — push_transaction's wake() arms the *current* step, so
   // an injection between steps is never served a cycle late.
   auto build = [](sim::Scheduler scheduler) {
@@ -118,27 +118,27 @@ TEST(WakeHazard, PushIntoDrainedNetworkCompletesInLockstep) {
   };
   noc::Network full(topology::make_mesh(2, 2, topology::NiPlan::uniform(4, 1, 1)),
                     build(sim::Scheduler::kFull));
-  noc::Network gated(topology::make_mesh(2, 2, topology::NiPlan::uniform(4, 1, 1)),
-                     build(sim::Scheduler::kGated));
+  noc::Network leap(topology::make_mesh(2, 2, topology::NiPlan::uniform(4, 1, 1)),
+                     build(sim::Scheduler::kTimeLeap));
 
   full.step(40);
-  gated.step(40);
-  ASSERT_EQ(gated.kernel().awake_count(), 0u)
+  leap.step(40);
+  ASSERT_EQ(leap.kernel().awake_count(), 0u)
       << "reset-state network failed to drain to a dead stop";
 
   full.master(0).push_transaction(read_txn(full.target_base(2) + 0x20));
-  gated.master(0).push_transaction(read_txn(gated.target_base(2) + 0x20));
+  leap.master(0).push_transaction(read_txn(leap.target_base(2) + 0x20));
   for (std::size_t c = 0; c < 3000; ++c) {
-    if (full.quiescent() && gated.quiescent()) break;
+    if (full.quiescent() && leap.quiescent()) break;
     full.step();
-    gated.step();
-    ASSERT_EQ(full.kernel().digest(), gated.kernel().digest())
+    leap.step();
+    ASSERT_EQ(full.kernel().digest(), leap.kernel().digest())
         << "post-push divergence at cycle " << c;
   }
   ASSERT_TRUE(full.quiescent());
-  ASSERT_TRUE(gated.quiescent());
+  ASSERT_TRUE(leap.quiescent());
   ASSERT_EQ(full.master(0).completed().size(), 1u);
-  ASSERT_EQ(gated.master(0).completed().size(), 1u);
+  ASSERT_EQ(leap.master(0).completed().size(), 1u);
 }
 
 // ---------------------------------------------------------------------
@@ -171,9 +171,9 @@ TEST(WakeHazard, StarvedCreditSenderKeepsCountingStalls) {
     return net.total_credit_stalls();
   };
   const std::uint64_t full = run(sim::Scheduler::kFull);
-  const std::uint64_t gated = run(sim::Scheduler::kGated);
+  const std::uint64_t leap = run(sim::Scheduler::kTimeLeap);
   EXPECT_GT(full, 0u) << "scenario never starved a sender (vacuous test)";
-  EXPECT_EQ(gated, full);
+  EXPECT_EQ(leap, full);
 }
 
 }  // namespace

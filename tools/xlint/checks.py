@@ -44,7 +44,7 @@ KNOWN_SLUGS = {slug for slug, _ in RULES.values() if slug}
 # Files whose Signal::write sites ARE the protocol seam: the Signal
 # definition itself, the stream endpoint wrappers, and the link protocol
 # engines (their begin_cycle/send/end_cycle contract is only callable
-# from an owning module's tick path by construction — DESIGN.md §9).
+# from an owning module's tick path by construction — DESIGN.md §2).
 WRITE_SEAM_FILES = (
     "src/sim/kernel.hpp",
     "src/sim/stream.hpp",
@@ -493,8 +493,8 @@ class Analyzer:
                         sf,
                         mc.decl_site[1],
                         "XL201",
-                        f"module '{mc.name}' never overrides is_idle(): the gated "
-                        "scheduler would never skip it, and DESIGN.md §9 requires an "
+                        f"module '{mc.name}' never overrides is_idle(): the kernel "
+                        "loop could never let it sleep, and DESIGN.md §2 requires an "
                         "explicit quiescence claim for every concrete module — "
                         "override it (return false is an acceptable claim) or "
                         "annotate idle-ok(<reason>)",
@@ -517,7 +517,7 @@ class Analyzer:
                     f"'{mc.name}::is_idle' references none of the members its tick "
                     "path touches: a quiescence claim decoupled from the state it "
                     "guards rots silently (kernel_equiv/quiescence tests catch it "
-                    "only dynamically) — read the gating state or annotate "
+                    "only dynamically) — read the state it guards or annotate "
                     "idle-ok(<reason>)",
                 )
             self._check_next_event(mc, sf, extent, file_by_path)

@@ -10,11 +10,6 @@
 //     --rate <r>           injection rate for --simulate (default 0.03)
 //     --optimize-buffers   run the buffer-sizing pass first
 //     --print-spec         echo the canonical specification and exit
-//     --gated / --ungated / --timeleap
-//                          force the kernel scheduler for --simulate
-//                          (bit-identical results; --ungated is the
-//                          escape hatch for gating-divergence triage,
-//                          --timeleap skips quiescent cycle gaps)
 //     --sim-threads <n>    partition the kernel across n threads for
 //                          --simulate (bit-identical results; implies
 //                          n partitions unless the spec sets its own)
@@ -24,7 +19,6 @@
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
-#include <optional>
 #include <string>
 
 #include "src/compiler/compiler.hpp"
@@ -39,7 +33,6 @@ void usage(const char* argv0) {
                "usage: %s <spec.noc> [--emit <dir>] [--estimate <MHz>]\n"
                "          [--simulate <cycles>] [--rate <r>]\n"
                "          [--optimize-buffers] [--print-spec]\n"
-               "          [--gated | --ungated | --timeleap]\n"
                "          [--sim-threads <n>]\n",
                argv0);
 }
@@ -61,7 +54,6 @@ int main(int argc, char** argv) {
   bool optimize_buffers = false;
   bool print_spec = false;
   std::size_t sim_threads = 0;  // 0 = use the spec's sim_threads
-  std::optional<sim::Scheduler> scheduler;
 
   for (int i = 1; i < argc; ++i) {
     const std::string arg = argv[i];
@@ -84,12 +76,6 @@ int main(int argc, char** argv) {
       optimize_buffers = true;
     } else if (arg == "--print-spec") {
       print_spec = true;
-    } else if (arg == "--gated") {
-      scheduler = sim::Scheduler::kGated;
-    } else if (arg == "--ungated") {
-      scheduler = sim::Scheduler::kFull;
-    } else if (arg == "--timeleap") {
-      scheduler = sim::Scheduler::kTimeLeap;
     } else if (arg == "--sim-threads") {
       sim_threads = static_cast<std::size_t>(std::atoll(next()));
       if (sim_threads == 0) {
@@ -113,7 +99,6 @@ int main(int argc, char** argv) {
 
   try {
     compiler::NocSpec spec = compiler::load_spec(spec_path);
-    if (scheduler.has_value()) spec.net.scheduler = *scheduler;
     if (sim_threads != 0) {
       spec.net.sim_threads = sim_threads;
       // A thread count without partitions would be idle hands; default

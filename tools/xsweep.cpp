@@ -68,7 +68,6 @@ void usage(const char* argv0) {
                "          [--checkpoint <path>] [--resume <path>]\n"
                "          [--halt-after N] [--pareto] [--check-deadlock]\n"
                "          [--print-spec] [--list-apps] [--quiet]\n"
-               "          [--gated | --ungated | --timeleap]\n"
                "          [--sim-threads N]\n"
                "          [--max-hw-threads N]\n"
                "       %s --resume <campaign.ckpt> [options]\n",
@@ -138,7 +137,6 @@ int main(int argc, char** argv) {
   bool print_spec = false;
   bool check_deadlock = false;
   bool quiet = false;
-  std::string scheduler_override;  // "" = use the spec's directive
 
   for (int i = 1; i < argc; ++i) {
     const std::string arg = argv[i];
@@ -186,12 +184,6 @@ int main(int argc, char** argv) {
       return 0;
     } else if (arg == "--quiet") {
       quiet = true;
-    } else if (arg == "--gated") {
-      scheduler_override = "gated";
-    } else if (arg == "--ungated") {
-      scheduler_override = "full";
-    } else if (arg == "--timeleap") {
-      scheduler_override = "time_leap";
     } else if (arg == "--help" || arg == "-h") {
       usage(argv[0]);
       return 0;
@@ -238,14 +230,8 @@ int main(int argc, char** argv) {
     } else {
       spec = sweep::load_sweep(spec_path);
     }
-    // Safe even on resume: every scheduler produces byte-identical
-    // results, so mixing them within one campaign changes nothing.
-    if (!scheduler_override.empty()) {
-      spec.scheduler = scheduler_override;
-      spec.scheduler_pinned = true;
-    }
-    // Same argument for within-point threading: partitioned results are
-    // bit-exact at any thread count, so overriding mid-campaign is safe.
+    // Safe even on resume: partitioned results are bit-exact at any
+    // thread count, so overriding mid-campaign changes nothing.
     if (sim_threads != 0) spec.threads = sim_threads;
 
     // Oversubscription guard: --jobs parallelizes across points and the
