@@ -290,6 +290,33 @@ BENCHMARK(BM_LoadedCycles)
     ->Args({8, 0})
     ->Args({8, 1});
 
+// The ACK/nACK datapath on unreliable links — the only row with a nonzero
+// bit error rate: every switch-to-switch traversal draws per-bit error
+// injection, every hop seals and verifies a CRC, and corrupted flits
+// come back through go-back-N retransmission (the `retx` counter).
+// Mirrors xbench's noisy_acknack_mesh8 operating point.
+void BM_NoisyCycles(benchmark::State& state) {
+  using namespace xpl;
+  const auto n = static_cast<std::size_t>(state.range(0));
+  noc::NetworkConfig cfg = config(n);
+  cfg.flow = link::FlowControl::kAckNack;
+  cfg.bit_error_rate = 1e-4;
+  noc::Network net(
+      topology::make_mesh(n, n, topology::NiPlan::uniform(n * n, 1, 1)),
+      cfg);
+  traffic::TrafficConfig tcfg;
+  tcfg.injection_rate = 0.04;
+  traffic::TrafficDriver driver(net, tcfg);
+  for (auto _ : state) {
+    driver.step();
+    net.step();
+  }
+  state.SetItemsProcessed(state.iterations());
+  state.counters["retx"] =
+      static_cast<double>(net.total_retransmissions());
+}
+BENCHMARK(BM_NoisyCycles)->ArgNames({"mesh"})->Arg(8);
+
 // Partitioned twins of the two headline throughput benchmarks at
 // threads=1: the pure bookkeeping overhead of the partitioned datapath
 // (cut mailboxes, per-partition dirty lists, epoch loop) with zero

@@ -1,6 +1,7 @@
 #include "src/common/crc.hpp"
 
 #include <array>
+#include <bit>
 
 namespace xpl {
 
@@ -70,46 +71,45 @@ const Crc16Tables& crc16_tables() {
   return tables;
 }
 
-/// Generic driver: whole bytes through `step`, tail bits through the
-/// serial reference. Message bytes never straddle storage words (8 | 64),
-/// so each is one shift+mask off the word array.
+/// Generic driver: whole message bytes through `step`, then the leftover
+/// bits (< 8 of the words plus the tail, at most 63) bytewise and the
+/// last < 8 through the serial reference. Message bytes never straddle
+/// storage words (8 | 64), so each is one shift+mask off the word array.
 template <typename Reg, typename Step>
-Reg crc_bytewise(const BitVector& bits, Step step, Reg poly, Reg top,
-                 Reg mask) {
-  const std::uint64_t* words = bits.word_data();
-  const std::size_t nbytes = bits.width() / 8;
+Reg crc_stream(const std::uint64_t* words, std::size_t nbits,
+               std::uint64_t tail, std::size_t tail_bits, Step step,
+               Reg poly, Reg top, Reg mask) {
+  const std::size_t nbytes = nbits / 8;
   Reg reg = 0;
   for (std::size_t i = 0; i < nbytes; ++i) {
-    const auto byte =
-        static_cast<std::uint8_t>(words[i / 8] >> ((i % 8) * 8));
-    reg = step(reg, byte);
+    reg = step(reg, static_cast<std::uint8_t>(words[i / 8] >> ((i % 8) * 8)));
   }
-  for (std::size_t pos = nbytes * 8; pos < bits.width(); ++pos) {
-    reg = crc_serial_bit<Reg>(reg, bits.get(pos), poly, top, mask);
+  const std::size_t rem = nbits % 8;
+  std::uint64_t rest = 0;
+  if (rem != 0) {
+    rest = (words[nbytes / 8] >> ((nbytes % 8) * 8)) &
+           ((std::uint64_t{1} << rem) - 1);
+  }
+  rest |= tail << rem;
+  std::size_t rest_bits = rem + tail_bits;
+  for (; rest_bits >= 8; rest_bits -= 8, rest >>= 8) {
+    reg = step(reg, static_cast<std::uint8_t>(rest));
+  }
+  for (; rest_bits > 0; --rest_bits, rest >>= 1) {
+    reg = crc_serial_bit<Reg>(reg, (rest & 1u) != 0, poly, top, mask);
   }
   return reg;
 }
 
-std::uint8_t crc8_compute(const BitVector& bits) {
-  const Crc8Tables& t = crc8_tables();
-  return crc_bytewise<std::uint8_t>(
-      bits,
-      [&t](std::uint8_t reg, std::uint8_t byte) {
-        return static_cast<std::uint8_t>(t.reg[reg] ^ t.in[byte]);
-      },
-      0x07, 0x80, 0xFF);
-}
-
-std::uint16_t crc16_compute(const BitVector& bits) {
-  const Crc16Tables& t = crc16_tables();
-  return crc_bytewise<std::uint16_t>(
-      bits,
-      [&t](std::uint16_t reg, std::uint8_t byte) {
-        // f(reg, 0): the low byte shifts up, the top byte folds via table.
-        return static_cast<std::uint16_t>(
-            ((reg & 0xFF) << 8) ^ t.reg[reg >> 8] ^ t.in[byte]);
-      },
-      0x1021, 0x8000, 0xFFFF);
+bool parity_stream(const std::uint64_t* words, std::size_t nbits,
+                   std::uint64_t tail) {
+  std::uint64_t acc = tail;
+  const std::size_t full = nbits / 64;
+  for (std::size_t i = 0; i < full; ++i) acc ^= words[i];
+  if (nbits % 64 != 0) {
+    acc ^= words[full] & ((std::uint64_t{1} << (nbits % 64)) - 1);
+  }
+  return (std::popcount(acc) & 1) != 0;
 }
 
 }  // namespace
@@ -128,18 +128,43 @@ std::size_t crc_width(CrcKind kind) {
   return 0;
 }
 
-std::uint16_t crc_compute(CrcKind kind, const BitVector& bits) {
+std::uint16_t crc_compute(CrcKind kind, const std::uint64_t* words,
+                          std::size_t nbits, std::uint64_t tail,
+                          std::size_t tail_bits) {
+  XPL_ASSERT(tail_bits <= 56);
+  tail &= (std::uint64_t{1} << tail_bits) - 1;
   switch (kind) {
     case CrcKind::kNone:
       return 0;
     case CrcKind::kParity:
-      return bits.parity() ? 1 : 0;
-    case CrcKind::kCrc8:
-      return crc8_compute(bits);
-    case CrcKind::kCrc16:
-      return crc16_compute(bits);
+      return parity_stream(words, nbits, tail) ? 1 : 0;
+    case CrcKind::kCrc8: {
+      const Crc8Tables& t = crc8_tables();
+      return crc_stream<std::uint8_t>(
+          words, nbits, tail, tail_bits,
+          [&t](std::uint8_t reg, std::uint8_t byte) {
+            return static_cast<std::uint8_t>(t.reg[reg] ^ t.in[byte]);
+          },
+          0x07, 0x80, 0xFF);
+    }
+    case CrcKind::kCrc16: {
+      const Crc16Tables& t = crc16_tables();
+      return crc_stream<std::uint16_t>(
+          words, nbits, tail, tail_bits,
+          [&t](std::uint16_t reg, std::uint8_t byte) {
+            // f(reg, 0): the low byte shifts up, the top byte folds via
+            // the table.
+            return static_cast<std::uint16_t>(
+                ((reg & 0xFF) << 8) ^ t.reg[reg >> 8] ^ t.in[byte]);
+          },
+          0x1021, 0x8000, 0xFFFF);
+    }
   }
   return 0;
+}
+
+std::uint16_t crc_compute(CrcKind kind, const BitVector& bits) {
+  return crc_compute(kind, bits.word_data(), bits.width(), 0, 0);
 }
 
 bool crc_check(CrcKind kind, const BitVector& bits, std::uint16_t checksum) {

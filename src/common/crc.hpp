@@ -28,6 +28,15 @@ std::size_t crc_width(CrcKind kind);
 /// crc_width(kind) bits (0 for kNone).
 std::uint16_t crc_compute(CrcKind kind, const BitVector& bits);
 
+/// Checksum of a message held in storage words: the low `nbits` bits of
+/// `words` (little-endian word order, LSB first — BitVector's layout),
+/// then the low `tail_bits` (<= 56) bits of `tail`. Streams the words
+/// without assembling the message; crc_compute(kind, bits) is this call
+/// on bits' words with no tail.
+std::uint16_t crc_compute(CrcKind kind, const std::uint64_t* words,
+                          std::size_t nbits, std::uint64_t tail,
+                          std::size_t tail_bits);
+
 /// True if `checksum` matches the recomputed checksum of `bits`.
 bool crc_check(CrcKind kind, const BitVector& bits, std::uint16_t checksum);
 

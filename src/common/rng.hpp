@@ -5,6 +5,7 @@
 // every experiment is reproducible from a single seed.
 #pragma once
 
+#include <cmath>
 #include <cstdint>
 
 namespace xpl {
@@ -59,6 +60,24 @@ class Rng {
     if (p <= 0.0) return false;
     if (p >= 1.0) return true;
     return next_double() < p;
+  }
+
+  /// Integer form of chance(p) for 0 < p < 1, to hoist out of loops that
+  /// test one p many times: there chance(p) draws once and equals
+  /// below_threshold(chance_threshold(p)), because next_double() is
+  /// x * 2^-53 for x = next_u64() >> 11, and x * 2^-53 < p  <=>
+  /// x < ceil(p * 2^53) (the scaling is exact, subnormals included).
+  /// NaN maps to 0 and p >= 1 to 2^53. chance() draws nothing at p <= 0
+  /// or p >= 1, so callers keeping a stream in step branch on those first.
+  static std::uint64_t chance_threshold(double p) {
+    if (!(p > 0.0)) return 0;
+    if (p >= 1.0) return std::uint64_t{1} << 53;
+    return static_cast<std::uint64_t>(std::ceil(std::ldexp(p, 53)));
+  }
+
+  /// One draw: true iff its top 53 bits fall below `threshold`.
+  bool below_threshold(std::uint64_t threshold) {
+    return (next_u64() >> 11) < threshold;
   }
 
  private:

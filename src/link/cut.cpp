@@ -17,33 +17,6 @@ CutLink::CutLink(const std::string& name, const LinkWires& upstream,
   down_.rev->watch(receiver_);
 }
 
-// Identical fault model and RNG draw order to PipelinedLink: beats are
-// corrupted in arrival order and every beat draws the same number of
-// chances, so the corrupted payload stream matches the uncut link's.
-void CutLink::corrupt_in_place(FlitBeat& beat) {
-  bool corrupted = false;
-  Flit& flit = beat.flit;
-  for (std::size_t i = 0; i < flit.payload.width(); ++i) {
-    if (rng_.chance(config_.bit_error_rate)) {
-      flit.payload.set(i, !flit.payload.get(i));
-      corrupted = true;
-    }
-  }
-  if (rng_.chance(config_.bit_error_rate)) {
-    flit.head = !flit.head;
-    corrupted = true;
-  }
-  if (rng_.chance(config_.bit_error_rate)) {
-    flit.tail = !flit.tail;
-    corrupted = true;
-  }
-  if (rng_.chance(config_.bit_error_rate)) {
-    flit.seqno ^= 1u << rng_.next_below(8);
-    corrupted = true;
-  }
-  if (corrupted) ++flits_corrupted_;
-}
-
 void CutLink::tick_sender(sim::Kernel& kernel) {
   const std::uint64_t now = kernel.cycle();
   // Replay due ack records onto the upstream reverse wire with the uncut
@@ -69,7 +42,12 @@ void CutLink::tick_sender(sim::Kernel& kernel) {
     FlitBeat beat = up_.fwd->staged();
     if (beat.valid) {
       ++flits_carried_;
-      if (config_.bit_error_rate > 0.0) corrupt_in_place(beat);
+      // inject_bit_errors draws in beat order, as PipelinedLink does, so
+      // the corrupted payload stream matches the uncut link's.
+      if (config_.bit_error_rate > 0.0 &&
+          inject_bit_errors(beat.flit, config_.bit_error_rate, rng_)) {
+        ++flits_corrupted_;
+      }
     }
     fwd_outbox_.push_back({now + 1 + config_.stages, std::move(beat)});
   }

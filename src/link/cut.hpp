@@ -125,7 +125,6 @@ class CutLink final : public sim::CutChannel {
   bool receiver_idle() const;
   std::uint64_t sender_next_event(std::uint64_t now) const;
   std::uint64_t receiver_next_event(std::uint64_t now) const;
-  void corrupt_in_place(FlitBeat& beat);
 
   std::string name_;
   Config config_;

@@ -39,10 +39,7 @@ GoBackNSender::GoBackNSender(LinkWires wires, const ProtocolConfig& config)
   }
 }
 
-void GoBackNSender::begin_cycle() {
-  XPL_ASSERT(wires_.rev != nullptr);
-  const AckBeat ack = wires_.rev->read();
-  if (!ack.valid) return;
+void GoBackNSender::process_ack(const AckBeat& ack) {
   XPL_ASSERT(ack.vc < lanes_.size());
   Lane& lane = lanes_[ack.vc];
   if (lane.buffer.empty()) return;
@@ -65,11 +62,6 @@ void GoBackNSender::begin_cycle() {
   }
 }
 
-bool GoBackNSender::can_accept(std::size_t vc) const {
-  XPL_ASSERT(vc < lanes_.size());
-  return lanes_[vc].buffer.size() < config_.window;
-}
-
 void GoBackNSender::accept(Flit flit) {
   XPL_ASSERT(can_accept(flit.vc));
   Lane& lane = lanes_[flit.vc];
@@ -81,32 +73,33 @@ void GoBackNSender::accept(Flit flit) {
   lane.buffer.push_back(Entry{std::move(flit), /*sent=*/false});
 }
 
-void GoBackNSender::end_cycle() {
-  XPL_ASSERT(wires_.fwd != nullptr);
+void GoBackNSender::transmit() {
   // One physical flit per cycle: serve lanes with pending (re)transmit
   // work round-robin from next_lane_.
+  std::size_t v = next_lane_;
   for (std::size_t k = 0; k < lanes_.size(); ++k) {
-    const std::size_t v = (next_lane_ + k) % lanes_.size();
     Lane& lane = lanes_[v];
-    if (lane.resend_idx >= lane.buffer.size()) continue;
-    Entry& entry = lane.buffer[lane.resend_idx];
-    if (entry.sent) {
-      ++retransmissions_;
-    } else {
-      entry.sent = true;
+    const std::size_t next = v + 1 == lanes_.size() ? 0 : v + 1;
+    if (lane.resend_idx < lane.buffer.size()) {
+      Entry& entry = lane.buffer[lane.resend_idx];
+      if (entry.sent) {
+        ++retransmissions_;
+      } else {
+        entry.sent = true;
+      }
+      wires_.fwd->write(FlitBeat{true, entry.flit});
+      fwd_dirty_ = true;
+      ++lane.resend_idx;
+      ++flits_sent_;
+      next_lane_ = next;
+      return;
     }
-    wires_.fwd->write(FlitBeat{true, entry.flit});
-    fwd_dirty_ = true;
-    ++lane.resend_idx;
-    ++flits_sent_;
-    next_lane_ = (v + 1) % lanes_.size();
-    return;
+    v = next;
   }
   // Write-on-change: drive the wire idle once after the last valid beat.
-  if (fwd_dirty_) {
-    wires_.fwd->write(FlitBeat{});
-    fwd_dirty_ = false;
-  }
+  XPL_ASSERT(fwd_dirty_);
+  wires_.fwd->write(FlitBeat{});
+  fwd_dirty_ = false;
 }
 
 std::size_t GoBackNSender::in_flight() const {
@@ -116,14 +109,7 @@ std::size_t GoBackNSender::in_flight() const {
 }
 
 bool GoBackNSender::gate_idle() const {
-  if (fwd_dirty_ || wires_.rev->read().valid) return false;
-  for (const Lane& lane : lanes_) {
-    // resend_idx < size means an entry still awaits (re)transmission;
-    // entries at index < resend_idx merely await an ACK, which will wake
-    // the owner through the reverse wire.
-    if (lane.resend_idx < lane.buffer.size()) return false;
-  }
-  return true;
+  return !fwd_dirty_ && !any_pending() && !wires_.rev->read().valid;
 }
 
 GoBackNReceiver::GoBackNReceiver(LinkWires wires,
@@ -135,22 +121,18 @@ GoBackNReceiver::GoBackNReceiver(LinkWires wires,
   expected_seq_.assign(config_.vcs, 0);
 }
 
-std::optional<Flit> GoBackNReceiver::begin_cycle(
-    std::uint32_t can_take_mask) {
-  XPL_ASSERT(wires_.fwd != nullptr);
-  pending_ack_ = AckBeat{};
-  const FlitBeat& beat = wires_.fwd->read();
-  if (!beat.valid) return std::nullopt;
-  const std::uint8_t vc = beat.flit.vc;
+std::optional<Flit> GoBackNReceiver::receive(const Flit& flit,
+                                             std::uint32_t can_take_mask) {
+  const std::uint8_t vc = flit.vc;
   XPL_ASSERT(vc < expected_seq_.size());
 
-  if (!flit_verify(beat.flit, config_.crc)) {
+  if (!flit_verify(flit, config_.crc)) {
     // Corrupted in flight: ask the sender to go back to what we expect.
     ++crc_rejections_;
     pending_ack_ = AckBeat{true, /*ack=*/false, expected_seq_[vc], vc};
     return std::nullopt;
   }
-  if ((beat.flit.seqno & seq_mask_) != expected_seq_[vc]) {
+  if ((flit.seqno & seq_mask_) != expected_seq_[vc]) {
     // Stale flit racing a rewind; drop silently (the sender is already
     // resending from expected_seq_, nACKing again would only thrash).
     return std::nullopt;
@@ -165,20 +147,7 @@ std::optional<Flit> GoBackNReceiver::begin_cycle(
   pending_ack_ = AckBeat{true, /*ack=*/true, expected_seq_[vc], vc};
   expected_seq_[vc] = (expected_seq_[vc] + 1) & seq_mask_;
   ++flits_accepted_;
-  return beat.flit;
-}
-
-void GoBackNReceiver::end_cycle() {
-  XPL_ASSERT(wires_.rev != nullptr);
-  // Write-on-change: a valid ACK/nACK is always driven; the idle beat is
-  // driven once after the last valid one (then the wire already holds it).
-  if (pending_ack_.valid) {
-    wires_.rev->write(pending_ack_);
-    rev_dirty_ = true;
-  } else if (rev_dirty_) {
-    wires_.rev->write(pending_ack_);
-    rev_dirty_ = false;
-  }
+  return flit;
 }
 
 }  // namespace xpl::link

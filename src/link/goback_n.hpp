@@ -26,6 +26,7 @@
 #include <vector>
 
 #include "src/common/crc.hpp"
+#include "src/common/error.hpp"
 #include "src/common/ring.hpp"
 #include "src/link/link.hpp"
 #include "src/packet/flit.hpp"
@@ -59,11 +60,18 @@ class GoBackNSender {
   GoBackNSender(LinkWires wires, const ProtocolConfig& config);
 
   /// Processes incoming ACK/nACK. Call first in the owner's tick().
-  void begin_cycle();
+  void begin_cycle() {
+    XPL_ASSERT(wires_.rev != nullptr);
+    const AckBeat& ack = wires_.rev->read();
+    if (ack.valid) process_ack(ack);
+  }
 
   /// True if a new flit can be queued on lane `vc` this cycle (that
   /// lane's window has room).
-  bool can_accept(std::size_t vc = 0) const;
+  bool can_accept(std::size_t vc = 0) const {
+    XPL_ASSERT(vc < lanes_.size());
+    return lanes_[vc].buffer.size() < config_.window;
+  }
 
   /// Queues `flit` for (re)transmission on lane flit.vc; assigns its
   /// sequence number. Requires can_accept(flit.vc).
@@ -71,7 +79,10 @@ class GoBackNSender {
 
   /// Transmits at most one flit (lanes served round-robin) and drives the
   /// wire. Call last in tick().
-  void end_cycle();
+  void end_cycle() {
+    XPL_ASSERT(wires_.fwd != nullptr);
+    if (fwd_dirty_ || any_pending()) transmit();
+  }
 
   /// In-flight (sent or queued, unacknowledged) flits over all lanes.
   std::size_t in_flight() const;
@@ -90,6 +101,21 @@ class GoBackNSender {
   std::uint64_t retransmissions() const { return retransmissions_; }
 
  private:
+  /// begin_cycle's work when an ACK/nACK beat is on the reverse wire.
+  void process_ack(const AckBeat& ack);
+  /// end_cycle's work when a lane has something to (re)transmit or the
+  /// forward wire still owes its trailing idle write.
+  void transmit();
+  /// True if some lane has an entry awaiting (re)transmission; entries
+  /// below a lane's resend_idx merely await an ACK, which will wake the
+  /// owner through the reverse wire.
+  bool any_pending() const {
+    for (const Lane& lane : lanes_) {
+      if (lane.resend_idx < lane.buffer.size()) return true;
+    }
+    return false;
+  }
+
   LinkWires wires_{};
   ProtocolConfig config_{};
   std::uint8_t seq_mask_ = 0;
@@ -123,10 +149,28 @@ class GoBackNReceiver {
   /// without space the flit is nACKed (flow control). Returns the flit
   /// when it is accepted in order and intact. Call first in the owner's
   /// tick(). (A bool converts to the right mask for single-lane owners.)
-  std::optional<Flit> begin_cycle(std::uint32_t can_take_mask);
+  std::optional<Flit> begin_cycle(std::uint32_t can_take_mask) {
+    XPL_ASSERT(wires_.fwd != nullptr);
+    pending_ack_ = AckBeat{};
+    const FlitBeat& beat = wires_.fwd->read();
+    if (!beat.valid) return std::nullopt;
+    return receive(beat.flit, can_take_mask);
+  }
 
   /// Drives the ACK wire. Call last in the owner's tick().
-  void end_cycle();
+  void end_cycle() {
+    XPL_ASSERT(wires_.rev != nullptr);
+    // Write-on-change: a valid ACK/nACK is always driven; the idle beat
+    // is driven once after the last valid one (then the wire already
+    // holds it).
+    if (pending_ack_.valid) {
+      wires_.rev->write(pending_ack_);
+      rev_dirty_ = true;
+    } else if (rev_dirty_) {
+      wires_.rev->write(pending_ack_);
+      rev_dirty_ = false;
+    }
+  }
 
   /// Wakes `owner` whenever a flit arrives on the forward wire.
   void watch(sim::Module& owner) { wires_.fwd->watch(owner); }
@@ -142,6 +186,9 @@ class GoBackNReceiver {
   std::uint64_t flow_rejections() const { return flow_rejections_; }
 
  private:
+  /// begin_cycle's work when a flit is on the forward wire.
+  std::optional<Flit> receive(const Flit& flit, std::uint32_t can_take_mask);
+
   LinkWires wires_{};
   ProtocolConfig config_{};
   std::uint8_t seq_mask_ = 0;

@@ -1,6 +1,46 @@
 #include "src/link/link.hpp"
 
+#include <algorithm>
+
 namespace xpl::link {
+
+bool inject_bit_errors(Flit& flit, double bit_error_rate, Rng& rng) {
+  // Rng::chance's edge cases: p <= 0 draws nothing and never hits, p >= 1
+  // draws nothing and always hits. In between, every chance is one draw
+  // against the threshold hoisted here.
+  if (bit_error_rate <= 0.0) return false;
+  const bool certain = bit_error_rate >= 1.0;
+  const std::uint64_t threshold = Rng::chance_threshold(bit_error_rate);
+  const auto hit = [&] { return certain || rng.below_threshold(threshold); };
+  bool corrupted = false;
+  // Payload flips collect into one mask per 64-bit slice, drawn in bit
+  // order, and land with a single XOR.
+  BitVector& payload = flit.payload;
+  for (std::size_t pos = 0; pos < payload.width(); pos += 64) {
+    const std::size_t count = std::min<std::size_t>(64, payload.width() - pos);
+    std::uint64_t mask = 0;
+    for (std::size_t b = 0; b < count; ++b) {
+      mask |= std::uint64_t{hit()} << b;
+    }
+    if (mask != 0) {
+      payload.deposit(pos, count, payload.slice(pos, count) ^ mask);
+      corrupted = true;
+    }
+  }
+  if (hit()) {
+    flit.head = !flit.head;
+    corrupted = true;
+  }
+  if (hit()) {
+    flit.tail = !flit.tail;
+    corrupted = true;
+  }
+  if (hit()) {
+    flit.seqno ^= 1u << rng.next_below(8);
+    corrupted = true;
+  }
+  return corrupted;
+}
 
 PipelinedLink::PipelinedLink(std::string name, const LinkWires& upstream,
                              const LinkWires& downstream,
@@ -13,32 +53,6 @@ PipelinedLink::PipelinedLink(std::string name, const LinkWires& upstream,
   // Wake on traffic from either end (a no-op under the full reference).
   up_.fwd->watch(*this);
   down_.rev->watch(*this);
-}
-
-void PipelinedLink::corrupt_in_place(FlitBeat& beat) {
-  bool corrupted = false;
-  // Independent per-bit flips across all protected fields, the same fault
-  // model the ACK/nACK CRC is meant to cover.
-  Flit& flit = beat.flit;
-  for (std::size_t i = 0; i < flit.payload.width(); ++i) {
-    if (rng_.chance(config_.bit_error_rate)) {
-      flit.payload.set(i, !flit.payload.get(i));
-      corrupted = true;
-    }
-  }
-  if (rng_.chance(config_.bit_error_rate)) {
-    flit.head = !flit.head;
-    corrupted = true;
-  }
-  if (rng_.chance(config_.bit_error_rate)) {
-    flit.tail = !flit.tail;
-    corrupted = true;
-  }
-  if (rng_.chance(config_.bit_error_rate)) {
-    flit.seqno ^= 1u << rng_.next_below(8);
-    corrupted = true;
-  }
-  if (corrupted) ++flits_corrupted_;
 }
 
 void PipelinedLink::tick(sim::Kernel& kernel) {
@@ -63,9 +77,15 @@ void PipelinedLink::tick(sim::Kernel& kernel) {
   FlitBeat fwd_out;
   if (config_.stages == 0) {
     // Degenerate pipe: the kernel register between the endpoints is the
-    // only stage, so the wire value forwards directly.
-    fwd_out = wire_in;
-    if (inject) corrupt_in_place(fwd_out);
+    // only stage, so a valid wire value forwards directly (an idle one
+    // is the idle beat fwd_out already holds; no flit copy).
+    if (wire_in.valid) {
+      fwd_out = wire_in;
+      if (inject && inject_bit_errors(fwd_out.flit, config_.bit_error_rate,
+                                      rng_)) {
+        ++flits_corrupted_;
+      }
+    }
   } else {
     if (!fwd_q_.empty() && fwd_q_.front().due <= now) {
       fwd_out = std::move(fwd_q_.front().beat);
@@ -73,7 +93,10 @@ void PipelinedLink::tick(sim::Kernel& kernel) {
     }
     if (wire_in.valid) {
       fwd_q_.push_back({now + config_.stages, wire_in});
-      if (inject) corrupt_in_place(fwd_q_.back().beat);
+      if (inject && inject_bit_errors(fwd_q_.back().beat.flit,
+                                      config_.bit_error_rate, rng_)) {
+        ++flits_corrupted_;
+      }
     }
   }
   // Write-on-change: valid beats are always driven; the idle beat is

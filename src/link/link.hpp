@@ -28,6 +28,15 @@ struct LinkWires {
   }
 };
 
+/// Bit-error injection on one flit traversal — the fault model the
+/// ACK/nACK CRC is meant to cover. Each payload bit, then head, then tail
+/// flips independently with probability `bit_error_rate`; with the same
+/// probability one uniformly drawn bit of the 8-bit seqno flips. Draws
+/// `rng` exactly as that many successive Rng::chance calls would (plus the
+/// seqno bit pick), so PipelinedLink and CutLink halves seeded alike
+/// corrupt the same beats identically. Returns true if any bit flipped.
+bool inject_bit_errors(Flit& flit, double bit_error_rate, Rng& rng);
+
 /// One unidirectional link: `upstream` wires face the sender, `downstream`
 /// wires face the receiver. With `stages == 0` the link degenerates to the
 /// single kernel register between the endpoints (minimum 1 cycle); each
@@ -65,10 +74,6 @@ class PipelinedLink : public sim::Module {
   const Config& config() const { return config_; }
 
  private:
-  /// Applies per-bit error injection to `beat` (call only for valid beats
-  /// with bit_error_rate > 0; draws the same RNG sequence either way).
-  void corrupt_in_place(FlitBeat& beat);
-
   /// A beat in flight: entered the pipe at cycle (due - stages), emerges
   /// on the output wire at cycle `due`. Replaces the per-stage shift
   /// registers: invalid stage slots carried no information, so only the

@@ -39,14 +39,16 @@ class RouteLut {
  public:
   RouteLut() = default;
 
-  /// Adds an address window; windows must not overlap.
+  /// Adds an address window; windows must not overlap. O(log T) search
+  /// plus the sorted insert.
   void add_range(const AddressRange& range);
 
   /// Installs the route used to reach target `dst`.
   void set_route(std::uint32_t dst, Route route);
 
-  /// Decodes `addr`; nullopt means no window matches (the NI reports an
-  /// OCP ERR response locally without touching the network).
+  /// Decodes `addr` by binary search; nullopt means no window matches
+  /// (the NI reports an OCP ERR response locally without touching the
+  /// network).
   std::optional<LutHit> lookup(std::uint64_t addr) const;
 
   const Route* route_to(std::uint32_t dst) const;
@@ -55,7 +57,7 @@ class RouteLut {
   std::size_t num_routes() const;
 
  private:
-  std::vector<AddressRange> ranges_;
+  std::vector<AddressRange> ranges_;  ///< sorted by base, disjoint
   std::vector<std::optional<Route>> routes_;  ///< indexed by dst id
 };
 

@@ -21,12 +21,26 @@ BitVector flit_protected_bits(const Flit& flit) {
   return bits;
 }
 
+namespace {
+
+// flit_protected_bits(flit) streamed in place: the payload's words, then
+// head, tail and the 8 seqno bits as a 10-bit tail.
+std::uint16_t flit_crc(const Flit& flit, CrcKind kind) {
+  const std::uint64_t control = (flit.head ? 1u : 0u) |
+                                (flit.tail ? 2u : 0u) |
+                                (std::uint64_t{flit.seqno} << 2);
+  return crc_compute(kind, flit.payload.word_data(), flit.payload.width(),
+                     control, 10);
+}
+
+}  // namespace
+
 void flit_seal(Flit& flit, CrcKind kind) {
-  flit.checksum = crc_compute(kind, flit_protected_bits(flit));
+  flit.checksum = flit_crc(flit, kind);
 }
 
 bool flit_verify(const Flit& flit, CrcKind kind) {
-  return crc_check(kind, flit_protected_bits(flit), flit.checksum);
+  return flit_crc(flit, kind) == flit.checksum;
 }
 
 std::size_t flit_wire_width(std::size_t flit_width, std::size_t seq_bits,

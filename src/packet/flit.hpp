@@ -41,13 +41,15 @@ struct Flit {
   std::string to_string() const;
 };
 
-/// Bits protected by the flit checksum, in a canonical order. Both the
-/// sender (to generate) and receiver (to verify) use this exact view, so a
-/// corruption anywhere in the protected fields is detected with the code's
-/// guarantees. The vc tag is not part of the view: like the reverse ACK
-/// wires it is modelled reliable (error injection never touches it), which
-/// keeps the protected word — and every CRC value — identical to the
-/// single-lane wire format.
+/// Bits protected by the flit checksum, in a canonical order: payload,
+/// head, tail, the 8 seqno bits. Both the sender (to generate) and
+/// receiver (to verify) checksum this exact view — flit_seal/flit_verify
+/// stream it from the flit's fields without building it; this function
+/// is their reference — so a corruption anywhere in the protected fields
+/// is detected with the code's guarantees. The vc tag is not part of the
+/// view: like the reverse ACK wires it is modelled reliable (error
+/// injection never touches it), which keeps the protected word — and
+/// every CRC value — identical to the single-lane wire format.
 BitVector flit_protected_bits(const Flit& flit);
 
 /// Computes and installs the checksum for `kind`.

@@ -1,6 +1,7 @@
 #include "src/sim/kernel.hpp"
 
 #include <algorithm>
+#include <bit>
 
 #include "src/sim/partition.hpp"
 
@@ -10,14 +11,16 @@ namespace detail {
 constinit thread_local const std::uint64_t* g_cycle_override = nullptr;
 }  // namespace detail
 
-namespace {
-
-bool any_awake(const std::vector<Module*>& modules) {
-  return std::any_of(modules.begin(), modules.end(),
-                     [](const Module* m) { return m->awake(); });
+bool ActiveSet::any_awake() const {
+  return std::any_of(awake_.begin(), awake_.end(),
+                     [](std::uint64_t w) { return w != 0; });
 }
 
-}  // namespace
+std::size_t ActiveSet::awake_count() const {
+  std::size_t n = 0;
+  for (const std::uint64_t w : awake_) n += std::popcount(w);
+  return n;
+}
 
 Kernel::Kernel(Scheduler scheduler) : scheduler_(scheduler) {
   partitions_.push_back(std::make_unique<Partition>());
@@ -42,16 +45,30 @@ std::uint64_t Kernel::cut_flits() const {
   return total;
 }
 
-bool Kernel::run_cycle(const std::vector<Module*>& modules, Parts parts,
-                       std::uint64_t& clock) {
+bool Kernel::any_awake(Parts parts) {
+  return std::any_of(parts.begin(), parts.end(),
+                     [](const auto& p) { return p->active.any_awake(); });
+}
+
+bool Kernel::run_cycle(Parts parts, std::uint64_t& clock) {
   // Serve the calendars first: a module due this cycle must tick this
-  // cycle. wake() also sets woken_, so a calendar-woken module stays in
-  // the active set one extra cycle — a harmless frozen-tick no-op.
+  // cycle. wake() also sets the woken bit, so a calendar-woken module
+  // stays in the active set one extra cycle — a harmless frozen-tick no-op.
   for (const auto& p : parts) p->calendar.advance(clock);
-  // Writes to watched signals during the tick phase set the consumers'
-  // woken flags and append dirty entries.
-  for (Module* m : modules) {
-    if (m->awake_) m->tick(*this);
+  // Tick the awake bits in ascending slot order. Writes to watched
+  // signals set the consumers' bits and append dirty entries; the word is
+  // re-read after every tick, so a consumer woken at a later slot ticks
+  // this same cycle, one at an earlier slot on the next (Module::wake).
+  for (const auto& p : parts) {
+    const ActiveSet& set = p->active;
+    for (std::size_t w = 0; w < set.awake_.size(); ++w) {
+      std::uint64_t ahead = ~std::uint64_t{0};  // slots not yet passed
+      while (const std::uint64_t bits = set.awake_[w] & ahead) {
+        const int b = std::countr_zero(bits);
+        ahead = b == 63 ? 0 : ~std::uint64_t{0} << (b + 1);
+        p->modules[w * 64 + b]->tick(*this);
+      }
+    }
   }
   // Commit exactly the signals written this cycle. Signals of distinct
   // partitions are distinct, so commit order across parts is free.
@@ -59,29 +76,32 @@ bool Kernel::run_cycle(const std::vector<Module*>& modules, Parts parts,
     for (const DirtyEntry& e : p->dirty) e.commit(e.signal);
     p->dirty.clear();
   }
-  bool awake = !modules.empty();
-  if (scheduler_ != Scheduler::kFull) {
-    // Active-set update, after commit so is_idle() reads committed values:
-    // a woken module joins the set; a ticked module leaves it when its
+  bool awake = scheduler_ == Scheduler::kFull;
+  if (!awake) {
+    // Active-set update, after commit so is_idle() reads committed values.
+    // It visits only the awake bits: a woken module stays in the set; any
+    // other awake module ticked this cycle and leaves the set when its
     // quiescence predicate holds, or parks on its partition's calendar
     // when its next self-driven change lies beyond the next cycle.
-    awake = false;
-    for (Module* m : modules) {
-      if (m->woken_) {
-        m->woken_ = false;
-        m->awake_ = true;
-      } else if (!m->awake_) {
-        continue;
-      } else if (m->is_idle()) {
-        m->awake_ = false;
-        continue;
-      } else if (const std::uint64_t e = m->next_event(clock);
-                 e > clock + 1) {
-        m->awake_ = false;
-        if (e != kNever) partitions_[m->partition_]->calendar.schedule(e, m);
-        continue;
+    for (const auto& p : parts) {
+      ActiveSet& set = p->active;
+      for (std::size_t w = 0; w < set.awake_.size(); ++w) {
+        std::uint64_t keep = set.woken_[w];
+        set.woken_[w] = 0;
+        for (std::uint64_t ticked = set.awake_[w] & ~keep; ticked != 0;
+             ticked &= ticked - 1) {
+          const int b = std::countr_zero(ticked);
+          Module* m = p->modules[w * 64 + b];
+          if (m->is_idle()) continue;
+          if (const std::uint64_t e = m->next_event(clock); e > clock + 1) {
+            if (e != kNever) p->calendar.schedule(e, m);
+            continue;
+          }
+          keep |= std::uint64_t{1} << b;
+        }
+        set.awake_[w] = keep;
+        awake = awake || keep != 0;
       }
-      awake = true;
     }
   }
   ++clock;
@@ -103,8 +123,8 @@ std::uint64_t Kernel::advance(std::uint64_t end,
                               const std::function<bool()>* done) {
   const std::uint64_t start = cycle_;
   // Counted afresh on entry: external wakes (push_transaction between
-  // runs) flip awake_ flags without the loop seeing them.
-  bool awake = any_awake(modules_);
+  // runs) set awake bits without the loop seeing them.
+  bool awake = any_awake(partitions_);
   while (cycle_ < end && (done == nullptr || !(*done)())) {
     // When every partition sleeps, no cycle before the earliest calendar
     // due can tick, stage or exchange anything (all-asleep implies no
@@ -124,18 +144,18 @@ std::uint64_t Kernel::advance(std::uint64_t end,
 }
 
 bool Kernel::run_epoch(std::uint64_t k) {
-  if (!partitioned()) return run_cycle(modules_, partitions_, cycle_);
+  if (!partitioned()) return run_cycle(partitions_, cycle_);
   const std::uint64_t end = cycle_ + k;
   if (threads_ > 1) {
     if (!pool_) pool_ = std::make_unique<PartitionPool>(*this, threads_);
     pool_->run_epoch(k);
   } else if (k == 1) {
     // Serial one-cycle epochs (mesh cuts have zero stages) gain nothing
-    // from per-partition passes but pay their cache cost, so all
-    // partitions run as one global-registration-order pass. Bit-exact:
-    // cross-partition reads and watches are forbidden by construction,
-    // and partition module lists are subsequences of modules_.
-    run_cycle(modules_, partitions_, cycle_);
+    // from per-partition leap loops, so all partitions run as one cycle:
+    // each phase walks the partitions in turn. Bit-exact: cross-partition
+    // reads and watches are forbidden by construction, so no tick of one
+    // partition can see another's.
+    run_cycle(partitions_, cycle_);
   } else {
     for (std::size_t i = 0; i < partitions_.size(); ++i) run_partition(i, k);
   }
@@ -144,7 +164,7 @@ bool Kernel::run_epoch(std::uint64_t k) {
   // the determinism anchor for all cross-partition effects.
   for (CutChannel* c : cuts_) c->exchange();
   ++epochs_;
-  return any_awake(modules_);
+  return any_awake(partitions_);
 }
 
 void Kernel::run_partition(std::size_t i, std::uint64_t k) {
@@ -153,11 +173,11 @@ void Kernel::run_partition(std::size_t i, std::uint64_t k) {
   const std::uint64_t end = cycle_ + k;
   p.local_cycle = cycle_;
   detail::g_cycle_override = &p.local_cycle;
-  // Exchange deliveries and external pushes flip awake_ flags between
+  // Exchange deliveries and external pushes set awake bits between
   // epochs, so the partition's state is read afresh here. A leap stops at
   // the epoch barrier: a record staged for a neighbour is only delivered
   // there.
-  bool awake = any_awake(p.modules);
+  bool awake = p.active.any_awake();
   while (p.local_cycle < end) {
     const std::uint64_t to =
         awake ? p.local_cycle : leap_target(parts, p.local_cycle, end);
@@ -166,7 +186,7 @@ void Kernel::run_partition(std::size_t i, std::uint64_t k) {
       p.local_cycle = to;
       continue;
     }
-    awake = run_cycle(p.modules, parts, p.local_cycle);
+    awake = run_cycle(parts, p.local_cycle);
   }
   detail::g_cycle_override = nullptr;
 }
@@ -181,9 +201,9 @@ std::uint64_t Kernel::run_until(const std::function<bool()>& done,
 }
 
 std::size_t Kernel::awake_count() const {
-  return static_cast<std::size_t>(
-      std::count_if(modules_.begin(), modules_.end(),
-                    [](const Module* m) { return m->awake(); }));
+  std::size_t n = 0;
+  for (const auto& p : partitions_) n += p->active.awake_count();
+  return n;
 }
 
 std::uint64_t Kernel::digest() const {

@@ -103,6 +103,49 @@ inline const char* scheduler_name(Scheduler s) {
   return s == Scheduler::kFull ? "full" : "time_leap";
 }
 
+/// One partition's active set: an awake bit and a woken bit per module,
+/// indexed by the module's slot in its partition's tick list. The kernel
+/// ticks the awake bits in ascending slot order and visits only those
+/// bits in the active-set update, so a cycle costs what is awake plus one
+/// word test per 64 modules. Partitions never share a set, so the worker
+/// threads of a partitioned run never write the same word.
+class ActiveSet {
+ public:
+  /// Adds the next slot, awake (a fresh module ticks on its first cycle).
+  std::size_t add() {
+    const std::size_t slot = size_++;
+    if (slot % 64 == 0) {
+      awake_.push_back(0);
+      woken_.push_back(0);
+    }
+    awake_[slot / 64] |= bit(slot);
+    return slot;
+  }
+
+  /// Sets the slot's awake and woken bits.
+  void wake(std::size_t slot) {
+    awake_[slot / 64] |= bit(slot);
+    woken_[slot / 64] |= bit(slot);
+  }
+
+  bool awake(std::size_t slot) const {
+    return (awake_[slot / 64] & bit(slot)) != 0;
+  }
+  bool any_awake() const;
+  std::size_t awake_count() const;
+
+ private:
+  friend class Kernel;
+
+  static std::uint64_t bit(std::size_t slot) {
+    return std::uint64_t{1} << (slot % 64);
+  }
+
+  std::vector<std::uint64_t> awake_;  ///< in the set: ticks this cycle
+  std::vector<std::uint64_t> woken_;  ///< wake requested during this cycle
+  std::size_t size_ = 0;
+};
+
 /// Base class of all clocked hardware modules.
 class Module {
  public:
@@ -134,14 +177,15 @@ class Module {
   /// the same cycle as under the full scheduler, and an extra tick of a
   /// genuinely idle module is a no-op by the is_idle() contract, so a
   /// mid-phase wake of a later-ordered module is harmless.
+  /// A module not yet registered with a kernel has no active set; it
+  /// joins awake, so waking it is a no-op.
   void wake() {
-    woken_ = true;
-    awake_ = true;
+    if (active_ != nullptr) active_->wake(slot_);
   }
 
   /// True while the module is in the active set (always true under the
   /// full reference, which never lets a module sleep).
-  bool awake() const { return awake_; }
+  bool awake() const { return active_ == nullptr || active_->awake(slot_); }
 
   /// The cycle of this module's next
   /// *self-driven* state change, consulted right after a tick when
@@ -165,8 +209,8 @@ class Module {
   friend class Kernel;
 
   std::string name_;
-  bool awake_ = true;   ///< in the active set: ticks this cycle
-  bool woken_ = false;  ///< wake requested during this cycle
+  ActiveSet* active_ = nullptr;  ///< the owning partition's set
+  std::size_t slot_ = 0;         ///< index in that set and tick list
   std::size_t partition_ = 0;  ///< owning partition (0 when unpartitioned)
 };
 
@@ -359,9 +403,13 @@ class Kernel {
   /// module also joins the current creation partition's tick list (a
   /// subsequence of the global registration order).
   void add_module(Module& module) {
+    XPL_ASSERT(module.active_ == nullptr);
+    Partition& part = *partitions_[creation_partition_];
     modules_.push_back(&module);
     module.partition_ = creation_partition_;
-    partitions_[creation_partition_]->modules.push_back(&module);
+    module.active_ = &part.active;
+    module.slot_ = part.active.add();
+    part.modules.push_back(&module);
   }
 
   /// Registers a callback run after every commit (statistics probes).
@@ -464,12 +512,13 @@ class Kernel {
     return *static_cast<SignalPool<T>*>(it->second);
   }
 
-  /// One execution group: its modules (a subsequence of modules_), its
-  /// own dirty list (no sharing — commits race-free by construction), its
-  /// wake calendar and leap counter, and its clock inside the current
-  /// epoch. Nothing here is shared across threads.
+  /// One execution group: its modules (a subsequence of modules_) and
+  /// their active set, its own dirty list (no sharing — commits race-free
+  /// by construction), its wake calendar and leap counter, and its clock
+  /// inside the current epoch. Nothing here is shared across threads.
   struct Partition {
     std::vector<Module*> modules;
+    ActiveSet active;
     DirtyList dirty;
     std::size_t signals = 0;  ///< signals committing through `dirty`
     std::uint64_t local_cycle = 0;
@@ -478,11 +527,13 @@ class Kernel {
   };
   using Parts = std::span<const std::unique_ptr<Partition>>;
 
-  /// The kernel loop body: one cycle of `modules` against `clock`,
-  /// serving the calendars and dirty lists of `parts`. Returns whether
-  /// any module is still awake for the next cycle.
-  bool run_cycle(const std::vector<Module*>& modules, Parts parts,
-                 std::uint64_t& clock);
+  /// The kernel loop body: one cycle of the partitions `parts` against
+  /// `clock`, serving their calendars, active sets and dirty lists.
+  /// Returns whether any module is still awake for the next cycle.
+  bool run_cycle(Parts parts, std::uint64_t& clock);
+
+  /// Whether any module of `parts` is in its active set.
+  static bool any_awake(Parts parts);
 
   /// The leap helper: the cycle a loop with nothing awake may jump to
   /// from `now` — the earliest calendar due among `parts`, capped at

@@ -8,6 +8,15 @@
 
 namespace xpl::switchlib {
 
+namespace {
+
+/// The lane after `v` in a rotation over `vcs` lanes (v < vcs).
+std::size_t next_lane(std::size_t v, std::size_t vcs) {
+  return v + 1 == vcs ? 0 : v + 1;
+}
+
+}  // namespace
+
 void SwitchConfig::validate() const {
   require(num_inputs >= 1 && num_outputs >= 1,
           "SwitchConfig: need at least one input and one output");
@@ -91,15 +100,13 @@ Switch::Switch(std::string name, const SwitchConfig& config,
     outputs_.push_back(std::move(port));
   }
   packets_out_.assign(config.num_outputs, 0);
-  req_cache_.assign(config.num_inputs * config_.vcs, kNoPort);
-  req_cache_valid_.assign(config.num_inputs * config_.vcs, false);
+  lane_req_.assign(config.num_inputs * config_.vcs, kNoPort);
+  out_requested_.assign(config.num_outputs, false);
   req_scratch_.assign(config.num_inputs * config_.vcs, false);
 }
 
-std::optional<std::size_t> Switch::requested_output(
-    const InLane& lane) const {
-  if (lane.fifo.empty()) return std::nullopt;
-  if (lane.locked_output != kNoPort) return lane.locked_output;
+std::size_t Switch::requested_output(const InLane& lane) const {
+  if (lane.fifo.empty() || lane.locked_output != kNoPort) return kNoPort;
   const Flit& flit = lane.fifo.front();
   XPL_ASSERT(flit.head);  // unlocked lane must present a head flit
   const std::size_t port = peek_route_port(flit.payload, config_.port_bits);
@@ -151,23 +158,24 @@ void Switch::tick(sim::Kernel& kernel) {
   }
   next_tick_ = now + 1;
 
-  // ACK/nACK / credit bookkeeping first: senders retire or rewind.
+  // Output ports, one pass each: the sender's ACK/nACK / credit
+  // bookkeeping (it retires or rewinds), link transmit — drain one flit
+  // into the sender, serving output lanes round-robin (one physical wire
+  // per output) — and the sender driving its wire. Nothing later in the
+  // tick touches a sender, so its wire write here is the one it would
+  // make at the end of the tick.
   for (OutputPort& out : outputs_) {
     out.tx.begin_cycle();
-  }
-
-  // Link transmit: drain one flit per output into its sender, serving
-  // output lanes round-robin (one physical wire per output).
-  for (OutputPort& out : outputs_) {
-    for (std::size_t k = 0; k < vcs; ++k) {
-      const std::size_t v = (out.next_tx_lane + k) % vcs;
+    std::size_t v = out.next_tx_lane;
+    for (std::size_t k = 0; k < vcs; ++k, v = next_lane(v, vcs)) {
       OutLane& lane = out.lanes[v];
       if (lane.fifo.empty() || !out.tx.can_accept(v)) continue;
       out.tx.accept(std::move(lane.fifo.front()));
       lane.fifo.pop_front();
-      out.next_tx_lane = (v + 1) % vcs;
+      out.next_tx_lane = next_lane(v, vcs);
       break;
     }
+    out.tx.end_cycle();
   }
 
   // Extra pipeline stages (old-xpipes emulation): release delay-line
@@ -185,22 +193,22 @@ void Switch::tick(sim::Kernel& kernel) {
     }
   }
 
-  // Stage 2: VC allocation + switch allocation + crossbar traversal. Each
-  // input lane's requested output is derived from its head flit at most
-  // once per cycle (the memo invalidates when the head flit changes); the
-  // arbiter request vector is a reused member, so this stage allocates
-  // nothing. One flit traverses the crossbar per output per cycle.
+  // Stage 2: VC allocation + switch allocation + crossbar traversal. One
+  // input-major pass records each input lane's requested output and marks
+  // the requested outputs; the output loop then costs what its busy ports
+  // do — an output with no locked winner and no requester scans nothing.
+  // A lane's request is recomputed when a flit leaves it, so a tail
+  // followed by the next head can still win a later output this cycle.
+  // One flit traverses the crossbar per output per cycle.
   bool any_switched = false;
-  std::fill(req_cache_valid_.begin(), req_cache_valid_.end(), false);
-  const auto request_of = [this, vcs](std::size_t i, std::size_t v) {
-    const std::size_t idx = i * vcs + v;
-    if (!req_cache_valid_[idx]) {
-      const auto req = requested_output(inputs_[i].lanes[v]);
-      req_cache_[idx] = req.has_value() ? *req : kNoPort;
-      req_cache_valid_[idx] = true;
+  std::fill(out_requested_.begin(), out_requested_.end(), false);
+  for (std::size_t i = 0, idx = 0; i < inputs_.size(); ++i) {
+    for (std::size_t v = 0; v < vcs; ++v, ++idx) {
+      const std::size_t req = requested_output(inputs_[i].lanes[v]);
+      lane_req_[idx] = req;
+      if (req != kNoPort) out_requested_[req] = true;
     }
-    return req_cache_[idx];
-  };
+  }
   for (std::size_t o = 0; o < outputs_.size(); ++o) {
     OutputPort& out = outputs_[o];
 
@@ -210,8 +218,8 @@ void Switch::tick(sim::Kernel& kernel) {
 
     // In-progress wormholes first (lanes rotate for fairness; at vcs == 1
     // this is the seed's locked-input bypass, arbiter untouched).
-    for (std::size_t k = 0; k < vcs; ++k) {
-      const std::size_t w = (out.next_locked_lane + k) % vcs;
+    std::size_t w = out.next_locked_lane;
+    for (std::size_t k = 0; k < vcs; ++k, w = next_lane(w, vcs)) {
       OutLane& ol = out.lanes[w];
       if (ol.locked_input == kNoPort) continue;
       // Space accounting covers both the queue and the in-flight delay
@@ -224,28 +232,27 @@ void Switch::tick(sim::Kernel& kernel) {
       win_in = ol.locked_input;
       win_iv = ol.locked_in_vc;
       win_ov = static_cast<std::uint8_t>(w);
-      out.next_locked_lane = (w + 1) % vcs;
+      out.next_locked_lane = next_lane(w, vcs);
       break;
     }
 
-    if (win_in == kNoPort) {
-      // New wormholes: arbitrate over unlocked input lanes whose head
-      // flit requests this output and whose allocated output lane is
-      // free with space.
+    if (win_in == kNoPort && out_requested_[o]) {
+      // New wormholes: arbitrate over the input lanes whose head flit
+      // requests this output and whose allocated output lane is free
+      // with space.
       bool any = false;
-      for (std::size_t i = 0; i < inputs_.size(); ++i) {
-        for (std::size_t v = 0; v < vcs; ++v) {
+      for (std::size_t i = 0, idx = 0; i < inputs_.size(); ++i) {
+        for (std::size_t v = 0; v < vcs; ++v, ++idx) {
           bool wants = false;
-          if (inputs_[i].lanes[v].locked_output == kNoPort &&
-              request_of(i, v) == o) {
-            const std::uint8_t w =
+          if (lane_req_[idx] == o) {
+            const std::uint8_t ov =
                 out_vc(i, static_cast<std::uint8_t>(v), o);
-            const OutLane& ol = out.lanes[w];
+            const OutLane& ol = out.lanes[ov];
             wants = ol.locked_input == kNoPort &&
                     ol.fifo.size() + ol.pipe.size() <
                         config_.output_fifo_depth;
           }
-          req_scratch_[i * vcs + v] = wants;
+          req_scratch_[idx] = wants;
           any = any || wants;
         }
       }
@@ -287,14 +294,17 @@ void Switch::tick(sim::Kernel& kernel) {
       ol.fifo.push_back(std::move(flit));
     }
     // The input lane's head flit changed (and possibly its lock state):
-    // recompute its request if a later output looks at it this cycle.
-    req_cache_valid_[win_in * vcs + win_iv] = false;
+    // recompute its request for the outputs still to come this cycle.
+    const std::size_t req = requested_output(il);
+    lane_req_[win_in * vcs + win_iv] = req;
+    if (req != kNoPort) out_requested_[req] = true;
     ++flits_switched_;
     any_switched = true;
   }
   if (any_switched) ++active_cycles_;
 
-  // Stage 1: latch arriving flits into their lane's input buffer.
+  // Stage 1: latch arriving flits into their lane's input buffer; each
+  // receiver then drives its ACK/nACK / credit wire.
   for (InputPort& in : inputs_) {
     std::uint32_t can_take = 0;
     for (std::size_t v = 0; v < vcs; ++v) {
@@ -315,11 +325,8 @@ void Switch::tick(sim::Kernel& kernel) {
       lane.expecting_body = !flit->tail;
       lane.fifo.push_back(std::move(*flit));
     }
+    in.rx.end_cycle();
   }
-
-  // Drive all wires.
-  for (InputPort& in : inputs_) in.rx.end_cycle();
-  for (OutputPort& out : outputs_) out.tx.end_cycle();
 }
 
 std::uint64_t Switch::retransmissions() const {

@@ -39,7 +39,6 @@
 #pragma once
 
 #include <cstdint>
-#include <optional>
 #include <vector>
 
 #include "src/common/ring.hpp"
@@ -181,9 +180,10 @@ class Switch : public sim::Module {
         : arbiter(kind, requests) {}
   };
 
-  /// Output requested by the flit at the head of input lane (i, vc), if
-  /// any (only meaningful for unlocked lanes, whose front is a head flit).
-  std::optional<std::size_t> requested_output(const InLane& lane) const;
+  /// Output a new wormhole on `lane` requests: the route selector of the
+  /// head flit at its front, or kNoPort when the lane is empty or already
+  /// holds a wormhole (locked lanes forward only to their locked output).
+  std::size_t requested_output(const InLane& lane) const;
 
   /// Lane a flit on input lane (in_port, in_vc) takes at output
   /// `out_port` — the VC-allocation rule (see file comment).
@@ -198,13 +198,15 @@ class Switch : public sim::Module {
   std::vector<InputPort> inputs_;
   std::vector<OutputPort> outputs_;
 
-  /// Per-cycle memo of each input lane's requested output (kNoPort =
-  /// none), invalidated when the lane's head flit changes mid-cycle, plus
-  /// the arbiter request scratch — both hoisted out of tick() so
-  /// arbitration does no per-cycle allocation and reads each head flit's
-  /// route once. Indexed input * vcs + lane.
-  std::vector<std::size_t> req_cache_;
-  std::vector<bool> req_cache_valid_;
+  /// Stage-2 request state, hoisted out of tick() so arbitration does no
+  /// per-cycle allocation. lane_req_ holds each input lane's
+  /// requested_output() (indexed input * vcs + lane), computed once per
+  /// cycle and again whenever a flit leaves the lane; out_requested_
+  /// marks the outputs some lane requests, so an output with no locked
+  /// winner and no requester skips the (input, lane) scan; req_scratch_
+  /// is the arbiter's request vector.
+  std::vector<std::size_t> lane_req_;
+  std::vector<bool> out_requested_;
   std::vector<bool> req_scratch_;
 
   std::uint64_t flits_switched_ = 0;

@@ -260,6 +260,7 @@ TrafficDriver::TrafficDriver(noc::Network& network,
   }
   require(config.burstiness >= 0.0 && config.burstiness < 1.0,
           "TrafficDriver: burstiness must be in [0, 1)");
+  rate_threshold_ = Rng::chance_threshold(config.injection_rate);
   sim::Kernel& kernel = network.kernel();
   use_injector_ = !kernel.partitioned() &&
                   kernel.scheduler() == sim::Scheduler::kTimeLeap;
@@ -286,16 +287,28 @@ TrafficDriver::TrafficDriver(noc::Network& network,
   }
 }
 
-bool TrafficDriver::roll_injection(std::size_t initiator) {
-  if (config_.burstiness <= 0.0) {
-    return rng_.chance(config_.injection_rate);
+std::size_t TrafficDriver::next_injector(std::size_t from) {
+  const std::size_t n = network_.num_initiators();
+  if (config_.burstiness > 0.0) {
+    // Dwell transition first, then the injection coin in the (possibly
+    // new) state, so even a one-cycle ON dwell can inject.
+    for (; from < n; ++from) {
+      const bool on = burst_on_[from] ? !rng_.chance(p_on_to_off_)
+                                      : rng_.chance(p_off_to_on_);
+      burst_on_[from] = on;
+      if (on && rng_.chance(peak_rate_)) return from;
+    }
+    return n;
   }
-  // Dwell transition first, then the injection coin in the (possibly
-  // new) state, so even a one-cycle ON dwell can inject.
-  const bool on = burst_on_[initiator] ? !rng_.chance(p_on_to_off_)
-                                       : rng_.chance(p_off_to_on_);
-  burst_on_[initiator] = on;
-  return on && rng_.chance(peak_rate_);
+  // chance(rate) per initiator, with its edge cases kept: no draw and no
+  // hit at rate <= 0, no draw and a hit at rate >= 1, otherwise one draw
+  // against the threshold hoisted into the constructor.
+  const double rate = config_.injection_rate;
+  if (rate <= 0.0) return n;
+  if (rate >= 1.0) return from;
+  const std::uint64_t threshold = rate_threshold_;
+  while (from < n && !rng_.below_threshold(threshold)) ++from;
+  return from;
 }
 
 std::size_t TrafficDriver::pick_target(std::size_t initiator) {
@@ -325,8 +338,9 @@ std::size_t TrafficDriver::pick_target(std::size_t initiator) {
 }
 
 void TrafficDriver::roll_cycle(std::uint64_t release) {
-  for (std::size_t i = 0; i < network_.num_initiators(); ++i) {
-    if (!roll_injection(i)) continue;
+  const std::size_t initiators = network_.num_initiators();
+  for (std::size_t i = next_injector(0); i < initiators;
+       i = next_injector(i + 1)) {
     const std::size_t target = pick_target(i);
     if (target >= network_.num_targets()) continue;  // silent row
 

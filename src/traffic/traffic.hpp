@@ -222,9 +222,11 @@ class TrafficDriver {
   void injector_tick(sim::Kernel& kernel);
   std::uint64_t injector_next_event(std::uint64_t now) const;
   std::size_t pick_target(std::size_t initiator);
-  /// Rolls the on/off Markov chain and the injection coin for one
-  /// initiator-cycle; true when a transaction should be injected.
-  bool roll_injection(std::size_t initiator);
+  /// Rolls the injection coin (and, when bursty, the on/off Markov
+  /// chain) for initiators from, from + 1, ... of the current cycle and
+  /// returns the first that injects, or num_initiators() if none does.
+  /// The draws are exactly those of one chance() call per coin.
+  std::size_t next_injector(std::size_t from);
 
   noc::Network& network_;
   TrafficConfig config_;
@@ -234,6 +236,7 @@ class TrafficDriver {
   std::vector<std::vector<double>> cumulative_;
   /// Per-initiator ON/OFF state (burstiness > 0 only).
   std::vector<bool> burst_on_;
+  std::uint64_t rate_threshold_ = 0;  ///< chance_threshold(injection_rate)
   double peak_rate_ = 0.0;   ///< injection probability while ON
   double p_on_to_off_ = 0.0;
   double p_off_to_on_ = 0.0;

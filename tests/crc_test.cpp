@@ -3,7 +3,10 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+
 #include "src/common/rng.hpp"
+#include "src/packet/flit.hpp"
 
 namespace xpl {
 namespace {
@@ -131,6 +134,38 @@ TEST_P(BurstErrorSweep, ShortBurstsDetected) {
 
 INSTANTIATE_TEST_SUITE_P(Kinds, BurstErrorSweep,
                          ::testing::Values(CrcKind::kCrc8, CrcKind::kCrc16));
+
+// flit_seal/flit_verify stream the checksum over the payload's storage
+// words plus the 10 control bits; flit_protected_bits is the assembled
+// reference view. The two must agree for every code at every flit width
+// the sweeps use, across word boundaries and partial bytes.
+TEST(Crc, FlitSealMatchesProtectedBitsReference) {
+  Rng rng(91);
+  for (const auto kind : {CrcKind::kNone, CrcKind::kParity, CrcKind::kCrc8,
+                          CrcKind::kCrc16}) {
+    for (const std::size_t width : {16, 17, 60, 64, 120, 128, 200}) {
+      for (int trial = 0; trial < 64; ++trial) {
+        Flit flit(BitVector(width), rng.chance(0.5), rng.chance(0.5));
+        for (std::size_t pos = 0; pos < width; pos += 64) {
+          const std::size_t n = std::min<std::size_t>(64, width - pos);
+          flit.payload.deposit(pos, n, rng.next_u64());
+        }
+        flit.seqno = static_cast<std::uint8_t>(rng.next_below(256));
+        const std::uint16_t want =
+            crc_compute(kind, flit_protected_bits(flit));
+        flit_seal(flit, kind);
+        ASSERT_EQ(flit.checksum, want)
+            << crc_name(kind) << " width=" << width << " trial=" << trial;
+        EXPECT_TRUE(flit_verify(flit, kind));
+        if (kind != CrcKind::kNone) {
+          // Any single flipped protected bit is caught (head here).
+          flit.head = !flit.head;
+          EXPECT_FALSE(flit_verify(flit, kind)) << crc_name(kind);
+        }
+      }
+    }
+  }
+}
 
 TEST(Crc, RandomErrorsMostlyDetected) {
   // Sanity: CRC8 misses at most ~1/2^8 of random corruptions.

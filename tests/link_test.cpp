@@ -8,6 +8,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <vector>
 
 namespace xpl::link {
@@ -138,6 +139,61 @@ TEST(PipelinedLink, ErrorRateMatchesConfiguration) {
   EXPECT_LE(static_cast<std::uint64_t>(bad), h.link.flits_corrupted());
   EXPECT_GT(static_cast<std::uint64_t>(bad),
             h.link.flits_corrupted() * 90 / 100);
+}
+
+// The per-bit fault model inject_bit_errors must reproduce draw for
+// draw: one Rng::chance per payload bit, head, tail and seqno, then the
+// seqno bit pick. Covers partial and multi-word payloads and chance's
+// edge cases (p <= 0 and p >= 1 draw nothing).
+bool reference_inject(Flit& flit, double p, Rng& rng) {
+  bool corrupted = false;
+  for (std::size_t i = 0; i < flit.payload.width(); ++i) {
+    if (rng.chance(p)) {
+      flit.payload.set(i, !flit.payload.get(i));
+      corrupted = true;
+    }
+  }
+  if (rng.chance(p)) {
+    flit.head = !flit.head;
+    corrupted = true;
+  }
+  if (rng.chance(p)) {
+    flit.tail = !flit.tail;
+    corrupted = true;
+  }
+  if (rng.chance(p)) {
+    flit.seqno ^= 1u << rng.next_below(8);
+    corrupted = true;
+  }
+  return corrupted;
+}
+
+TEST(InjectBitErrors, MatchesPerBitChanceReference) {
+  for (const double p : {-1.0, 0.0, 1e-4, 0.01, 0.3, 1.0, 2.0}) {
+    for (const std::size_t width : {1, 17, 64, 65, 130, 200}) {
+      Rng ref_rng(7);
+      Rng rng(7);
+      Rng data(width);
+      for (int trial = 0; trial < 200; ++trial) {
+        Flit flit(BitVector(width), trial % 2 == 0, trial % 3 == 0);
+        for (std::size_t pos = 0; pos < width; pos += 64) {
+          flit.payload.deposit(pos, std::min<std::size_t>(64, width - pos),
+                               data.next_u64());
+        }
+        flit.seqno = static_cast<std::uint8_t>(trial);
+        Flit want = flit;
+        const bool want_hit = reference_inject(want, p, ref_rng);
+        ASSERT_EQ(inject_bit_errors(flit, p, rng), want_hit)
+            << "p=" << p << " width=" << width << " trial=" << trial;
+        ASSERT_EQ(flit.payload, want.payload);
+        ASSERT_EQ(flit.head, want.head);
+        ASSERT_EQ(flit.tail, want.tail);
+        ASSERT_EQ(flit.seqno, want.seqno);
+      }
+      EXPECT_EQ(rng.next_u64(), ref_rng.next_u64())
+          << "streams out of step, p=" << p << " width=" << width;
+    }
+  }
 }
 
 TEST(PipelinedLink, IdleCyclesCarryNothing) {

@@ -3,6 +3,8 @@
 
 #include <gtest/gtest.h>
 
+#include <string>
+
 #include "src/common/error.hpp"
 
 namespace xpl::ni {
@@ -44,6 +46,56 @@ TEST(RouteLut, OverlappingRangesRejected) {
   EXPECT_THROW(lut.add_range({0x0, 0x10, 2}), Error);
   // Adjacent is fine.
   lut.add_range({0x100, 0x100, 1});
+}
+
+// Windows are kept sorted by base and only the insert slot's neighbours
+// are checked, so overlaps must be caught arriving from either side and
+// in any insertion order, with the same message as ever.
+TEST(RouteLut, OverlapFromEitherSideRejected) {
+  RouteLut lut;
+  lut.add_range({0x2000, 0x1000, 0});
+  lut.add_range({0x8000, 0x1000, 1});
+  const auto rejects = [&lut](const AddressRange& r) {
+    try {
+      lut.add_range(r);
+    } catch (const Error& e) {
+      return std::string(e.what()) == "RouteLut: overlapping address ranges";
+    }
+    return false;
+  };
+  EXPECT_TRUE(rejects({0x1800, 0x1000, 2}));  // from below, into 0x2000
+  EXPECT_TRUE(rejects({0x2FFF, 0x10, 2}));    // from above, out of 0x2000
+  EXPECT_TRUE(rejects({0x2100, 0x10, 2}));    // nested inside
+  EXPECT_TRUE(rejects({0x1000, 0x8000, 2}));  // spanning both windows
+  EXPECT_TRUE(rejects({0x8000, 0x1, 2}));     // same base
+  EXPECT_TRUE(rejects({0x7000, 0x1001, 2}));  // one byte into 0x8000
+  EXPECT_EQ(lut.num_ranges(), 2u);
+}
+
+TEST(RouteLut, AdjacentWindowsAcceptedAndHitAtBothEnds) {
+  RouteLut lut;
+  // Inserted out of address order: the table sorts them.
+  const AddressRange windows[] = {{0x3000, 0x1000, 3},
+                                  {0x1000, 0x1000, 1},
+                                  {0x2000, 0x1000, 2},
+                                  {0x0, 0x1000, 0},
+                                  {0x4000, 0x1, 4}};
+  for (const AddressRange& w : windows) {
+    lut.add_range(w);
+    lut.set_route(w.dst, Route{static_cast<std::uint8_t>(w.dst)});
+  }
+  EXPECT_EQ(lut.num_ranges(), 5u);
+  for (const AddressRange& w : windows) {
+    const auto first = lut.lookup(w.base);
+    ASSERT_TRUE(first.has_value());
+    EXPECT_EQ(first->dst, w.dst);
+    EXPECT_EQ(first->offset, 0u);
+    const auto last = lut.lookup(w.base + w.size - 1);
+    ASSERT_TRUE(last.has_value());
+    EXPECT_EQ(last->dst, w.dst);
+    EXPECT_EQ(last->offset, w.size - 1);
+  }
+  EXPECT_FALSE(lut.lookup(0x4001).has_value());
 }
 
 TEST(RouteLut, EmptyRangeRejected) {

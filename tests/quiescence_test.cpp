@@ -24,6 +24,8 @@
 
 #include <algorithm>
 #include <cstdint>
+#include <memory>
+#include <vector>
 
 #include "src/common/rng.hpp"
 #include "src/link/link.hpp"
@@ -176,6 +178,87 @@ TEST(Quiescence, BothWatcherSlotsAreWoken) {
   EXPECT_EQ(first.seen(), 1u);
   EXPECT_EQ(second.seen(), 1u);
   EXPECT_EQ(kernel.awake_count(), 0u);
+}
+
+/// Records the cycles it ticks at; idle whenever asked, so it ticks only
+/// when woken.
+class TickLog : public sim::Module {
+ public:
+  explicit TickLog(sim::Signal<std::uint64_t>& in) : sim::Module("log") {
+    in.watch(*this);
+  }
+  void tick(sim::Kernel& kernel) override { ticks_.push_back(kernel.cycle()); }
+  bool is_idle() const override { return true; }
+  const std::vector<std::uint64_t>& ticks() const { return ticks_; }
+
+ private:
+  std::vector<std::uint64_t> ticks_;
+};
+
+/// Writes `outs` once per kick().
+class Fanout : public sim::Module {
+ public:
+  explicit Fanout(std::vector<sim::Signal<std::uint64_t>*> outs)
+      : sim::Module("fanout"), outs_(std::move(outs)) {}
+  void tick(sim::Kernel&) override {
+    for (; kicks_ > 0; --kicks_) {
+      for (sim::Signal<std::uint64_t>* s : outs_) s->write(++value_);
+    }
+  }
+  bool is_idle() const override { return kicks_ == 0; }
+  void kick() {
+    ++kicks_;
+    wake();
+  }
+
+ private:
+  std::vector<sim::Signal<std::uint64_t>*> outs_;
+  std::size_t kicks_ = 0;
+  std::uint64_t value_ = 0;
+};
+
+TEST(Quiescence, MidTickWakesFollowRegistrationOrderAcrossWords) {
+  // The active set keeps one bit per module in 64-bit words. A module
+  // woken during the tick phase ticks this cycle if it is registered after
+  // the writer and next cycle if before, in the writer's word or another.
+  sim::Kernel kernel(sim::Scheduler::kTimeLeap);
+  std::vector<sim::Signal<std::uint64_t>*> wires;
+  for (int i = 0; i < 4; ++i) {
+    wires.push_back(&kernel.make_signal<std::uint64_t>());
+  }
+  Fanout fanout(wires);
+  std::vector<std::unique_ptr<TickLog>> logs;
+  for (sim::Signal<std::uint64_t>* w : wires) {
+    logs.push_back(std::make_unique<TickLog>(*w));
+  }
+  // Slots: log 0 at 30 (word 0), log 1 at 70 and the writer at 100
+  // (word 1), log 2 at 101 (word 1), log 3 at 150 (word 2).
+  const std::size_t slot_of_log[4] = {30, 70, 101, 150};
+  std::vector<std::unique_ptr<Pulser>> fillers;
+  for (std::size_t slot = 0; slot < 160; ++slot) {
+    const std::size_t* it = std::find(slot_of_log, slot_of_log + 4, slot);
+    if (slot == 100) {
+      kernel.add_module(fanout);
+    } else if (it != slot_of_log + 4) {
+      kernel.add_module(*logs[static_cast<std::size_t>(it - slot_of_log)]);
+    } else {
+      fillers.push_back(std::make_unique<Pulser>(kernel, 0));
+      kernel.add_module(*fillers.back());
+    }
+  }
+  kernel.run(3);
+  ASSERT_EQ(kernel.awake_count(), 0u);
+  for (auto& log : logs) ASSERT_EQ(log->ticks().size(), 1u);  // cycle 0
+
+  fanout.kick();
+  const std::uint64_t c = kernel.cycle();
+  kernel.run(4);
+  EXPECT_EQ(logs[0]->ticks()[1], c + 1);
+  EXPECT_EQ(logs[1]->ticks()[1], c + 1);
+  EXPECT_EQ(logs[2]->ticks()[1], c);
+  EXPECT_EQ(logs[3]->ticks()[1], c);
+  EXPECT_EQ(kernel.awake_count(), 0u);
+  EXPECT_EQ(kernel.module_count(), 160u);
 }
 
 // ---------------------------------------------------------------------

@@ -3,6 +3,8 @@
 
 #include <gtest/gtest.h>
 
+#include <cmath>
+#include <limits>
 #include <vector>
 
 namespace xpl {
@@ -72,6 +74,46 @@ TEST(Rng, ChanceExtremes) {
     EXPECT_FALSE(rng.chance(0.0));
     EXPECT_TRUE(rng.chance(1.0));
   }
+}
+
+// The integer threshold form must reproduce chance(p) draw for draw:
+// two identical streams, one through chance(p), one through
+// below_threshold(chance_threshold(p)), over 10M draws per p — plus the
+// boundary itself, where x * 2^-53 < p must flip exactly at x == t.
+TEST(Rng, ThresholdMatchesChanceExactly) {
+  const double probabilities[] = {
+      2e-5, 1e-4, 1e-3, 0.5, std::nextafter(1.0, 0.0), std::ldexp(1.0, -60),
+      std::numeric_limits<double>::denorm_min()};
+  for (const double p : probabilities) {
+    const std::uint64_t t = Rng::chance_threshold(p);
+    ASSERT_GE(t, 1u) << p;
+    ASSERT_LE(t, std::uint64_t{1} << 53) << p;
+    for (std::uint64_t x = t > 2 ? t - 2 : 0; x <= t + 1; ++x) {
+      EXPECT_EQ(static_cast<double>(x) * 0x1.0p-53 < p, x < t)
+          << "p=" << p << " x=" << x;
+    }
+    Rng a(2024);
+    Rng b(2024);
+    std::uint64_t hits = 0;
+    for (int i = 0; i < 10'000'000; ++i) {
+      const bool want = a.chance(p);
+      ASSERT_EQ(b.below_threshold(t), want) << "p=" << p << " draw " << i;
+      hits += want ? 1 : 0;
+    }
+    EXPECT_EQ(a.next_u64(), b.next_u64()) << "streams out of step, p=" << p;
+    if (p == 0.5) {
+      EXPECT_NEAR(static_cast<double>(hits) / 1e7, 0.5, 0.001);
+    }
+  }
+}
+
+TEST(Rng, ThresholdEdgeCases) {
+  EXPECT_EQ(Rng::chance_threshold(0.0), 0u);
+  EXPECT_EQ(Rng::chance_threshold(-1.0), 0u);
+  EXPECT_EQ(Rng::chance_threshold(std::nan("")), 0u);
+  EXPECT_EQ(Rng::chance_threshold(1.0), std::uint64_t{1} << 53);
+  EXPECT_EQ(Rng::chance_threshold(2.0), std::uint64_t{1} << 53);
+  EXPECT_EQ(Rng::chance_threshold(0.5), std::uint64_t{1} << 52);
 }
 
 TEST(Rng, ChanceMatchesProbability) {

@@ -275,7 +275,47 @@ TEST(Switch, BadRoutePortIsRejected) {
   Harness h(1, 2);
   // Selector 7 on a 2-output switch: protocol violation, must throw.
   h.injectors[0]->push_packet(h.make_packet(7, {}, 0));
-  EXPECT_THROW(h.kernel.run(20), Error);
+  try {
+    h.kernel.run(20);
+    FAIL() << "bad route port accepted";
+  } catch (const Error& e) {
+    EXPECT_STREQ(e.what(),
+                 "Switch: head flit requests a nonexistent output port");
+  }
+}
+
+// Stage 2 serves outputs in index order within a cycle. When a tail
+// leaves an input lane for output o, the head behind it can still win a
+// later output o' > o in the same cycle (the lane's request is
+// recomputed when its front changes), but never an earlier one, already
+// served. With one input lane, a cycle that switches two flits is exactly
+// that case: packets alternate output 0 / output 1 and the stalling
+// collectors back the tails up behind the next head. The pinned values
+// are those of the output-major scan this switch replaced.
+TEST(Switch, TailThenHeadWinsLaterOutputInOneCycle) {
+  Harness h(1, 2, ArbiterKind::kRoundRobin, 0, /*collector_stall=*/0.8);
+  for (int k = 0; k < 16; ++k) {
+    h.injectors[0]->push_packet(h.make_packet(0, {}, 0));
+    h.injectors[0]->push_packet(h.make_packet(1, {}, 0));
+  }
+  std::vector<std::uint64_t> double_moves;
+  while (!h.drained() && h.kernel.cycle() < 2000) {
+    const std::uint64_t before = h.dut->flits_switched();
+    h.kernel.run(1);
+    if (h.dut->flits_switched() - before == 2) {
+      double_moves.push_back(h.kernel.cycle());
+    }
+  }
+  ASSERT_TRUE(h.drained());
+  EXPECT_EQ(double_moves, (std::vector<std::uint64_t>{25, 37, 53, 61, 93}));
+  const std::vector<std::uint64_t> starts0 = {
+      16, 32, 46, 54, 66, 94, 106, 124, 140, 164, 166, 184, 190, 216, 240, 248};
+  const std::vector<std::uint64_t> starts1 = {
+      8, 12, 44, 58, 90, 138, 148, 168, 182, 210, 230, 244, 250, 270, 292, 306};
+  EXPECT_EQ(h.collectors[0]->packet_start_cycles(), starts0);
+  EXPECT_EQ(h.collectors[1]->packet_start_cycles(), starts1);
+  EXPECT_EQ(h.dut->flits_switched(), 64u);
+  EXPECT_EQ(h.kernel.cycle(), 327u);
 }
 
 TEST(SwitchConfig, ValidationCatchesBadGeometry) {
