@@ -1,5 +1,6 @@
 #include "src/common/bits.hpp"
 
+#include <algorithm>
 #include <bit>
 #include <cstring>
 
@@ -9,9 +10,42 @@ namespace {
 constexpr std::size_t kWordBits = 64;
 }  // namespace
 
-BitVector::BitVector(std::size_t width)
-    : width_(width), nwords_(ceil_div(width, kWordBits)) {
-  if (!inline_storage()) heap_.assign(nwords_, 0);
+void BitVector::allocate_zeroed() {
+  storage_.heap = new std::uint64_t[num_words()]();
+}
+
+void BitVector::copy_heap(const BitVector& other) {
+  storage_.heap = new std::uint64_t[num_words()];
+  std::memcpy(storage_.heap, other.storage_.heap,
+              num_words() * sizeof(std::uint64_t));
+}
+
+void BitVector::assign_slow(const BitVector& other) {
+  if (!inline_storage() && !other.inline_storage() &&
+      num_words() == other.num_words()) {
+    // Same heap size: reuse the array.
+    width_ = other.width_;
+    std::memcpy(storage_.heap, other.storage_.heap,
+                num_words() * sizeof(std::uint64_t));
+    return;
+  }
+  if (!inline_storage()) {
+    delete[] storage_.heap;
+    reset_to_empty();
+  }
+  width_ = other.width_;
+  if (other.inline_storage()) {
+    storage_ = other.storage_;
+  } else {
+    copy_heap(other);
+  }
+}
+
+void BitVector::move_assign_slow(BitVector& other) noexcept {
+  if (!inline_storage()) delete[] storage_.heap;
+  width_ = other.width_;
+  storage_ = other.storage_;
+  if (!other.inline_storage()) other.reset_to_empty();
 }
 
 BitVector::BitVector(std::size_t width, std::uint64_t value)
@@ -20,14 +54,14 @@ BitVector::BitVector(std::size_t width, std::uint64_t value)
     require((value >> width) == 0,
             "BitVector: initial value wider than vector");
   }
-  if (nwords_ != 0) word_data()[0] = value;
+  if (width != 0) word_data()[0] = value;
   mask_top();
 }
 
 void BitVector::mask_top() {
   const std::size_t rem = width_ % kWordBits;
-  if (rem != 0 && nwords_ != 0) {
-    word_data()[nwords_ - 1] &= (std::uint64_t{1} << rem) - 1;
+  if (rem != 0) {
+    word_data()[width_ / kWordBits] &= (std::uint64_t{1} << rem) - 1;
   }
 }
 
@@ -95,7 +129,7 @@ BitVector BitVector::subvector(std::size_t pos, std::size_t count) const {
     // Word-aligned extraction: straight word copy plus a top mask. This is
     // the packetizer's path (registers decompose on flit boundaries).
     std::memcpy(out.word_data(), word_data() + pos / kWordBits,
-                out.nwords_ * sizeof(std::uint64_t));
+                out.num_words() * sizeof(std::uint64_t));
     out.mask_top();
     return out;
   }
@@ -137,45 +171,49 @@ void BitVector::resize(std::size_t width) {
   if (new_n <= kInlineWords) {
     if (!inline_storage()) {
       // Heap -> inline: bring the surviving words home.
-      for (std::size_t i = 0; i < new_n; ++i) inline_words_[i] = heap_[i];
-      heap_.clear();
-      heap_.shrink_to_fit();
+      std::uint64_t* old = storage_.heap;
+      storage_ = Storage{};
+      for (std::size_t i = 0; i < new_n; ++i) {
+        storage_.inline_words[i] = old[i];
+      }
+      delete[] old;
     }
     // Keep the invariant that unused inline words are zero, so a later
     // grow within the inline span exposes no stale bits.
-    for (std::size_t i = new_n; i < kInlineWords; ++i) inline_words_[i] = 0;
-  } else if (inline_storage()) {
-    // Inline -> heap.
-    heap_.assign(new_n, 0);
-    for (std::size_t i = 0; i < nwords_; ++i) heap_[i] = inline_words_[i];
-    for (std::size_t i = 0; i < kInlineWords; ++i) inline_words_[i] = 0;
-  } else {
-    heap_.resize(new_n, 0);
+    for (std::size_t i = new_n; i < kInlineWords; ++i) {
+      storage_.inline_words[i] = 0;
+    }
+  } else if (new_n != num_words()) {
+    // Inline -> heap, or a heap array of another size.
+    std::uint64_t* next = new std::uint64_t[new_n]();
+    std::memcpy(next, word_data(),
+                std::min(num_words(), new_n) * sizeof(std::uint64_t));
+    if (!inline_storage()) delete[] storage_.heap;
+    storage_.heap = next;
   }
   width_ = width;
-  nwords_ = new_n;
   mask_top();
 }
 
 std::uint64_t BitVector::to_u64() const {
   require(width_ <= kWordBits, "BitVector::to_u64: vector wider than 64 bits");
-  return nwords_ == 0 ? 0 : word_data()[0];
+  return width_ == 0 ? 0 : word_data()[0];
 }
 
 std::size_t BitVector::popcount() const {
   const std::uint64_t* w = word_data();
-  std::size_t n = 0;
-  for (std::size_t i = 0; i < nwords_; ++i) {
-    n += static_cast<std::size_t>(std::popcount(w[i]));
+  std::size_t count = 0;
+  for (std::size_t i = 0, n = num_words(); i < n; ++i) {
+    count += static_cast<std::size_t>(std::popcount(w[i]));
   }
-  return n;
+  return count;
 }
 
 bool BitVector::parity() const { return (popcount() & 1u) != 0; }
 
 bool BitVector::is_zero() const {
   const std::uint64_t* w = word_data();
-  for (std::size_t i = 0; i < nwords_; ++i) {
+  for (std::size_t i = 0, n = num_words(); i < n; ++i) {
     if (w[i] != 0) return false;
   }
   return true;
@@ -194,16 +232,16 @@ bool BitVector::operator==(const BitVector& other) const {
   if (width_ != other.width_) return false;
   // Storage above width() is zero by invariant, so whole-word compare is
   // value compare.
-  return nwords_ == 0 ||
+  return width_ == 0 ||
          std::memcmp(word_data(), other.word_data(),
-                     nwords_ * sizeof(std::uint64_t)) == 0;
+                     num_words() * sizeof(std::uint64_t)) == 0;
 }
 
 BitVector& BitVector::operator^=(const BitVector& other) {
   require(width_ == other.width_, "BitVector::operator^=: width mismatch");
   std::uint64_t* w = word_data();
   const std::uint64_t* o = other.word_data();
-  for (std::size_t i = 0; i < nwords_; ++i) {
+  for (std::size_t i = 0, n = num_words(); i < n; ++i) {
     w[i] ^= o[i];
   }
   return *this;

@@ -11,12 +11,14 @@
 // sized so that every flit payload of the paper's 16..128-bit sweep range
 // *and* the CRC's protected view of such a flit (payload + 10 control
 // bits, see packet/flit.hpp) stay inline — copying a flit through the
-// simulated pipeline never allocates.
+// simulated pipeline never allocates. The inline words and the heap
+// pointer share one union and the word count is derived from the width,
+// so an inline vector copies and moves as four words (width, three
+// storage words) behind one branch; only wider vectors own a heap array.
 #pragma once
 
 #include <cstdint>
 #include <string>
-#include <vector>
 
 #include "src/common/error.hpp"
 
@@ -32,11 +34,49 @@ class BitVector {
   static constexpr std::size_t kInlineWords = 3;
 
   /// Creates an all-zero vector of `width` bits (width may be 0).
-  explicit BitVector(std::size_t width = 0);
+  explicit BitVector(std::size_t width = 0) : width_(width) {
+    if (!inline_storage()) allocate_zeroed();
+  }
 
   /// Creates a vector of `width` bits initialized from the low bits of
   /// `value`. Bits of `value` beyond `width` must be zero.
   BitVector(std::size_t width, std::uint64_t value);
+
+  /// Value semantics. A moved-from vector stays valid: unchanged if it
+  /// was inline, width 0 if it owned a heap array (the array moved).
+  /// Every path where both sides are inline is a four-word copy.
+  BitVector(const BitVector& other) : width_(other.width_) {
+    if (other.inline_storage()) {
+      storage_ = other.storage_;
+    } else {
+      copy_heap(other);
+    }
+  }
+  BitVector(BitVector&& other) noexcept
+      : width_(other.width_), storage_(other.storage_) {
+    if (!other.inline_storage()) other.reset_to_empty();
+  }
+  BitVector& operator=(const BitVector& other) {
+    if (inline_storage() && other.inline_storage()) {
+      width_ = other.width_;
+      storage_ = other.storage_;
+    } else if (this != &other) {
+      assign_slow(other);
+    }
+    return *this;
+  }
+  BitVector& operator=(BitVector&& other) noexcept {
+    if (inline_storage() && other.inline_storage()) {
+      width_ = other.width_;
+      storage_ = other.storage_;
+    } else if (this != &other) {
+      move_assign_slow(other);
+    }
+    return *this;
+  }
+  ~BitVector() {
+    if (!inline_storage()) delete[] storage_.heap;
+  }
 
   std::size_t width() const { return width_; }
 
@@ -85,21 +125,43 @@ class BitVector {
 
   /// Raw storage words (read-only), little-endian word order.
   const std::uint64_t* word_data() const {
-    return inline_storage() ? inline_words_ : heap_.data();
+    return inline_storage() ? storage_.inline_words : storage_.heap;
   }
-  std::size_t num_words() const { return nwords_; }
+  std::size_t num_words() const { return (width_ + 63) / 64; }
 
  private:
-  bool inline_storage() const { return nwords_ <= kInlineWords; }
+  /// Storage while num_words() <= kInlineWords: the words themselves,
+  /// with the words at and above num_words() kept zero so a later grow
+  /// within the span exposes no stale bits. Otherwise an owned heap array
+  /// of num_words() words. Trivially copyable, so copying the union copies
+  /// whichever member is live.
+  union Storage {
+    std::uint64_t inline_words[kInlineWords];
+    std::uint64_t* heap;
+  };
+
+  bool inline_storage() const { return width_ <= kInlineWords * 64; }
   std::uint64_t* word_data() {
-    return inline_storage() ? inline_words_ : heap_.data();
+    return inline_storage() ? storage_.inline_words : storage_.heap;
   }
   void mask_top();
+  /// Points storage_ at a fresh zeroed array of num_words() words.
+  void allocate_zeroed();
+  /// Points storage_ at a fresh copy of `other`'s heap words (same
+  /// width).
+  void copy_heap(const BitVector& other);
+  /// The assignments when either side lives on the heap (never self).
+  void assign_slow(const BitVector& other);
+  void move_assign_slow(BitVector& other) noexcept;
+  /// Width 0, inline, all storage words zero (after the heap array moved
+  /// out or was freed).
+  void reset_to_empty() {
+    width_ = 0;
+    storage_ = Storage{};
+  }
 
   std::size_t width_ = 0;
-  std::size_t nwords_ = 0;
-  std::uint64_t inline_words_[kInlineWords] = {0, 0, 0};
-  std::vector<std::uint64_t> heap_;  ///< engaged only above kInlineWords
+  Storage storage_{};
 };
 
 /// Incremental writer that appends fields LSB-first into a BitVector.

@@ -67,7 +67,12 @@ class Ring {
     return buf_[(head_ + i) & mask_];
   }
 
-  void push_back(T value) {
+  void push_back(const T& value) {
+    if (count_ == buf_.size()) regrow(pow2_at_least(count_ + 1));
+    buf_[(head_ + count_) & mask_] = value;
+    ++count_;
+  }
+  void push_back(T&& value) {
     if (count_ == buf_.size()) regrow(pow2_at_least(count_ + 1));
     buf_[(head_ + count_) & mask_] = std::move(value);
     ++count_;

@@ -26,6 +26,11 @@ std::vector<std::string> tokenize(const std::string& line) {
 }
 
 std::uint64_t parse_u64(const std::string& token, std::size_t line) {
+  // stoull silently wraps negatives; reject anything but plain digits.
+  if (token.empty() || token.find_first_not_of("0123456789") !=
+                           std::string::npos) {
+    fail(line, "bad number '" + token + "'");
+  }
   try {
     std::size_t used = 0;
     const std::uint64_t value = std::stoull(token, &used);

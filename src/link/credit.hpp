@@ -32,9 +32,9 @@
 #pragma once
 
 #include <cstdint>
-#include <optional>
 #include <vector>
 
+#include "src/common/error.hpp"
 #include "src/common/ring.hpp"
 #include "src/link/goback_n.hpp"
 #include "src/link/link.hpp"
@@ -43,6 +43,11 @@
 namespace xpl::link {
 
 /// Sender endpoint: stages flits and spends credits to transmit them.
+///
+/// Lane-scan questions are answered from three counters kept in step
+/// with the lanes (staged_, starved_, spent_), so an endpoint costs what
+/// its busy lanes do: the per-tick fast paths below are inline and only
+/// an arriving credit (collect) or a staged flit (transmit) leaves them.
 class CreditSender {
  public:
   CreditSender() = default;
@@ -50,24 +55,54 @@ class CreditSender {
 
   /// Collects returned credits from the reverse wire. Call first in the
   /// owner's tick().
-  void begin_cycle();
+  void begin_cycle() {
+    XPL_ASSERT(wires_.rev != nullptr);
+    const AckBeat& beat = wires_.rev->read();
+    if (beat.valid) collect(beat.vc);
+  }
 
   /// True if a new flit can be staged on lane `vc` this cycle: that
   /// lane's outstanding flits (staged + credit not yet returned) stay
-  /// below the window, mirroring the go-back-N sender's occupancy bound.
-  bool can_accept(std::size_t vc = 0) const;
+  /// below the window, mirroring the go-back-N sender's occupancy bound
+  /// (so a flow-control comparison measures protocol behaviour, not a
+  /// doubled per-hop buffer). staged + (window - credits) < window is
+  /// staged < credits.
+  bool can_accept(std::size_t vc = 0) const {
+    XPL_ASSERT(vc < lanes_.size());
+    const Lane& lane = lanes_[vc];
+    return lane.buffer.size() < lane.credits;
+  }
 
   /// Stages `flit` for transmission on lane flit.vc. Requires
-  /// can_accept(flit.vc).
-  void accept(Flit flit);
+  /// can_accept(flit.vc). Reliable link: no seqno, no CRC seal — the
+  /// receiver never checks.
+  void accept(Flit&& flit) {
+    XPL_ASSERT(can_accept(flit.vc));
+    lanes_[flit.vc].buffer.push_back(std::move(flit));
+    ++staged_;
+  }
 
   /// Transmits at most one flit (lanes served round-robin, credit
   /// permitting) and drives the wire. Call last in the owner's tick().
-  void end_cycle();
+  void end_cycle() {
+    XPL_ASSERT(wires_.fwd != nullptr);
+    if (staged_ != 0) {
+      transmit();
+      return;
+    }
+    // Credit starvation: nothing staged anywhere, and at least one lane's
+    // entire window is parked at the receiver awaiting drain.
+    if (starved_ != 0) ++credit_stalls_;
+    // Write-on-change: drive the wire idle once after the last valid beat.
+    if (fwd_dirty_) {
+      wires_.fwd->write(FlitBeat{});
+      fwd_dirty_ = false;
+    }
+  }
 
   /// Flits staged locally plus flits whose credit has not returned yet
   /// (in flight on the link or buffered at the receiver), over all lanes.
-  std::size_t in_flight() const;
+  std::size_t in_flight() const { return staged_ + spent_; }
   bool idle() const { return in_flight() == 0; }
 
   /// Wakes `owner` whenever a credit returns on the reverse wire.
@@ -80,18 +115,21 @@ class CreditSender {
   /// credit_stall per starved cycle, so a starved sender must keep
   /// ticking (or catch up in closed form) for both schedulers to report
   /// equal stats.
-  bool gate_idle() const;
+  bool gate_idle() const { return starved_ == 0 && gate_idle_leap(); }
 
   /// gate_idle without the zero-credit counter clause — the quiescence
   /// bound the time-leap scheduler uses. A sender idle by this predicate
   /// does no *work* on a frozen tick; the per-cycle credit_stall count it
   /// would have accumulated is restored in closed form by
   /// catch_up_stalls() (the owner tracks the gap; DESIGN.md §2).
-  bool gate_idle_leap() const;
+  bool gate_idle_leap() const {
+    return staged_ == 0 && !fwd_dirty_ && !wires_.rev->read().valid;
+  }
 
   /// True when a frozen (skipped) tick of the owner would have counted
-  /// one credit_stall: nothing staged on any lane, some lane starved.
-  bool stall_pending() const;
+  /// one credit_stall: end_cycle's starvation rule — nothing staged on
+  /// any lane, some lane starved.
+  bool stall_pending() const { return staged_ == 0 && starved_ != 0; }
 
   /// Closed-form catch-up: credits `n` skipped starved cycles.
   void catch_up_stalls(std::uint64_t n) { credit_stalls_ += n; }
@@ -108,6 +146,11 @@ class CreditSender {
   }
 
  private:
+  /// begin_cycle's work when a credit for lane `vc` arrives.
+  void collect(std::uint8_t vc);
+  /// end_cycle's work when some lane has a staged flit.
+  void transmit();
+
   struct Lane {
     Ring<Flit> buffer;         ///< staged flits, oldest first (<= window)
     std::size_t credits = 0;   ///< free receiver slots (starts at window)
@@ -118,6 +161,9 @@ class CreditSender {
   std::vector<Lane> lanes_;
   std::size_t next_lane_ = 0;  ///< transmit rotation over lanes
   bool fwd_dirty_ = false;     ///< forward wire still holds a valid beat
+  std::size_t staged_ = 0;     ///< sum of lane buffer sizes
+  std::size_t starved_ = 0;    ///< lanes at zero credits
+  std::size_t spent_ = 0;      ///< sum of (window - credits): unreturned
 
   std::uint64_t flits_sent_ = 0;
   std::uint64_t credit_stalls_ = 0;
@@ -135,11 +181,29 @@ class CreditReceiver {
   /// most one buffered flit from a lane whose bit is set in
   /// `can_take_mask` (lanes drained round-robin) — scheduling one credit
   /// return for that lane. Call first in the owner's tick(). (A bool
-  /// converts to the right mask for single-lane owners.)
-  std::optional<Flit> begin_cycle(std::uint32_t can_take_mask);
+  /// converts to the right mask for single-lane owners.) The returned
+  /// flit is the lane slot just popped: it keeps its value until the
+  /// lane's next push, i.e. at least until the owner's tick ends (see
+  /// flow.hpp). nullptr when nothing is handed over.
+  const Flit* begin_cycle(std::uint32_t can_take_mask) {
+    XPL_ASSERT(wires_.fwd != nullptr);
+    const FlitBeat& beat = wires_.fwd->read();
+    if (!beat.valid && buffered_ == 0) return nullptr;
+    return receive(beat, can_take_mask);
+  }
 
   /// Drives the credit-return wire. Call last in the owner's tick().
-  void end_cycle();
+  void end_cycle() {
+    XPL_ASSERT(wires_.rev != nullptr);
+    // Write-on-change: a credit return is always driven; the idle beat is
+    // driven once after the last return (then the wire already holds it).
+    if (pending_credit_ || rev_dirty_) {
+      wires_.rev->write(
+          AckBeat{pending_credit_, /*ack=*/true, 0, pending_credit_vc_});
+      rev_dirty_ = pending_credit_;
+      pending_credit_ = false;
+    }
+  }
 
   /// Wakes `owner` whenever a flit arrives on the forward wire.
   void watch(sim::Module& owner) { wires_.fwd->watch(owner); }
@@ -148,17 +212,22 @@ class CreditReceiver {
   /// nothing buffered awaiting the owner's drain, and the credit wire
   /// already driven idle.
   bool gate_idle() const {
-    return !rev_dirty_ && buffered() == 0 && !wires_.fwd->read().valid;
+    return !rev_dirty_ && buffered_ == 0 && !wires_.fwd->read().valid;
   }
 
   std::uint64_t flits_accepted() const { return flits_accepted_; }
-  std::size_t buffered() const;
+  /// Flits held in the credited buffers over all lanes.
+  std::size_t buffered() const { return buffered_; }
 
  private:
+  /// begin_cycle's work when a beat arrives or a lane holds flits.
+  const Flit* receive(const FlitBeat& beat, std::uint32_t can_take_mask);
+
   LinkWires wires_{};
   ProtocolConfig config_{};
   std::vector<Ring<Flit>> lanes_;  ///< credited slots (capacity = window)
   std::size_t drain_next_ = 0;     ///< drain rotation over lanes
+  std::size_t buffered_ = 0;       ///< sum of lane sizes
   bool pending_credit_ = false;    ///< return one credit at end_cycle
   std::uint8_t pending_credit_vc_ = 0;
   bool rev_dirty_ = false;  ///< credit wire still holds a valid beat

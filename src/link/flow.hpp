@@ -20,10 +20,17 @@
 // goback_n.hpp / credit.hpp). Dispatch is one predictable branch on the
 // enum per call — no virtual functions on the hot path, matching the
 // devirtualized kernel design (DESIGN.md §2).
+//
+// Flits cross the seam by reference, not by value. Senders take
+// accept(Flit&&): the owner moves its queued flit in, one move per
+// hand-off. Receivers' begin_cycle returns `const Flit*` — nullptr when
+// nothing is handed over — pointing into endpoint-owned storage (the
+// forward wire's committed flit for go-back-N, the credited slot just
+// popped for credits). The pointer is valid until the owner's tick ends;
+// an owner that keeps the flit copies it before returning.
 #pragma once
 
 #include <cstdint>
-#include <optional>
 #include <string>
 
 #include "src/link/credit.hpp"
@@ -66,7 +73,7 @@ class LinkSender {
     return flow_ == FlowControl::kAckNack ? ack_.can_accept(vc)
                                           : credit_.can_accept(vc);
   }
-  void accept(Flit flit) {
+  void accept(Flit&& flit) {
     flow_ == FlowControl::kAckNack ? ack_.accept(std::move(flit))
                                    : credit_.accept(std::move(flit));
   }
@@ -143,7 +150,8 @@ class LinkReceiver {
 
   /// Bit vc of `can_take_mask` = owner has space for lane vc this cycle
   /// (a bool converts to the right mask for single-lane owners).
-  std::optional<Flit> begin_cycle(std::uint32_t can_take_mask) {
+  /// Returns the handed-over flit or nullptr (pointer contract above).
+  const Flit* begin_cycle(std::uint32_t can_take_mask) {
     return flow_ == FlowControl::kAckNack
                ? ack_.begin_cycle(can_take_mask)
                : credit_.begin_cycle(can_take_mask);

@@ -62,7 +62,7 @@ void GoBackNSender::process_ack(const AckBeat& ack) {
   }
 }
 
-void GoBackNSender::accept(Flit flit) {
+void GoBackNSender::accept(Flit&& flit) {
   XPL_ASSERT(can_accept(flit.vc));
   Lane& lane = lanes_[flit.vc];
   flit.seqno = lane.next_seq;
@@ -121,8 +121,8 @@ GoBackNReceiver::GoBackNReceiver(LinkWires wires,
   expected_seq_.assign(config_.vcs, 0);
 }
 
-std::optional<Flit> GoBackNReceiver::receive(const Flit& flit,
-                                             std::uint32_t can_take_mask) {
+const Flit* GoBackNReceiver::receive(const Flit& flit,
+                                     std::uint32_t can_take_mask) {
   const std::uint8_t vc = flit.vc;
   XPL_ASSERT(vc < expected_seq_.size());
 
@@ -130,24 +130,24 @@ std::optional<Flit> GoBackNReceiver::receive(const Flit& flit,
     // Corrupted in flight: ask the sender to go back to what we expect.
     ++crc_rejections_;
     pending_ack_ = AckBeat{true, /*ack=*/false, expected_seq_[vc], vc};
-    return std::nullopt;
+    return nullptr;
   }
   if ((flit.seqno & seq_mask_) != expected_seq_[vc]) {
     // Stale flit racing a rewind; drop silently (the sender is already
     // resending from expected_seq_, nACKing again would only thrash).
-    return std::nullopt;
+    return nullptr;
   }
   if ((can_take_mask >> vc & 1u) == 0) {
     // Flow control: intact and in order, but no room on this lane. nACK
     // so the sender retries; expected_seq_ stays put.
     ++flow_rejections_;
     pending_ack_ = AckBeat{true, /*ack=*/false, expected_seq_[vc], vc};
-    return std::nullopt;
+    return nullptr;
   }
   pending_ack_ = AckBeat{true, /*ack=*/true, expected_seq_[vc], vc};
   expected_seq_[vc] = (expected_seq_[vc] + 1) & seq_mask_;
   ++flits_accepted_;
-  return flit;
+  return &flit;
 }
 
 }  // namespace xpl::link

@@ -22,7 +22,6 @@
 #pragma once
 
 #include <cstdint>
-#include <optional>
 #include <vector>
 
 #include "src/common/crc.hpp"
@@ -75,7 +74,7 @@ class GoBackNSender {
 
   /// Queues `flit` for (re)transmission on lane flit.vc; assigns its
   /// sequence number. Requires can_accept(flit.vc).
-  void accept(Flit flit);
+  void accept(Flit&& flit);
 
   /// Transmits at most one flit (lanes served round-robin) and drives the
   /// wire. Call last in tick().
@@ -147,13 +146,15 @@ class GoBackNReceiver {
   /// Examines the arriving flit. Bit vc of `can_take_mask` tells the
   /// receiver whether the owner has buffer space for lane vc this cycle;
   /// without space the flit is nACKed (flow control). Returns the flit
-  /// when it is accepted in order and intact. Call first in the owner's
-  /// tick(). (A bool converts to the right mask for single-lane owners.)
-  std::optional<Flit> begin_cycle(std::uint32_t can_take_mask) {
+  /// when it is accepted in order and intact — the forward wire's
+  /// committed flit, valid until the owner's tick ends (see flow.hpp) —
+  /// else nullptr. Call first in the owner's tick(). (A bool converts to
+  /// the right mask for single-lane owners.)
+  const Flit* begin_cycle(std::uint32_t can_take_mask) {
     XPL_ASSERT(wires_.fwd != nullptr);
     pending_ack_ = AckBeat{};
     const FlitBeat& beat = wires_.fwd->read();
-    if (!beat.valid) return std::nullopt;
+    if (!beat.valid) return nullptr;
     return receive(beat.flit, can_take_mask);
   }
 
@@ -187,7 +188,7 @@ class GoBackNReceiver {
 
  private:
   /// begin_cycle's work when a flit is on the forward wire.
-  std::optional<Flit> receive(const Flit& flit, std::uint32_t can_take_mask);
+  const Flit* receive(const Flit& flit, std::uint32_t can_take_mask);
 
   LinkWires wires_{};
   ProtocolConfig config_{};

@@ -242,7 +242,7 @@ void InitiatorNi::tick(sim::Kernel& kernel) {
   const bool can_take = resp_out_.size() < config_.resp_queue_depth;
   const std::uint32_t take_mask =
       can_take ? (1u << config_.vcs) - 1 : 0u;
-  if (auto flit = rx_.begin_cycle(take_mask)) {
+  if (const Flit* flit = rx_.begin_cycle(take_mask)) {
     XPL_ASSERT(flit->vc < config_.vcs);
     if (auto packet = depack_[flit->vc].push(*flit)) {
       deliver_response(*packet);

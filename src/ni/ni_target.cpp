@@ -190,7 +190,7 @@ void TargetNi::tick(sim::Kernel& kernel) {
   const bool can_take = jobs_.size() < config_.job_queue_depth;
   const std::uint32_t take_mask =
       can_take ? (1u << config_.vcs) - 1 : 0u;
-  if (auto flit = rx_.begin_cycle(take_mask)) {
+  if (const Flit* flit = rx_.begin_cycle(take_mask)) {
     XPL_ASSERT(flit->vc < config_.vcs);
     if (auto packet = depack_[flit->vc].push(*flit)) {
       require(packet->header.cmd != PacketCmd::kResponse,

@@ -267,15 +267,13 @@ class Signal {
 
   const T& read() const { return curr_; }
 
-  void write(T value) {
+  void write(const T& value) {
+    next_ = value;
+    mark_written();
+  }
+  void write(T&& value) {
     next_ = std::move(value);
-    if (!written_) {
-      dirty_list_->push_back(
-          {this, [](void* s) { static_cast<Signal<T>*>(s)->commit(); }});
-      if (watchers_[0] != nullptr) watchers_[0]->wake();
-      if (watchers_[1] != nullptr) watchers_[1]->wake();
-      written_ = true;
-    }
+    mark_written();
   }
 
   bool written() const { return written_; }
@@ -311,6 +309,18 @@ class Signal {
 
  private:
   friend class Kernel;
+
+  /// The first write of a cycle enqueues the signal for commit and wakes
+  /// its watchers.
+  void mark_written() {
+    if (!written_) {
+      dirty_list_->push_back(
+          {this, [](void* s) { static_cast<Signal<T>*>(s)->commit(); }});
+      if (watchers_[0] != nullptr) watchers_[0]->wake();
+      if (watchers_[1] != nullptr) watchers_[1]->wake();
+      written_ = true;
+    }
+  }
 
   T curr_;
   T next_;

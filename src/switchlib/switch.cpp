@@ -312,7 +312,7 @@ void Switch::tick(sim::Kernel& kernel) {
         can_take |= 1u << v;
       }
     }
-    if (auto flit = in.rx.begin_cycle(can_take)) {
+    if (const Flit* flit = in.rx.begin_cycle(can_take)) {
       XPL_ASSERT(flit->vc < vcs);
       InLane& lane = in.lanes[flit->vc];
       // Wormhole protocol check: head flits only between packets, per
@@ -323,7 +323,7 @@ void Switch::tick(sim::Kernel& kernel) {
         require(flit->head, "Switch: body flit arrived with no wormhole");
       }
       lane.expecting_body = !flit->tail;
-      lane.fifo.push_back(std::move(*flit));
+      lane.fifo.push_back(*flit);
     }
     in.rx.end_cycle();
   }

@@ -266,6 +266,82 @@ TEST(BitVector, ShrinkWithinInlineClearsDroppedWords) {
   EXPECT_TRUE(v.is_zero());
 }
 
+// Value semantics across the inline/heap boundary: every (source width,
+// target width) pair of copy/move construction and assignment, so inline
+// -> heap and heap -> inline targets are both covered.
+BitVector random_bits(std::size_t width, std::uint64_t seed) {
+  Rng rng(seed);
+  BitVector v(width);
+  for (std::size_t i = 0; i < width; ++i) v.set(i, rng.chance(0.5));
+  return v;
+}
+
+// A moved-from or reused vector must still behave as a value.
+void expect_reusable(BitVector& v) {
+  v.resize(130);
+  EXPECT_EQ(v.width(), 130u);
+  v.deposit(100, 30, 0x2AAAAAAA);
+  EXPECT_EQ(v.slice(100, 30), 0x2AAAAAAAu);
+  v = random_bits(300, 5);
+  EXPECT_EQ(v, random_bits(300, 5));
+  v = BitVector(3, 5);
+  EXPECT_EQ(v.to_u64(), 5u);
+}
+
+class ValueSemantics
+    : public ::testing::TestWithParam<std::tuple<std::size_t, std::size_t>> {
+};
+
+TEST_P(ValueSemantics, CopyAndMove) {
+  const auto [src_width, dst_width] = GetParam();
+  const bool src_inline = src_width <= BitVector::kInlineWords * 64;
+  const BitVector ref = random_bits(src_width, src_width + 1);
+
+  BitVector copied(ref);
+  EXPECT_EQ(copied, ref);
+  EXPECT_EQ(copied.width(), src_width);
+
+  BitVector src = ref;
+  BitVector moved(std::move(src));
+  EXPECT_EQ(moved, ref);
+  // Moved-from: unchanged if it was inline, width 0 if it owned the heap.
+  EXPECT_EQ(src.width(), src_inline ? src_width : 0u);
+  if (src_inline) {
+    EXPECT_EQ(src, ref);
+  }
+  expect_reusable(src);
+
+  BitVector dst = random_bits(dst_width, dst_width + 7);
+  dst = ref;
+  EXPECT_EQ(dst, ref);
+  // The copy is independent of its source.
+  if (src_width > 0) {
+    dst.set(0, !dst.get(0));
+    EXPECT_NE(dst, ref);
+  }
+
+  BitVector dst2 = random_bits(dst_width, dst_width + 9);
+  BitVector src2 = ref;
+  dst2 = std::move(src2);
+  EXPECT_EQ(dst2, ref);
+  EXPECT_EQ(src2.width(), src_inline ? src_width : 0u);
+  expect_reusable(src2);
+  expect_reusable(dst2);
+
+  BitVector self = ref;
+  BitVector& alias = self;
+  self = alias;
+  EXPECT_EQ(self, ref);
+  self = std::move(alias);
+  EXPECT_EQ(self, ref);
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Widths, ValueSemantics,
+    ::testing::Combine(
+        ::testing::Values<std::size_t>(0, 1, 64, 128, 192, 193, 200, 1000),
+        ::testing::Values<std::size_t>(0, 1, 64, 128, 192, 193, 200, 1000)));
+
 // Property sweep: deposit/slice agree for every (pos, count) pair on a
 // couple of widths spanning word boundaries.
 class DepositSliceSweep

@@ -185,7 +185,7 @@ TEST(Credit, SenderStaysBusyUntilCreditsReturn) {
 
   // Receiver latches it but its owner cannot take it yet.
   tx.begin_cycle();
-  EXPECT_FALSE(rx.begin_cycle(/*can_take=*/false).has_value());
+  EXPECT_EQ(rx.begin_cycle(/*can_take=*/false), nullptr);
   rx.end_cycle();
   tx.end_cycle();
   kernel.step();
@@ -193,7 +193,7 @@ TEST(Credit, SenderStaysBusyUntilCreditsReturn) {
 
   // Owner drains; the credit beat crosses back next cycle.
   tx.begin_cycle();
-  ASSERT_TRUE(rx.begin_cycle(/*can_take=*/true).has_value());
+  ASSERT_NE(rx.begin_cycle(/*can_take=*/true), nullptr);
   rx.end_cycle();
   tx.end_cycle();
   kernel.step();
@@ -201,6 +201,114 @@ TEST(Credit, SenderStaysBusyUntilCreditsReturn) {
   tx.end_cycle();
   EXPECT_TRUE(tx.idle());
 }
+
+// The endpoints answer their lane-scan questions from counters
+// (staged_, starved_, spent_, buffered_). A randomized accept /
+// credit-return / drain schedule checks every answer, every cycle,
+// against a scan over the lanes rebuilt from the wires and credits().
+class CreditCounters : public ::testing::TestWithParam<std::size_t> {};
+
+TEST_P(CreditCounters, MatchLaneScanEveryCycle) {
+  const std::size_t vcs = GetParam();
+  ProtocolConfig cfg = ProtocolConfig::for_link(0);
+  cfg.window = 3;  // small, so lanes starve often
+  cfg.vcs = vcs;
+  sim::Kernel kernel;
+  const LinkWires wires = LinkWires::make(kernel);
+  CreditSender tx(wires, cfg);
+  CreditReceiver rx(wires, cfg);
+  Rng rng(40 + vcs);
+
+  std::vector<std::size_t> staged(vcs, 0);    // accepted, not yet sent
+  std::vector<std::size_t> buffered(vcs, 0);  // arrived, not yet drained
+  std::uint64_t stalls = 0;
+  std::uint64_t next_payload = 0;
+  std::vector<std::vector<std::uint64_t>> sent(vcs), got(vcs);
+
+  const std::size_t kCycles = 4000;
+  const std::size_t kDrainFrom = 3000;  // then accept nothing, drain all
+  for (std::size_t cycle = 0; cycle < kCycles; ++cycle) {
+    // Phases of 200 cycles alternate a slow and a fast drain, so lanes
+    // sit starved for stretches and then recover.
+    const bool draining = cycle >= kDrainFrom;
+    const double take_p = draining || (cycle / 200) % 2 == 1 ? 0.9 : 0.15;
+
+    tx.begin_cycle();
+    // Several lanes may stage in one cycle while one flit leaves, so
+    // staged flits pile up beside starved lanes.
+    for (std::size_t lane = 0; lane < vcs; ++lane) {
+      if (draining || !rng.chance(0.5) || !tx.can_accept(lane)) continue;
+      Flit f(BitVector(16, next_payload & 0xFFFF), true, true);
+      f.vc = static_cast<std::uint8_t>(lane);
+      sent[lane].push_back(next_payload & 0xFFFF);
+      ++next_payload;
+      tx.accept(std::move(f));
+      ++staged[lane];
+    }
+
+    std::uint32_t mask = 0;
+    for (std::size_t v = 0; v < vcs; ++v) {
+      if (rng.chance(take_p)) mask |= 1u << v;
+    }
+    const FlitBeat& arriving = wires.fwd->read();
+    if (arriving.valid) ++buffered[arriving.flit.vc];
+    if (const Flit* flit = rx.begin_cycle(mask)) {
+      ASSERT_NE(mask >> flit->vc & 1u, 0u);
+      --buffered[flit->vc];
+      got[flit->vc].push_back(flit->payload.to_u64());
+    }
+    rx.end_cycle();
+
+    // end_cycle's starvation rule, as a lane scan.
+    std::size_t staged_total = 0;
+    bool starved = false;
+    for (std::size_t v = 0; v < vcs; ++v) {
+      staged_total += staged[v];
+      starved = starved || tx.credits(v) == 0;
+    }
+    if (staged_total == 0 && starved) ++stalls;
+    tx.end_cycle();
+    if (wires.fwd->written() && wires.fwd->staged().valid) {
+      --staged[wires.fwd->staged().flit.vc];
+    }
+    kernel.step();
+
+    // Lane-scan reference for every O(1) answer.
+    staged_total = 0;
+    starved = false;
+    std::size_t in_flight = 0;
+    std::size_t buffered_total = 0;
+    for (std::size_t v = 0; v < vcs; ++v) {
+      staged_total += staged[v];
+      starved = starved || tx.credits(v) == 0;
+      in_flight += staged[v] + (cfg.window - tx.credits(v));
+      buffered_total += buffered[v];
+    }
+    // Only the sender drives the forward wire and only the receiver the
+    // reverse one, so a valid committed beat is the endpoint's dirty flag.
+    const bool fwd_valid = wires.fwd->read().valid;
+    const bool rev_valid = wires.rev->read().valid;
+    const bool leap_idle = staged_total == 0 && !fwd_valid && !rev_valid;
+    ASSERT_EQ(tx.gate_idle_leap(), leap_idle) << "cycle " << cycle;
+    ASSERT_EQ(tx.gate_idle(), leap_idle && !starved) << "cycle " << cycle;
+    ASSERT_EQ(tx.stall_pending(), staged_total == 0 && starved)
+        << "cycle " << cycle;
+    ASSERT_EQ(tx.in_flight(), in_flight) << "cycle " << cycle;
+    ASSERT_EQ(tx.credit_stalls(), stalls) << "cycle " << cycle;
+    ASSERT_EQ(rx.buffered(), buffered_total) << "cycle " << cycle;
+    ASSERT_EQ(rx.gate_idle(), buffered_total == 0 && !fwd_valid && !rev_valid)
+        << "cycle " << cycle;
+  }
+  // The schedule starved lanes and drained back to idle, losslessly.
+  EXPECT_GT(tx.credit_stalls(), 0u);
+  EXPECT_TRUE(tx.gate_idle());
+  EXPECT_TRUE(rx.gate_idle());
+  EXPECT_EQ(tx.in_flight(), 0u);
+  EXPECT_EQ(got, sent);
+}
+
+INSTANTIATE_TEST_SUITE_P(Lanes, CreditCounters,
+                         ::testing::Values<std::size_t>(1, 2, 4));
 
 TEST(FlowControl, NamesRoundTrip) {
   EXPECT_STREQ(flow_control_name(FlowControl::kAckNack), "ack_nack");

@@ -217,7 +217,9 @@ struct RxHarness {
   /// One receiver cycle against the current wire; returns the delivered
   /// flit (if any) and leaves the ACK wire committed for inspection.
   std::optional<Flit> cycle(bool can_take) {
-    auto flit = rx.begin_cycle(can_take);
+    std::optional<Flit> flit;
+    // The receiver's pointer is valid only until the step below.
+    if (const Flit* accepted = rx.begin_cycle(can_take)) flit = *accepted;
     rx.end_cycle();
     kernel.step();
     return flit;

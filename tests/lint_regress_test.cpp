@@ -54,7 +54,7 @@ TEST(LintRegress, EqualTrafficCoresPlaceInIndexOrder) {
   appgraph::CoreGraph graph("ties");
   const std::size_t cores = 20;
   for (std::size_t c = 0; c < cores; ++c) {
-    graph.add_core("c" + std::to_string(c));
+    graph.add_core(std::string("c").append(std::to_string(c)));
   }
   const auto topo =
       topology::make_ring(cores, topology::NiPlan::uniform(cores, 1, 1));
@@ -75,7 +75,7 @@ TEST(LintRegress, EqualBandwidthPipelineMapsDeterministically) {
   appgraph::CoreGraph graph("pipe");
   const std::uint32_t cores = 20;
   for (std::uint32_t c = 0; c < cores; ++c) {
-    graph.add_core("c" + std::to_string(c));
+    graph.add_core(std::string("c").append(std::to_string(c)));
   }
   for (std::uint32_t c = 0; c + 1 < cores; ++c) {
     graph.add_flow(c, c + 1, 1.0);

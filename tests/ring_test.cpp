@@ -80,7 +80,7 @@ TEST(Ring, GrowsPreservingOrderWhenWrapped) {
   r.pop_front();
   std::deque<std::string> model(cap - 2, "x");
   for (int i = 0; i < 20; ++i) {
-    const std::string v = "v" + std::to_string(i);
+    const std::string v = std::string("v").append(std::to_string(i));
     r.push_back(v);
     model.push_back(v);
   }

@@ -208,6 +208,28 @@ TEST(SpecIo, RejectsMalformedInput) {
                Error);
 }
 
+TEST(SpecIo, RejectsSignedNumbers) {
+  // stoull would wrap "-1" to 2^64-1: a FIFO that deep hangs the build,
+  // and a wrapped thread count or width builds a nonsense network.
+  for (const char* directive :
+       {"input_fifo", "threads", "flit_width", "max_burst"}) {
+    for (const char* number : {"-1", "+1"}) {
+      const std::string text =
+          std::string("noc x\n") + directive + " " + number + "\n";
+      try {
+        parse_spec(text);
+        FAIL() << "expected xpl::Error for " << text;
+      } catch (const Error& e) {
+        EXPECT_EQ(std::string(e.what()).rfind("spec line 2:", 0), 0u)
+            << e.what();
+        EXPECT_NE(std::string(e.what()).find("bad number '"),
+                  std::string::npos)
+            << e.what();
+      }
+    }
+  }
+}
+
 TEST(SpecIo, CommentsAndBlanksIgnored) {
   const NocSpec spec = parse_spec(
       "# comment\n\nnoc c   # trailing comment\n\nswitch s0\nswitch s1\n"

@@ -42,7 +42,7 @@ class Injector : public sim::Module {
   void tick(sim::Kernel&) override {
     tx_.begin_cycle();
     if (!queue_.empty() && tx_.can_accept()) {
-      tx_.accept(queue_.front());
+      tx_.accept(std::move(queue_.front()));
       queue_.pop_front();
     }
     tx_.end_cycle();

@@ -74,8 +74,9 @@ TEST(VcdTracer, DumpsChangesOnly) {
   EXPECT_EQ(const_emissions, 1u);
   // Timestamps for every cycle where something changed.
   for (int c = 1; c <= 5; ++c) {
-    EXPECT_NE(vcd.find("#" + std::to_string(c) + "\n"), std::string::npos)
-        << "cycle " << c;
+    const std::string stamp =
+        std::string("#").append(std::to_string(c)).append("\n");
+    EXPECT_NE(vcd.find(stamp), std::string::npos) << "cycle " << c;
   }
   // Binary encoding of count value 3 (16 bits).
   EXPECT_NE(vcd.find("b0000000000000011 !"), std::string::npos);
@@ -115,7 +116,7 @@ TEST(VcdTracer, ManyProbesGetDistinctIds) {
   const std::string path = ::testing::TempDir() + "/xpl_many.vcd";
   VcdTracer tracer(kernel, path);
   for (int i = 0; i < 200; ++i) {
-    tracer.add_probe("p" + std::to_string(i), 4,
+    tracer.add_probe(std::string("p").append(std::to_string(i)), 4,
                      [i] { return static_cast<std::uint64_t>(i & 0xF); });
   }
   EXPECT_EQ(tracer.probe_count(), 200u);
