@@ -5,88 +5,51 @@
 #include <sstream>
 
 #include "src/common/error.hpp"
+#include "src/common/text.hpp"
 
 namespace xpl::compiler {
 
-namespace {
-
-[[noreturn]] void fail(std::size_t line, const std::string& what) {
-  throw Error("spec line " + std::to_string(line) + ": " + what);
-}
-
-std::vector<std::string> tokenize(const std::string& line) {
-  std::vector<std::string> tokens;
-  std::istringstream is(line);
-  std::string token;
-  while (is >> token) {
-    if (token[0] == '#') break;  // comment to end of line
-    tokens.push_back(token);
-  }
-  return tokens;
-}
-
-std::uint64_t parse_u64(const std::string& token, std::size_t line) {
-  // stoull silently wraps negatives; reject anything but plain digits.
-  if (token.empty() || token.find_first_not_of("0123456789") !=
-                           std::string::npos) {
-    fail(line, "bad number '" + token + "'");
-  }
-  try {
-    std::size_t used = 0;
-    const std::uint64_t value = std::stoull(token, &used);
-    if (used != token.size()) fail(line, "bad number '" + token + "'");
-    return value;
-  } catch (const std::logic_error&) {
-    fail(line, "bad number '" + token + "'");
-  }
-}
-
-}  // namespace
+using text::fail;
+using text::parse_u64;
 
 NocSpec parse_spec(const std::string& text) {
   NocSpec spec;
   std::map<std::string, std::uint32_t> switch_ids;
-  std::istringstream is(text);
-  std::string line;
-  std::size_t lineno = 0;
-
-  auto switch_id = [&](const std::string& name, std::size_t at_line) {
-    const auto it = switch_ids.find(name);
-    if (it == switch_ids.end()) fail(at_line, "unknown switch '" + name + "'");
-    return it->second;
-  };
-
-  while (std::getline(is, line)) {
-    ++lineno;
-    const auto tokens = tokenize(line);
-    if (tokens.empty()) continue;
+  text::LineReader in(text, "spec");
+  while (in.next()) {
+    const auto& tokens = in.tokens();
+    const text::Where at = in.at();
     const std::string& key = tokens[0];
 
+    auto switch_id = [&](const std::string& name) {
+      const auto it = switch_ids.find(name);
+      if (it == switch_ids.end()) fail(at, "unknown switch '" + name + "'");
+      return it->second;
+    };
     auto need = [&](std::size_t n) {
       if (tokens.size() != n) {
-        fail(lineno, "'" + key + "' expects " + std::to_string(n - 1) +
-                         " argument(s)");
+        fail(at, "'" + key + "' expects " + std::to_string(n - 1) +
+                     " argument(s)");
       }
+    };
+    auto u64 = [&](std::uint64_t lo, std::uint64_t hi) {
+      need(2);
+      return parse_u64(tokens[1], at, lo, hi);
     };
 
     if (key == "noc") {
       need(2);
       spec.name = tokens[1];
     } else if (key == "flit_width") {
-      need(2);
-      spec.net.flit_width = parse_u64(tokens[1], lineno);
+      spec.net.flit_width = u64(1, text::kMaxFlitWidth);
     } else if (key == "beat_width") {
-      need(2);
-      spec.net.beat_width = parse_u64(tokens[1], lineno);
+      spec.net.beat_width = u64(1, text::kMaxBeatWidth);
     } else if (key == "max_burst") {
-      need(2);
-      spec.net.max_burst = parse_u64(tokens[1], lineno);
+      spec.net.max_burst = u64(1, text::kMaxBurst);
     } else if (key == "threads") {
-      need(2);
-      spec.net.num_threads = parse_u64(tokens[1], lineno);
+      spec.net.num_threads = u64(1, text::kMaxOcpThreads);
     } else if (key == "target_window") {
-      need(2);
-      spec.net.target_window = parse_u64(tokens[1], lineno);
+      spec.net.target_window = u64(1, text::kMaxTargetWindow);
     } else if (key == "routing") {
       need(2);
       if (tokens[1] == "xy") {
@@ -96,7 +59,7 @@ NocSpec parse_spec(const std::string& text) {
       } else if (tokens[1] == "updown") {
         spec.net.routing = topology::RoutingAlgorithm::kUpDown;
       } else {
-        fail(lineno, "unknown routing '" + tokens[1] + "'");
+        fail(at, "unknown routing '" + tokens[1] + "'");
       }
     } else if (key == "arbiter") {
       need(2);
@@ -105,7 +68,7 @@ NocSpec parse_spec(const std::string& text) {
       } else if (tokens[1] == "fixed") {
         spec.net.arbiter = switchlib::ArbiterKind::kFixedPriority;
       } else {
-        fail(lineno, "unknown arbiter '" + tokens[1] + "'");
+        fail(at, "unknown arbiter '" + tokens[1] + "'");
       }
     } else if (key == "crc") {
       need(2);
@@ -118,47 +81,29 @@ NocSpec parse_spec(const std::string& text) {
       } else if (tokens[1] == "crc16") {
         spec.net.crc = CrcKind::kCrc16;
       } else {
-        fail(lineno, "unknown crc '" + tokens[1] + "'");
+        fail(at, "unknown crc '" + tokens[1] + "'");
       }
     } else if (key == "flow") {
       need(2);
       try {
         spec.net.flow = link::parse_flow_control(tokens[1]);
       } catch (const Error&) {
-        fail(lineno, "unknown flow '" + tokens[1] + "'");
+        fail(at, "unknown flow '" + tokens[1] + "'");
       }
     } else if (key == "vcs") {
-      need(2);
-      spec.net.vcs = parse_u64(tokens[1], lineno);
-      if (spec.net.vcs < 1 || spec.net.vcs > link::kMaxVcs) {
-        fail(lineno, "vcs must be in [1, " +
-                         std::to_string(link::kMaxVcs) + "]");
-      }
+      spec.net.vcs = u64(1, link::kMaxVcs);
     } else if (key == "input_fifo") {
-      need(2);
-      spec.net.input_fifo_depth = parse_u64(tokens[1], lineno);
-      if (spec.net.input_fifo_depth < 1) {
-        fail(lineno, "input_fifo depth must be >= 1");
-      }
+      spec.net.input_fifo_depth = u64(1, text::kMaxFifoDepth);
     } else if (key == "output_fifo") {
-      need(2);
-      spec.net.output_fifo_depth = parse_u64(tokens[1], lineno);
-      if (spec.net.output_fifo_depth < 1) {
-        fail(lineno, "output_fifo depth must be >= 1");
-      }
+      spec.net.output_fifo_depth = u64(1, text::kMaxFifoDepth);
     } else if (key == "extra_pipeline") {
-      need(2);
-      spec.net.extra_switch_pipeline = parse_u64(tokens[1], lineno);
+      spec.net.extra_switch_pipeline = u64(0, text::kMaxExtraPipeline);
     } else if (key == "partitions") {
       // Partitioned-simulation knobs (DESIGN.md §10). `threads` was
       // already taken by OCP num_threads, hence `sim_threads`.
-      need(2);
-      spec.net.partitions = parse_u64(tokens[1], lineno);
-      if (spec.net.partitions < 1) fail(lineno, "partitions must be >= 1");
+      spec.net.partitions = u64(1, text::kMaxPartitions);
     } else if (key == "sim_threads") {
-      need(2);
-      spec.net.sim_threads = parse_u64(tokens[1], lineno);
-      if (spec.net.sim_threads < 1) fail(lineno, "sim_threads must be >= 1");
+      spec.net.sim_threads = u64(1, text::kMaxThreads);
     } else if (key == "scheduler") {
       // Kernel scheduling policy (bit-identical results; DESIGN.md §2):
       // full | time_leap (the default; gated is its legacy alias).
@@ -168,31 +113,30 @@ NocSpec parse_spec(const std::string& text) {
       } else if (tokens[1] == "time_leap" || tokens[1] == "gated") {
         spec.net.scheduler = sim::Scheduler::kTimeLeap;
       } else {
-        fail(lineno, "unknown scheduler '" + tokens[1] +
-                         "' (expected gated | full | time_leap)");
+        fail(at, "unknown scheduler '" + tokens[1] +
+                     "' (expected gated | full | time_leap)");
       }
     } else if (key == "lookahead") {
-      need(2);
-      spec.net.lookahead = parse_u64(tokens[1], lineno);
+      spec.net.lookahead = u64(0, text::kMaxU64);
     } else if (key == "switch") {
       if (tokens.size() != 2 && tokens.size() != 5) {
-        fail(lineno, "'switch' expects: switch <name> [coord <x> <y>]");
+        fail(at, "'switch' expects: switch <name> [coord <x> <y>]");
       }
       if (switch_ids.count(tokens[1])) {
-        fail(lineno, "duplicate switch '" + tokens[1] + "'");
+        fail(at, "duplicate switch '" + tokens[1] + "'");
       }
       const auto id = spec.topo.add_switch(tokens[1]);
       switch_ids[tokens[1]] = id;
       if (tokens.size() == 5) {
-        if (tokens[2] != "coord") fail(lineno, "expected 'coord'");
+        if (tokens[2] != "coord") fail(at, "expected 'coord'");
         spec.topo.switch_node(id).x =
-            static_cast<int>(parse_u64(tokens[3], lineno));
+            static_cast<int>(parse_u64(tokens[3], at, 0, text::kMaxCoord));
         spec.topo.switch_node(id).y =
-            static_cast<int>(parse_u64(tokens[4], lineno));
+            static_cast<int>(parse_u64(tokens[4], at, 0, text::kMaxCoord));
       }
     } else if (key == "link") {
       if (tokens.size() < 3) {
-        fail(lineno,
+        fail(at,
              "'link' expects: link <from> <to> [stages <n>] [class <k>] "
              "[dateline]");
       }
@@ -201,47 +145,41 @@ NocSpec parse_spec(const std::string& text) {
       bool dateline = false;
       for (std::size_t t = 3; t < tokens.size();) {
         if (tokens[t] == "stages") {
-          if (t + 1 >= tokens.size()) fail(lineno, "'stages' expects a value");
-          stages = parse_u64(tokens[t + 1], lineno);
+          if (t + 1 >= tokens.size()) fail(at, "'stages' expects a value");
+          stages = parse_u64(tokens[t + 1], at, 0, text::kMaxLinkStages);
           t += 2;
         } else if (tokens[t] == "class") {
-          if (t + 1 >= tokens.size()) fail(lineno, "'class' expects a value");
-          const std::uint64_t k = parse_u64(tokens[t + 1], lineno);
-          if (k > 255) fail(lineno, "link class must be in [0, 255]");
-          vc_class = static_cast<std::uint8_t>(k);
+          if (t + 1 >= tokens.size()) fail(at, "'class' expects a value");
+          vc_class = static_cast<std::uint8_t>(
+              parse_u64(tokens[t + 1], at, 0, text::kMaxLinkClass));
           t += 2;
         } else if (tokens[t] == "dateline") {
           dateline = true;
           t += 1;
         } else {
-          fail(lineno, "unknown link annotation '" + tokens[t] + "'");
+          fail(at, "unknown link annotation '" + tokens[t] + "'");
         }
       }
-      spec.topo.add_link(switch_id(tokens[1], lineno),
-                         switch_id(tokens[2], lineno), stages, vc_class,
-                         dateline);
+      spec.topo.add_link(switch_id(tokens[1]), switch_id(tokens[2]), stages,
+                         vc_class, dateline);
     } else if (key == "initiator" || key == "target") {
       need(4);
-      if (tokens[2] != "at") fail(lineno, "expected 'at'");
-      const auto sw = switch_id(tokens[3], lineno);
+      if (tokens[2] != "at") fail(at, "expected 'at'");
+      const auto sw = switch_id(tokens[3]);
       if (key == "initiator") {
         spec.topo.attach_initiator(sw, tokens[1]);
       } else {
         spec.topo.attach_target(sw, tokens[1]);
       }
     } else {
-      fail(lineno, "unknown directive '" + key + "'");
+      fail(at, "unknown directive '" + key + "'");
     }
   }
   return spec;
 }
 
 NocSpec load_spec(const std::string& path) {
-  std::ifstream in(path);
-  require(in.good(), "load_spec: cannot open " + path);
-  std::ostringstream text;
-  text << in.rdbuf();
-  return parse_spec(text.str());
+  return parse_spec(text::read_text_file(path, "load_spec"));
 }
 
 std::string write_spec(const NocSpec& spec) {

@@ -1,48 +1,26 @@
 #include "src/sweep/checkpoint.hpp"
 
 #include <cstdio>
-#include <cstdlib>
 #include <fstream>
 #include <set>
 #include <sstream>
 
 #include "src/common/error.hpp"
+#include "src/common/text.hpp"
 
 namespace xpl::sweep {
 
 namespace {
 
-[[noreturn]] void fail(std::size_t line, const std::string& what) {
-  throw Error("checkpoint line " + std::to_string(line) + ": " + what);
-}
+using text::fail;
+using text::parse_hexfloat;
+using text::parse_u64;
 
-/// Exact double round-trip: C99 hexfloat in, strtod out.
+/// Exact double round-trip: C99 hexfloat out, parse_hexfloat in.
 std::string hex_double(double value) {
   char buf[48];
   std::snprintf(buf, sizeof(buf), "%a", value);
   return buf;
-}
-
-double parse_hex_double(const std::string& token, std::size_t line) {
-  const char* begin = token.c_str();
-  char* end = nullptr;
-  const double value = std::strtod(begin, &end);
-  if (end != begin + token.size() || token.empty()) {
-    fail(line, "bad float '" + token + "'");
-  }
-  return value;
-}
-
-std::uint64_t parse_u64(const std::string& token, std::size_t line) {
-  if (token.empty() ||
-      token.find_first_not_of("0123456789") != std::string::npos) {
-    fail(line, "bad number '" + token + "'");
-  }
-  try {
-    return std::stoull(token);
-  } catch (const std::logic_error&) {
-    fail(line, "bad number '" + token + "'");
-  }
 }
 
 /// Error strings are free-form exception text: escape the separators the
@@ -130,81 +108,75 @@ std::string write_checkpoint(const Checkpoint& ckpt) {
 
 Checkpoint parse_checkpoint(const std::string& text) {
   Checkpoint ckpt;
-  std::istringstream is(text);
-  std::string line;
-  std::size_t lineno = 0;
+  text::LineReader in(text, "checkpoint");
   bool saw_version = false;
   bool saw_points = false;
   std::set<std::size_t> seen;
 
-  auto next_line = [&]() {
-    if (!std::getline(is, line)) fail(lineno, "unexpected end of file");
-    ++lineno;
-  };
-
-  while (std::getline(is, line)) {
-    ++lineno;
-    std::istringstream ls(line);
-    std::string key;
-    if (!(ls >> key) || key[0] == '#') continue;
+  while (in.next()) {
+    const auto& tokens = in.tokens();
+    const text::Where at = in.at();
+    const std::string& key = tokens[0];
 
     if (key == "checkpoint") {
-      std::string version;
-      ls >> version;
-      if (version != "1") {
-        fail(lineno, "unsupported checkpoint version '" + version + "'");
+      if (tokens.size() != 2 || tokens[1] != "1") {
+        fail(at, "unsupported checkpoint version '" +
+                     (tokens.size() > 1 ? tokens[1] : "") + "'");
       }
       saw_version = true;
     } else if (key == "spec_begin") {
-      if (!saw_version) fail(lineno, "spec_begin before version line");
-      std::ostringstream spec;
+      if (!saw_version) fail(at, "spec_begin before version line");
+      std::string spec;
       for (;;) {
-        next_line();
-        if (line == "spec_end") break;
-        spec << line << "\n";
+        if (!in.next_raw()) fail(in.at(), "unexpected end of file");
+        if (in.raw() == "spec_end") break;
+        spec.append(in.raw()).push_back('\n');
       }
-      ckpt.spec_text = spec.str();
+      ckpt.spec_text = std::move(spec);
     } else if (key == "points") {
-      std::string count;
-      ls >> count;
-      ckpt.num_points = parse_u64(count, lineno);
+      if (tokens.size() != 2) fail(at, "'points' expects 1 argument(s)");
+      ckpt.num_points = parse_u64(tokens[1], at, 0, text::kMaxU64);
       saw_points = true;
     } else if (key == "result") {
-      if (!saw_points) fail(lineno, "result before points line");
-      std::string tok[13];
+      if (!saw_points) fail(at, "result before points line");
+      // Split the raw line, not the comment-stripped tokens: the error
+      // tail after the 13 fields is free text and may hold a '#'.
+      std::string_view rest = in.raw();
+      text::next_token(rest);  // "result"
+      std::string_view tok[13];
       for (auto& t : tok) {
-        if (!(ls >> t)) fail(lineno, "truncated result row");
+        t = text::next_token(rest);
+        if (t.empty()) fail(at, "truncated result row");
       }
       SweepResult r;
-      r.point.index = parse_u64(tok[0], lineno);
+      r.point.index = parse_u64(tok[0], at, 0, text::kMaxU64);
       if (r.point.index >= ckpt.num_points) {
-        fail(lineno, "result index " + tok[0] + " out of range (points " +
-                         std::to_string(ckpt.num_points) + ")");
+        fail(at, "result index " + std::string(tok[0]) +
+                     " out of range (points " +
+                     std::to_string(ckpt.num_points) + ")");
       }
-      if (tok[1] != "0" && tok[1] != "1") fail(lineno, "bad ok flag");
+      if (tok[1] != "0" && tok[1] != "1") fail(at, "bad ok flag");
       r.ok = tok[1] == "1";
       r.evaluated = true;
-      r.transactions = parse_u64(tok[2], lineno);
-      r.link_flits = parse_u64(tok[3], lineno);
-      r.retransmissions = parse_u64(tok[4], lineno);
-      r.credit_stalls = parse_u64(tok[5], lineno);
-      r.avg_latency_cycles = parse_hex_double(tok[6], lineno);
-      r.p95_latency_cycles = parse_hex_double(tok[7], lineno);
-      r.throughput_tpc = parse_hex_double(tok[8], lineno);
-      r.avg_link_utilization = parse_hex_double(tok[9], lineno);
-      r.area_mm2 = parse_hex_double(tok[10], lineno);
-      r.power_mw = parse_hex_double(tok[11], lineno);
-      r.fmax_mhz = parse_hex_double(tok[12], lineno);
-      std::string rest;
-      std::getline(ls, rest);
-      if (!rest.empty() && rest.front() == ' ') rest.erase(0, 1);
-      r.error = unescape_error(rest);
+      r.transactions = parse_u64(tok[2], at, 0, text::kMaxU64);
+      r.link_flits = parse_u64(tok[3], at, 0, text::kMaxU64);
+      r.retransmissions = parse_u64(tok[4], at, 0, text::kMaxU64);
+      r.credit_stalls = parse_u64(tok[5], at, 0, text::kMaxU64);
+      r.avg_latency_cycles = parse_hexfloat(tok[6], at);
+      r.p95_latency_cycles = parse_hexfloat(tok[7], at);
+      r.throughput_tpc = parse_hexfloat(tok[8], at);
+      r.avg_link_utilization = parse_hexfloat(tok[9], at);
+      r.area_mm2 = parse_hexfloat(tok[10], at);
+      r.power_mw = parse_hexfloat(tok[11], at);
+      r.fmax_mhz = parse_hexfloat(tok[12], at);
+      if (!rest.empty() && rest.front() == ' ') rest.remove_prefix(1);
+      r.error = unescape_error(std::string(rest));
       if (!seen.insert(r.point.index).second) {
-        fail(lineno, "duplicate result index " + tok[0]);
+        fail(at, "duplicate result index " + std::string(tok[0]));
       }
       ckpt.results.push_back(std::move(r));
     } else {
-      fail(lineno, "unknown directive '" + key + "'");
+      fail(at, "unknown directive '" + key + "'");
     }
   }
   require(saw_version, "checkpoint: missing version line");
@@ -214,11 +186,7 @@ Checkpoint parse_checkpoint(const std::string& text) {
 }
 
 Checkpoint load_checkpoint(const std::string& path) {
-  std::ifstream in(path);
-  require(in.good(), "load_checkpoint: cannot open " + path);
-  std::ostringstream text;
-  text << in.rdbuf();
-  return parse_checkpoint(text.str());
+  return parse_checkpoint(text::read_text_file(path, "load_checkpoint"));
 }
 
 void save_checkpoint(const Checkpoint& ckpt, const std::string& path) {

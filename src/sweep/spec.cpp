@@ -8,6 +8,7 @@
 
 #include "src/common/error.hpp"
 #include "src/common/rng.hpp"
+#include "src/common/text.hpp"
 #include "src/link/flow.hpp"
 #include "src/sweep/format.hpp"
 #include "src/topology/generators.hpp"
@@ -17,48 +18,9 @@ namespace xpl::sweep {
 
 namespace {
 
-[[noreturn]] void fail(std::size_t line, const std::string& what) {
-  throw Error("sweep line " + std::to_string(line) + ": " + what);
-}
-
-std::vector<std::string> tokenize(const std::string& line) {
-  std::vector<std::string> tokens;
-  std::istringstream is(line);
-  std::string token;
-  while (is >> token) {
-    if (token[0] == '#') break;  // comment to end of line
-    tokens.push_back(token);
-  }
-  return tokens;
-}
-
-std::uint64_t parse_u64(const std::string& token, std::size_t line) {
-  // stoull silently wraps negatives; reject anything but plain digits.
-  if (token.empty() || token.find_first_not_of("0123456789") !=
-                           std::string::npos) {
-    fail(line, "bad number '" + token + "'");
-  }
-  try {
-    std::size_t used = 0;
-    const std::uint64_t value = std::stoull(token, &used);
-    if (used != token.size()) fail(line, "bad number '" + token + "'");
-    return value;
-  } catch (const std::logic_error&) {
-    fail(line, "bad number '" + token + "'");
-  }
-}
-
-double parse_f64(const std::string& token, std::size_t line) {
-  try {
-    std::size_t used = 0;
-    const double value = std::stod(token, &used);
-    if (used != token.size()) fail(line, "bad number '" + token + "'");
-    return value;
-  } catch (const std::logic_error&) {
-    fail(line, "bad number '" + token + "'");
-  }
-}
-
+using text::fail;
+using text::parse_f64;
+using text::parse_u64;
 
 /// line 0 = not parsing a file (validating an in-memory spec).
 traffic::Pattern parse_pattern(const std::string& name, std::size_t line) {
@@ -66,7 +28,7 @@ traffic::Pattern parse_pattern(const std::string& name, std::size_t line) {
   if (name == "hotspot") return traffic::Pattern::kHotspot;
   if (name == "permutation") return traffic::Pattern::kPermutation;
   if (line == 0) throw Error("sweep: unknown pattern '" + name + "'");
-  fail(line, "unknown pattern '" + name + "'");
+  fail({"sweep", line}, "unknown pattern '" + name + "'");
 }
 
 /// "app:mpeg4" -> "mpeg4"; empty string when `name` is not an app value.
@@ -85,7 +47,7 @@ void check_pattern_token(const std::string& name, std::size_t line) {
   }
   if (workload::is_benchmark(app)) return;
   if (line == 0) throw Error("sweep: unknown app benchmark '" + app + "'");
-  fail(line, "unknown app benchmark '" + app + "'");
+  fail({"sweep", line}, "unknown app benchmark '" + app + "'");
 }
 
 const std::set<std::string>& known_topologies() {
@@ -341,38 +303,44 @@ std::vector<SweepPoint> SweepSpec::points() const {
 
 SweepSpec parse_sweep(const std::string& text) {
   SweepSpec spec;
-  std::istringstream is(text);
-  std::string line;
-  std::size_t lineno = 0;
-
+  text::LineReader in(text, "sweep");
   // Axis directives replace the default on first sight so a parsed spec
   // holds exactly the listed values.
-  while (std::getline(is, line)) {
-    ++lineno;
-    const auto tokens = tokenize(line);
-    if (tokens.empty()) continue;
+  while (in.next()) {
+    const auto& tokens = in.tokens();
+    const text::Where at = in.at();
     const std::string& key = tokens[0];
 
     auto need = [&](std::size_t n) {
       if (tokens.size() != n) {
-        fail(lineno, "'" + key + "' expects " + std::to_string(n - 1) +
-                         " argument(s)");
+        fail(at, "'" + key + "' expects " + std::to_string(n - 1) +
+                     " argument(s)");
       }
     };
     auto need_values = [&]() {
-      if (tokens.size() < 2) fail(lineno, "'" + key + "' expects values");
+      if (tokens.size() < 2) fail(at, "'" + key + "' expects values");
     };
-    auto u64_list = [&]() {
+    auto u64 = [&](std::uint64_t lo, std::uint64_t hi) {
+      need(2);
+      return parse_u64(tokens[1], at, lo, hi);
+    };
+    auto f64 = [&](double lo, double hi) {
+      need(2);
+      return parse_f64(tokens[1], at, lo, hi);
+    };
+    auto u64_list = [&](std::uint64_t lo, std::uint64_t hi) {
+      need_values();
       std::vector<std::size_t> values;
       for (std::size_t t = 1; t < tokens.size(); ++t) {
-        values.push_back(parse_u64(tokens[t], lineno));
+        values.push_back(parse_u64(tokens[t], at, lo, hi));
       }
       return values;
     };
-    auto f64_list = [&]() {
+    auto f64_list = [&](double lo, double hi) {
+      need_values();
       std::vector<double> values;
       for (std::size_t t = 1; t < tokens.size(); ++t) {
-        values.push_back(parse_f64(tokens[t], lineno));
+        values.push_back(parse_f64(tokens[t], at, lo, hi));
       }
       return values;
     };
@@ -381,93 +349,65 @@ SweepSpec parse_sweep(const std::string& text) {
       need(2);
       spec.name = tokens[1];
     } else if (key == "seed") {
-      need(2);
-      spec.seed = parse_u64(tokens[1], lineno);
+      spec.seed = u64(0, text::kMaxU64);
     } else if (key == "cycles") {
-      need(2);
-      spec.sim_cycles = parse_u64(tokens[1], lineno);
+      spec.sim_cycles = u64(1, text::kMaxU64);
     } else if (key == "drain") {
-      need(2);
-      spec.drain_cycles = parse_u64(tokens[1], lineno);
+      spec.drain_cycles = u64(0, text::kMaxU64);
     } else if (key == "samples") {
-      need(2);
-      spec.samples = parse_u64(tokens[1], lineno);
+      spec.samples = u64(0, text::kMaxU64);
     } else if (key == "target_mhz") {
-      need(2);
-      spec.target_mhz = parse_f64(tokens[1], lineno);
+      spec.target_mhz = f64(text::kMinTargetMhz, text::kMaxTargetMhz);
     } else if (key == "read_fraction") {
-      need(2);
-      spec.read_fraction = parse_f64(tokens[1], lineno);
+      spec.read_fraction = f64(0.0, 1.0);
     } else if (key == "max_burst") {
-      need(2);
-      spec.max_burst =
-          static_cast<std::uint32_t>(parse_u64(tokens[1], lineno));
+      spec.max_burst = static_cast<std::uint32_t>(u64(1, text::kMaxBurst));
     } else if (key == "routing") {
       need(2);
       if (!known_routings().count(tokens[1])) {
-        fail(lineno, "unknown routing '" + tokens[1] +
-                         "' (expected auto | minimal | xy | updown)");
+        fail(at, "unknown routing '" + tokens[1] +
+                     "' (expected auto | minimal | xy | updown)");
       }
       spec.routing = tokens[1];
     } else if (key == "scheduler") {
       need(2);
       if (tokens[1] != "gated" && tokens[1] != "full" &&
           tokens[1] != "time_leap") {
-        fail(lineno, "unknown scheduler '" + tokens[1] +
-                         "' (expected gated | full | time_leap)");
+        fail(at, "unknown scheduler '" + tokens[1] +
+                     "' (expected gated | full | time_leap)");
       }
       spec.scheduler = tokens[1];
     } else if (key == "threads") {
-      need(2);
-      spec.threads = parse_u64(tokens[1], lineno);
-      if (spec.threads < 1) fail(lineno, "threads must be >= 1");
+      spec.threads = u64(1, text::kMaxThreads);
     } else if (key == "partitions") {
-      need(2);
-      spec.partitions = parse_u64(tokens[1], lineno);
-      if (spec.partitions < 1) fail(lineno, "partitions must be >= 1");
+      spec.partitions = u64(1, text::kMaxPartitions);
     } else if (key == "concentration") {
-      need(2);
-      spec.concentration = parse_u64(tokens[1], lineno);
-      if (spec.concentration < 1) {
-        fail(lineno, "concentration must be >= 1");
-      }
+      spec.concentration = u64(1, text::kMaxConcentration);
     } else if (key == "topology") {
       need_values();
       spec.topologies.assign(tokens.begin() + 1, tokens.end());
       for (const auto& t : spec.topologies) {
         if (!known_topologies().count(t)) {
-          fail(lineno, "unknown topology '" + t + "'");
+          fail(at, "unknown topology '" + t + "'");
         }
       }
     } else if (key == "width") {
-      need_values();
-      spec.widths = u64_list();
+      spec.widths = u64_list(1, text::kMaxDimension);
     } else if (key == "height") {
-      need_values();
-      spec.heights = u64_list();
+      spec.heights = u64_list(1, text::kMaxDimension);
     } else if (key == "flit_width") {
-      need_values();
-      spec.flit_widths = u64_list();
+      spec.flit_widths = u64_list(1, text::kMaxFlitWidth);
     } else if (key == "fifo_depth") {
-      need_values();
-      spec.fifo_depths = u64_list();
+      spec.fifo_depths = u64_list(1, text::kMaxFifoDepth);
     } else if (key == "vcs") {
-      need_values();
-      spec.vcss = u64_list();
-      for (const std::size_t v : spec.vcss) {
-        if (v < 1 || v > link::kMaxVcs) {
-          fail(lineno, "vcs must be in [1, " +
-                           std::to_string(link::kMaxVcs) + "], got " +
-                           std::to_string(v));
-        }
-      }
+      spec.vcss = u64_list(1, link::kMaxVcs);
     } else if (key == "flow") {
       need_values();
       for (std::size_t t = 1; t < tokens.size(); ++t) {
         try {
           link::parse_flow_control(tokens[t]);  // validates
         } catch (const Error& e) {
-          fail(lineno, e.what());
+          fail(at, e.what());
         }
       }
       spec.flows.assign(tokens.begin() + 1, tokens.end());
@@ -476,30 +416,17 @@ SweepSpec parse_sweep(const std::string& text) {
       // `traffic app:mpeg4`; the canonical form writes `pattern`.
       need_values();
       for (std::size_t t = 1; t < tokens.size(); ++t) {
-        check_pattern_token(tokens[t], lineno);  // validates
+        check_pattern_token(tokens[t], at.line);  // validates
       }
       spec.patterns.assign(tokens.begin() + 1, tokens.end());
     } else if (key == "warmup") {
-      need_values();
-      spec.warmups = u64_list();
+      spec.warmups = u64_list(0, text::kMaxU64);
     } else if (key == "burstiness") {
-      need_values();
-      spec.burstinesses = f64_list();
-      for (const double b : spec.burstinesses) {
-        if (b < 0.0 || b >= 1.0) {
-          fail(lineno, "burstiness must be in [0, 1)");
-        }
-      }
+      spec.burstinesses = f64_list(0.0, text::kBelowOne);
     } else if (key == "injection_rate") {
-      need_values();
-      spec.injection_rates = f64_list();
-      for (const double r : spec.injection_rates) {
-        if (r < 0.0 || r > 1.0) {
-          fail(lineno, "injection_rate must be in [0, 1]");
-        }
-      }
+      spec.injection_rates = f64_list(0.0, 1.0);
     } else {
-      fail(lineno, "unknown directive '" + key + "'");
+      fail(at, "unknown directive '" + key + "'");
     }
   }
   spec.validate();
@@ -507,11 +434,7 @@ SweepSpec parse_sweep(const std::string& text) {
 }
 
 SweepSpec load_sweep(const std::string& path) {
-  std::ifstream in(path);
-  require(in.good(), "load_sweep: cannot open " + path);
-  std::ostringstream text;
-  text << in.rdbuf();
-  return parse_sweep(text.str());
+  return parse_sweep(text::read_text_file(path, "load_sweep"));
 }
 
 std::string write_sweep(const SweepSpec& spec) {

@@ -1,8 +1,6 @@
 #include "src/traffic/traffic.hpp"
 
 #include <algorithm>
-#include <fstream>
-#include <sstream>
 
 #include "src/common/error.hpp"
 
@@ -34,88 +32,6 @@ const char* trace_cmd_name(ocp::Cmd cmd) {
       break;
   }
   throw Error("trace_cmd_name: kIdle has no trace mnemonic");
-}
-
-bool parse_trace_line(const std::string& line, std::size_t lineno,
-                      TraceEntry& out) {
-  std::string body = line;
-  const auto hash = body.find('#');
-  if (hash != std::string::npos) body.resize(hash);
-  std::istringstream ls(body);
-  TraceEntry entry;
-  std::string cmd;
-  if (!(ls >> entry.cycle)) return false;  // blank / comment-only line
-  if (!(ls >> entry.initiator >> entry.target >> cmd >> entry.addr_offset >>
-        entry.burst)) {
-    throw Error("trace line " + std::to_string(lineno) +
-                ": expected <cycle> <ini> <tgt> <cmd> <offset> <burst>");
-  }
-  if (cmd == "read") {
-    entry.cmd = ocp::Cmd::kRead;
-  } else if (cmd == "write") {
-    entry.cmd = ocp::Cmd::kWrite;
-  } else if (cmd == "writenp") {
-    entry.cmd = ocp::Cmd::kWriteNp;
-  } else {
-    throw Error("trace line " + std::to_string(lineno) +
-                ": unknown command '" + cmd + "'");
-  }
-  require(entry.burst >= 1,
-          "trace line " + std::to_string(lineno) + ": burst must be >= 1");
-  // Optional trailing thread id (defaults to 0); anything else is an
-  // error rather than silently ignored — a typo here would change
-  // per-thread response matching and therefore replay timing.
-  std::string tail;
-  if (ls >> tail) {
-    if (tail.find_first_not_of("0123456789") != std::string::npos) {
-      throw Error("trace line " + std::to_string(lineno) +
-                  ": bad thread id '" + tail + "'");
-    }
-    unsigned long long thread = 0;
-    try {
-      thread = std::stoull(tail);
-    } catch (const std::out_of_range&) {
-      thread = 0xFFFFFFFFull + 1;  // force the range error below
-    }
-    require(thread <= 0xFFFFFFFFull, "trace line " +
-                                         std::to_string(lineno) +
-                                         ": thread id out of range");
-    entry.thread = static_cast<std::uint32_t>(thread);
-    std::string extra;
-    if (ls >> extra) {
-      throw Error("trace line " + std::to_string(lineno) +
-                  ": unexpected trailing token '" + extra + "'");
-    }
-  }
-  out = entry;
-  return true;
-}
-
-std::vector<TraceEntry> parse_trace(const std::string& text) {
-  std::vector<TraceEntry> trace;
-  std::istringstream is(text);
-  std::string line;
-  std::size_t lineno = 0;
-  while (std::getline(is, line)) {
-    ++lineno;
-    TraceEntry entry;
-    if (!parse_trace_line(line, lineno, entry)) continue;
-    if (!trace.empty()) {
-      require(entry.cycle >= trace.back().cycle,
-              "trace line " + std::to_string(lineno) +
-                  ": cycles must be non-decreasing");
-    }
-    trace.push_back(entry);
-  }
-  return trace;
-}
-
-std::vector<TraceEntry> load_trace(const std::string& path) {
-  std::ifstream in(path);
-  require(in.good(), "load_trace: cannot open " + path);
-  std::ostringstream text;
-  text << in.rdbuf();
-  return parse_trace(text.str());
 }
 
 TracePlayer::TracePlayer(noc::Network& network, std::vector<TraceEntry> trace,

@@ -81,24 +81,9 @@ struct TraceEntry {
 };
 
 /// Trace-body command mnemonic ("read" | "write" | "writenp") — the
-/// inverse of what parse_trace_line accepts. Throws on Cmd::kIdle.
+/// command column of the trace file format (workload/trace.hpp). Throws
+/// on Cmd::kIdle.
 const char* trace_cmd_name(ocp::Cmd cmd);
-
-/// Parses one trace body line,
-///   <cycle> <initiator> <target> <read|write|writenp> <offset> <burst>
-///   [thread]
-/// ('#' starts a comment; the trailing OCP thread id defaults to 0) into
-/// `out`. Returns false for a blank or comment-only line; throws
-/// xpl::Error (tagged with `lineno`) on malformed content. Shared by
-/// parse_trace and the workload/ trace file format so the two can never
-/// drift apart.
-bool parse_trace_line(const std::string& line, std::size_t lineno,
-                      TraceEntry& out);
-
-/// Parses a text trace: one entry per line (parse_trace_line grammar).
-/// Entries must be sorted by non-decreasing cycle.
-std::vector<TraceEntry> parse_trace(const std::string& text);
-std::vector<TraceEntry> load_trace(const std::string& path);
 
 /// Replays a trace into a network; step once per cycle like TrafficDriver.
 /// Validates every entry against the network (initiator/target/thread

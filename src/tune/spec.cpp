@@ -7,6 +7,7 @@
 #include <sstream>
 
 #include "src/common/error.hpp"
+#include "src/common/text.hpp"
 #include "src/link/flow.hpp"
 #include "src/sweep/format.hpp"
 #include "src/workload/benchmarks.hpp"
@@ -15,46 +16,9 @@ namespace xpl::tune {
 
 namespace {
 
-[[noreturn]] void fail(std::size_t line, const std::string& what) {
-  throw Error("tune line " + std::to_string(line) + ": " + what);
-}
-
-std::vector<std::string> tokenize(const std::string& line) {
-  std::vector<std::string> tokens;
-  std::istringstream is(line);
-  std::string token;
-  while (is >> token) {
-    if (token[0] == '#') break;  // comment to end of line
-    tokens.push_back(token);
-  }
-  return tokens;
-}
-
-std::uint64_t parse_u64(const std::string& token, std::size_t line) {
-  if (token.empty() ||
-      token.find_first_not_of("0123456789") != std::string::npos) {
-    fail(line, "bad number '" + token + "'");
-  }
-  try {
-    std::size_t used = 0;
-    const std::uint64_t value = std::stoull(token, &used);
-    if (used != token.size()) fail(line, "bad number '" + token + "'");
-    return value;
-  } catch (const std::logic_error&) {
-    fail(line, "bad number '" + token + "'");
-  }
-}
-
-double parse_f64(const std::string& token, std::size_t line) {
-  try {
-    std::size_t used = 0;
-    const double value = std::stod(token, &used);
-    if (used != token.size()) fail(line, "bad number '" + token + "'");
-    return value;
-  } catch (const std::logic_error&) {
-    fail(line, "bad number '" + token + "'");
-  }
-}
+using text::fail;
+using text::parse_f64;
+using text::parse_u64;
 
 const std::set<std::string>& known_topologies() {
   static const std::set<std::string> kinds{"mesh", "torus", "ring", "star",
@@ -194,64 +158,57 @@ bool TuneSpec::sweeps_vcs() const {
 
 TuneSpec parse_tune(const std::string& text) {
   TuneSpec spec;
-  std::istringstream is(text);
-  std::string line;
-  std::size_t lineno = 0;
-
-  while (std::getline(is, line)) {
-    ++lineno;
-    const auto tokens = tokenize(line);
-    if (tokens.empty()) continue;
+  text::LineReader in(text, "tune");
+  while (in.next()) {
+    const auto& tokens = in.tokens();
+    const text::Where at = in.at();
     const std::string& key = tokens[0];
 
     auto need = [&](std::size_t n) {
       if (tokens.size() != n) {
-        fail(lineno, "'" + key + "' expects " + std::to_string(n - 1) +
-                         " argument(s)");
+        fail(at, "'" + key + "' expects " + std::to_string(n - 1) +
+                     " argument(s)");
       }
+    };
+    auto u64 = [&](std::uint64_t lo, std::uint64_t hi) {
+      need(2);
+      return parse_u64(tokens[1], at, lo, hi);
+    };
+    auto f64 = [&](double lo, double hi) {
+      need(2);
+      return parse_f64(tokens[1], at, lo, hi);
     };
 
     if (key == "tune") {
       need(2);
       spec.name = tokens[1];
     } else if (key == "seed") {
-      need(2);
-      spec.seed = parse_u64(tokens[1], lineno);
+      spec.seed = u64(0, text::kMaxU64);
     } else if (key == "cycles") {
-      need(2);
-      spec.sim_cycles = parse_u64(tokens[1], lineno);
+      spec.sim_cycles = u64(1, text::kMaxU64);
     } else if (key == "drain") {
-      need(2);
-      spec.drain_cycles = parse_u64(tokens[1], lineno);
+      spec.drain_cycles = u64(0, text::kMaxU64);
     } else if (key == "warmup") {
-      need(2);
-      spec.warmup = parse_u64(tokens[1], lineno);
+      spec.warmup = u64(0, text::kMaxU64);
     } else if (key == "budget") {
-      need(2);
-      spec.budget = parse_u64(tokens[1], lineno);
+      spec.budget = u64(1, text::kMaxU64);
     } else if (key == "rate") {
-      need(2);
-      spec.rate = parse_f64(tokens[1], lineno);
+      spec.rate = f64(0.0, 1.0);
     } else if (key == "burstiness") {
-      need(2);
-      spec.burstiness = parse_f64(tokens[1], lineno);
+      spec.burstiness = f64(0.0, text::kBelowOne);
     } else if (key == "read_fraction") {
-      need(2);
-      spec.read_fraction = parse_f64(tokens[1], lineno);
+      spec.read_fraction = f64(0.0, 1.0);
     } else if (key == "max_burst") {
-      need(2);
-      spec.max_burst =
-          static_cast<std::uint32_t>(parse_u64(tokens[1], lineno));
+      spec.max_burst = static_cast<std::uint32_t>(u64(1, text::kMaxBurst));
     } else if (key == "target_mhz") {
-      need(2);
-      spec.target_mhz = parse_f64(tokens[1], lineno);
+      spec.target_mhz = f64(text::kMinTargetMhz, text::kMaxTargetMhz);
     } else if (key == "objective") {
       if (tokens.size() < 3 || tokens.size() % 2 == 0) {
-        fail(lineno, "'objective' expects key/weight pairs");
+        fail(at, "'objective' expects key/weight pairs");
       }
       spec.objective = Objective{0, 0, 0, 0, 0};
       for (std::size_t t = 1; t < tokens.size(); t += 2) {
-        const double w = parse_f64(tokens[t + 1], lineno);
+        const double w = parse_f64(tokens[t + 1], at, 0.0, text::kMaxF64);
         if (tokens[t] == "latency") {
           spec.objective.latency = w;
         } else if (tokens[t] == "p95") {
@@ -263,79 +220,71 @@ TuneSpec parse_tune(const std::string& text) {
         } else if (tokens[t] == "power") {
           spec.objective.power = w;
         } else {
-          fail(lineno, "unknown objective key '" + tokens[t] +
-                           "' (expected latency | p95 | throughput | area "
-                           "| power)");
+          fail(at, "unknown objective key '" + tokens[t] +
+                       "' (expected latency | p95 | throughput | area "
+                       "| power)");
         }
       }
     } else if (key == "topology") {
       need(2);
       if (!known_topologies().count(tokens[1])) {
-        fail(lineno, "unknown topology '" + tokens[1] + "'");
+        fail(at, "unknown topology '" + tokens[1] + "'");
       }
       spec.topology = tokens[1];
     } else if (key == "width") {
-      need(2);
-      spec.width = parse_u64(tokens[1], lineno);
+      spec.width = u64(1, text::kMaxDimension);
     } else if (key == "height") {
-      need(2);
-      spec.height = parse_u64(tokens[1], lineno);
+      spec.height = u64(1, text::kMaxDimension);
     } else if (key == "flit_width") {
-      need(2);
-      spec.flit_width = parse_u64(tokens[1], lineno);
+      spec.flit_width = u64(1, text::kMaxFlitWidth);
     } else if (key == "pattern") {
       need(2);
       spec.pattern = tokens[1];
     } else if (key == "search") {
       if (tokens.size() < 3) {
-        fail(lineno, "'search' expects an axis name and values");
+        fail(at, "'search' expects an axis name and values");
       }
       const std::string& axis = tokens[1];
       if (axis == "fifo_depth") {
         spec.fifo_depths.clear();
         for (std::size_t t = 2; t < tokens.size(); ++t) {
-          spec.fifo_depths.push_back(parse_u64(tokens[t], lineno));
+          spec.fifo_depths.push_back(
+              parse_u64(tokens[t], at, 1, text::kMaxFifoDepth));
         }
       } else if (axis == "vcs") {
         spec.vcss.clear();
         for (std::size_t t = 2; t < tokens.size(); ++t) {
-          const std::size_t v = parse_u64(tokens[t], lineno);
-          if (v < 1 || v > link::kMaxVcs) {
-            fail(lineno, "vcs must be in [1, " +
-                             std::to_string(link::kMaxVcs) + "], got " +
-                             std::to_string(v));
-          }
-          spec.vcss.push_back(v);
+          spec.vcss.push_back(parse_u64(tokens[t], at, 1, link::kMaxVcs));
         }
       } else if (axis == "flow") {
         for (std::size_t t = 2; t < tokens.size(); ++t) {
           try {
             link::parse_flow_control(tokens[t]);  // validates
           } catch (const Error& e) {
-            fail(lineno, e.what());
+            fail(at, e.what());
           }
         }
         spec.flows.assign(tokens.begin() + 2, tokens.end());
       } else if (axis == "routing") {
         for (std::size_t t = 2; t < tokens.size(); ++t) {
           if (!known_routings().count(tokens[t])) {
-            fail(lineno, "unknown routing '" + tokens[t] +
-                             "' (expected auto | minimal | xy | updown)");
+            fail(at, "unknown routing '" + tokens[t] +
+                         "' (expected auto | minimal | xy | updown)");
           }
         }
         spec.routings.assign(tokens.begin() + 2, tokens.end());
       } else {
-        fail(lineno, "unknown search axis '" + axis +
-                         "' (expected fifo_depth | vcs | flow | routing)");
+        fail(at, "unknown search axis '" + axis +
+                     "' (expected fifo_depth | vcs | flow | routing)");
       }
     } else if (key == "saturation") {
       need(4);
       spec.saturation.enabled = true;
-      spec.saturation.lo = parse_f64(tokens[1], lineno);
-      spec.saturation.hi = parse_f64(tokens[2], lineno);
-      spec.saturation.rel_tol = parse_f64(tokens[3], lineno);
+      spec.saturation.lo = parse_f64(tokens[1], at, 0.0, 1.0);
+      spec.saturation.hi = parse_f64(tokens[2], at, 0.0, 1.0);
+      spec.saturation.rel_tol = parse_f64(tokens[3], at, 0.0, 1.0);
     } else {
-      fail(lineno, "unknown directive '" + key + "'");
+      fail(at, "unknown directive '" + key + "'");
     }
   }
   try {
@@ -347,11 +296,7 @@ TuneSpec parse_tune(const std::string& text) {
 }
 
 TuneSpec load_tune(const std::string& path) {
-  std::ifstream in(path);
-  require(in.good(), "load_tune: cannot open " + path);
-  std::ostringstream text;
-  text << in.rdbuf();
-  return parse_tune(text.str());
+  return parse_tune(text::read_text_file(path, "load_tune"));
 }
 
 std::string write_tune(const TuneSpec& spec) {

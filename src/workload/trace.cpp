@@ -2,31 +2,56 @@
 
 #include <algorithm>
 #include <fstream>
+#include <iterator>
 #include <sstream>
 
 #include "src/common/error.hpp"
+#include "src/common/text.hpp"
 
 namespace xpl::workload {
 
 namespace {
 
-[[noreturn]] void fail(std::size_t line, const std::string& what) {
-  throw Error("trace line " + std::to_string(line) + ": " + what);
+using text::fail;
+using text::parse_u64;
+
+std::uint32_t parse_u32(const std::string& token, const text::Where& at,
+                        std::uint64_t lo = 0) {
+  return static_cast<std::uint32_t>(parse_u64(token, at, lo, text::kMaxU32));
 }
 
-std::uint32_t parse_count(const std::string& token, std::size_t line) {
-  if (token.empty() ||
-      token.find_first_not_of("0123456789") != std::string::npos) {
-    fail(line, "bad count '" + token + "'");
+/// One entry line,
+///   <cycle> <initiator> <target> <read|write|writenp> <offset> <burst>
+///   [thread]
+/// where the trailing OCP thread id defaults to 0. Anything after it is
+/// an error rather than silently ignored: a typo there would change
+/// per-thread response matching and therefore replay timing.
+traffic::TraceEntry parse_trace_line(const std::vector<std::string>& tokens,
+                                     const text::Where& at) {
+  if (tokens.size() < 6) {
+    fail(at, "expected <cycle> <ini> <tgt> <cmd> <offset> <burst>");
   }
-  unsigned long long value = 0;
-  try {
-    value = std::stoull(token);
-  } catch (const std::logic_error&) {
-    fail(line, "bad count '" + token + "'");
+  if (tokens.size() > 7) {
+    fail(at, "unexpected trailing token '" + tokens[7] + "'");
   }
-  if (value > 0xFFFFFFFFull) fail(line, "count '" + token + "' too large");
-  return static_cast<std::uint32_t>(value);
+  traffic::TraceEntry entry;
+  entry.cycle = parse_u64(tokens[0], at, 0, text::kMaxU64);
+  entry.initiator = parse_u32(tokens[1], at);
+  entry.target = parse_u32(tokens[2], at);
+  constexpr ocp::Cmd kCmds[] = {ocp::Cmd::kRead, ocp::Cmd::kWrite,
+                                ocp::Cmd::kWriteNp};
+  const auto* cmd =
+      std::find_if(std::begin(kCmds), std::end(kCmds), [&](ocp::Cmd c) {
+        return tokens[3] == traffic::trace_cmd_name(c);
+      });
+  if (cmd == std::end(kCmds)) {
+    fail(at, "unknown command '" + tokens[3] + "'");
+  }
+  entry.cmd = *cmd;
+  entry.addr_offset = parse_u64(tokens[4], at, 0, text::kMaxU64);
+  entry.burst = parse_u32(tokens[5], at, 1);
+  if (tokens.size() == 7) entry.thread = parse_u32(tokens[6], at);
+  return entry;
 }
 
 /// Replay write payload for beat `beat` of entry `index`: a splitmix64
@@ -43,32 +68,25 @@ std::uint64_t payload_word(std::uint64_t index, std::uint32_t beat) {
 
 Trace parse_trace(const std::string& text) {
   Trace trace;
-  std::istringstream is(text);
-  std::string line;
-  std::size_t lineno = 0;
-  while (std::getline(is, line)) {
-    ++lineno;
+  text::LineReader in(text, "trace");
+  while (in.next()) {
+    const auto& tokens = in.tokens();
+    const text::Where at = in.at();
     // Directive lines start with a keyword; entry lines with a number.
-    std::string body = line;
-    const auto hash = body.find('#');
-    if (hash != std::string::npos) body.resize(hash);
-    std::istringstream ls(body);
-    std::string key;
-    if (!(ls >> key)) continue;  // blank / comment-only
+    const std::string& key = tokens[0];
     if (key == "trace" || key == "initiators" || key == "targets") {
       if (!trace.entries.empty()) {
-        fail(lineno, "'" + key + "' directive after the first entry");
+        fail(at, "'" + key + "' directive after the first entry");
       }
-      std::string value, extra;
-      if (!(ls >> value) || (ls >> extra)) {
-        fail(lineno, "'" + key + "' expects exactly one argument");
+      if (tokens.size() != 2) {
+        fail(at, "'" + key + "' expects exactly one argument");
       }
       if (key == "trace") {
-        trace.name = value;
+        trace.name = tokens[1];
       } else if (key == "initiators") {
-        trace.initiators = parse_count(value, lineno);
+        trace.initiators = parse_u32(tokens[1], at);
       } else {
-        trace.targets = parse_count(value, lineno);
+        trace.targets = parse_u32(tokens[1], at);
       }
       continue;
     }
@@ -76,20 +94,17 @@ Trace parse_trace(const std::string& text) {
     // typo'd directive, which must not be skipped silently (a dropped
     // `initiators` line would disable the replay shape check).
     if (key.find_first_not_of("0123456789") != std::string::npos) {
-      fail(lineno, "unknown directive '" + key + "'");
+      fail(at, "unknown directive '" + key + "'");
     }
-    traffic::TraceEntry entry;
-    if (!traffic::parse_trace_line(line, lineno, entry)) continue;
-    if (!trace.entries.empty()) {
-      require(entry.cycle >= trace.entries.back().cycle,
-              "trace line " + std::to_string(lineno) +
-                  ": cycles must be non-decreasing");
+    const traffic::TraceEntry entry = parse_trace_line(tokens, at);
+    if (!trace.entries.empty() && entry.cycle < trace.entries.back().cycle) {
+      fail(at, "cycles must be non-decreasing");
     }
     if (trace.initiators != 0 && entry.initiator >= trace.initiators) {
-      fail(lineno, "initiator index exceeds the 'initiators' count");
+      fail(at, "initiator index exceeds the 'initiators' count");
     }
     if (trace.targets != 0 && entry.target >= trace.targets) {
-      fail(lineno, "target index exceeds the 'targets' count");
+      fail(at, "target index exceeds the 'targets' count");
     }
     trace.entries.push_back(entry);
   }
@@ -97,11 +112,7 @@ Trace parse_trace(const std::string& text) {
 }
 
 Trace load_trace(const std::string& path) {
-  std::ifstream in(path);
-  require(in.good(), "workload::load_trace: cannot open " + path);
-  std::ostringstream text;
-  text << in.rdbuf();
-  return parse_trace(text.str());
+  return parse_trace(text::read_text_file(path, "workload::load_trace"));
 }
 
 std::string write_trace(const Trace& trace) {

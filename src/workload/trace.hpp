@@ -19,8 +19,8 @@
 //   <cycle> <initiator> <target> <read|write|writenp> <offset> <burst>
 //   [thread]
 // sorted by non-decreasing cycle (the trailing OCP thread id defaults to
-// 0). Entries reuse traffic::TraceEntry, so a header-less body is exactly
-// the legacy traffic/ trace body.
+// 0). Entries are traffic::TraceEntry, the traffic::TracePlayer input; the
+// header is optional.
 //
 // Determinism contract (DESIGN.md §5): a trace pins every scheduling
 // decision — injection cycle, source, destination, command, burst length.

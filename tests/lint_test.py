@@ -14,8 +14,7 @@ Three guarantees, per ISSUE/docs/LINTING.md:
      proves that used suppressions do not decay into XL001.
   3. The real tree passes clean: xlint over src/ exits 0.
 
-Fixtures are analyzed with the regex backend so the suite is hermetic —
-identical results with or without libclang installed.
+The analyzer has no third-party dependency, so the suite is hermetic.
 """
 
 from __future__ import annotations
@@ -31,8 +30,8 @@ TESTS_DIR = os.path.dirname(os.path.abspath(__file__))
 ROOT = os.path.dirname(TESTS_DIR)
 sys.path.insert(0, os.path.join(ROOT, "tools"))
 
-from xlint.backends import build_model  # noqa: E402
-from xlint.checks import RULES, Analyzer  # noqa: E402
+from xlint.checks import KNOWN_SLUGS, RULES, Analyzer  # noqa: E402
+from xlint.model import build_regex_model  # noqa: E402
 
 FIXTURES = os.path.join(TESTS_DIR, "lint_fixtures")
 XLINT = os.path.join(ROOT, "tools", "xlint", "xlint.py")
@@ -42,9 +41,10 @@ BAD_FIXTURES = (
     "bad_module.cpp",
     "bad_signals.cpp",
     "bad_export.cpp",
+    "bad_parse.cpp",
     "bad_suppressions.cpp",
 )
-CLEAN_FIXTURES = ("clean_determinism.cpp", "clean_module.cpp")
+CLEAN_FIXTURES = ("clean_determinism.cpp", "clean_module.cpp", "clean_parse.cpp")
 MERGE_FIXTURES = ("merge_a_impl.cpp", "merge_z_decl.hpp")  # order matters
 
 
@@ -58,7 +58,7 @@ def analyze(names):
         with open(path, encoding="utf-8") as f:
             raw = f.read()
         rel = os.path.relpath(path, ROOT).replace(os.sep, "/")
-        models.append(build_model(rel, raw, "regex", None, []))
+        models.append(build_regex_model(rel, raw, KNOWN_SLUGS))
     findings = Analyzer(models).run()
     found = [(os.path.basename(f.path), f.line, f.rule) for f in findings]
     expected = [
@@ -106,6 +106,9 @@ class FixtureCase(unittest.TestCase):
     def test_export_stability_check_fires(self):
         self.assert_matches_expects(["bad_export.cpp"])
 
+    def test_number_parsing_check_fires(self):
+        self.assert_matches_expects(["bad_parse.cpp"])
+
     def test_suppression_hygiene_checks_fire(self):
         self.assert_matches_expects(["bad_suppressions.cpp"])
 
@@ -143,16 +146,14 @@ class CliCase(unittest.TestCase):
         )
 
     def test_real_tree_is_clean(self):
-        proc = self.run_xlint("--backend=regex", "-q")
+        proc = self.run_xlint("-q")
         self.assertEqual(
             proc.returncode, 0, f"src/ has findings:\n{proc.stdout}{proc.stderr}"
         )
         self.assertEqual(proc.stdout, "")
 
     def test_seeded_violation_fails_the_gate(self):
-        proc = self.run_xlint(
-            "--backend=regex", os.path.join(FIXTURES, "bad_determinism.cpp")
-        )
+        proc = self.run_xlint(os.path.join(FIXTURES, "bad_determinism.cpp"))
         self.assertEqual(proc.returncode, 1)
         self.assertIn("XL103", proc.stdout)
 
@@ -170,7 +171,6 @@ class CliCase(unittest.TestCase):
         with tempfile.TemporaryDirectory() as tmp:
             report = os.path.join(tmp, "report.json")
             proc = self.run_xlint(
-                "--backend=regex",
                 "--json",
                 report,
                 os.path.join(FIXTURES, "bad_export.cpp"),
@@ -178,7 +178,6 @@ class CliCase(unittest.TestCase):
             self.assertEqual(proc.returncode, 1)
             with open(report, encoding="utf-8") as f:
                 data = json.load(f)
-        self.assertEqual(data["backend"], "regex")
         self.assertEqual(data["files_scanned"], 1)
         self.assertTrue(
             all(f["rule"] == "XL401" for f in data["findings"]) and data["findings"]

@@ -3,6 +3,11 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdio>
+#include <cstdlib>
+#include <fstream>
+#include <sstream>
+
 #include "src/common/error.hpp"
 #include "src/topology/generators.hpp"
 
@@ -228,6 +233,55 @@ TEST(SpecIo, RejectsSignedNumbers) {
       }
     }
   }
+}
+
+/// Asserts parse_spec rejects `text` with an error that starts
+/// "spec line <line>:".
+void expect_spec_line_error(const std::string& text, std::size_t line) {
+  try {
+    parse_spec(text);
+    FAIL() << "expected xpl::Error for: " << text;
+  } catch (const Error& e) {
+    const std::string prefix = "spec line " + std::to_string(line) + ":";
+    EXPECT_EQ(std::string(e.what()).rfind(prefix, 0), 0u)
+        << "message '" << e.what() << "' does not start with '" << prefix
+        << "'";
+  }
+}
+
+// A 2^32-deep output FIFO used to parse and then die in the build with
+// std::bad_alloc; every depth now has a cap.
+const char kOversizedFifo[] = "noc x\noutput_fifo 4294967296\n";
+
+TEST(SpecIo, OversizedOutputFifoFailsAtItsLine) {
+  expect_spec_line_error(kOversizedFifo, 2);
+}
+
+TEST(SpecIo, OversizedCoordFailsAtItsLine) {
+  // int cast: x used to wrap to -1, silently dropping the coordinate.
+  expect_spec_line_error("noc x\nswitch a coord 4294967295 1\n", 2);
+}
+
+TEST(SpecIo, OversizedSimThreadsFailsAtItsLine) {
+  expect_spec_line_error("noc x\nsim_threads 4294967295\n", 2);
+}
+
+TEST(SpecIo, XpipescReportsTheBadLineInsteadOfTerminating) {
+  // --print-spec stops right after parsing, so no build ever starts.
+  const std::string dir = ::testing::TempDir();
+  const std::string spec = dir + "/xpl_oversized_fifo.noc";
+  const std::string log = dir + "/xpl_oversized_fifo.log";
+  std::ofstream(spec) << kOversizedFifo;
+  const std::string cmd = std::string(XPL_XPIPESC) + " " + spec +
+                          " --print-spec > " + log + " 2>&1";
+  EXPECT_NE(std::system(cmd.c_str()), 0);
+  std::ostringstream out;
+  out << std::ifstream(log).rdbuf();
+  EXPECT_NE(out.str().find("xpipesc: spec line 2: "), std::string::npos)
+      << out.str();
+  EXPECT_EQ(out.str().find("terminate"), std::string::npos) << out.str();
+  std::remove(spec.c_str());
+  std::remove(log.c_str());
 }
 
 TEST(SpecIo, CommentsAndBlanksIgnored) {

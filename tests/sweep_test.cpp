@@ -94,6 +94,11 @@ TEST(SweepSpec, MalformedLinesReportTheirLineNumber) {
   expect_line_error(ok + "vcs 0\n", 3);                 // out of range
   expect_line_error(ok + "burstiness 1.5\n", 3);        // out of range
   expect_line_error(ok + "injection_rate 2\n", 3);      // out of range
+  expect_line_error(ok + "max_burst 4294967297\n", 3);  // was truncated
+  expect_line_error(ok + "injection_rate nan\n", 3);    // not finite
+  expect_line_error(ok + "read_fraction 7\n", 3);       // out of range
+  expect_line_error(ok + "target_mhz -inf\n", 3);       // not finite
+  expect_line_error(ok + "target_mhz 0\n", 3);          // out of range
   // The line number counts comments and blanks too.
   expect_line_error("sweep x\n# comment\n\nvcs 99\n", 4);
 }

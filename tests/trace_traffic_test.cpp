@@ -1,4 +1,5 @@
-// Trace-driven traffic: parsing and cycle-exact replay.
+// Trace-driven traffic: trace bodies read through workload::parse_trace,
+// replayed cycle-exactly by traffic::TracePlayer.
 #include <gtest/gtest.h>
 
 #include <fstream>
@@ -6,9 +7,13 @@
 #include "src/common/error.hpp"
 #include "src/topology/generators.hpp"
 #include "src/traffic/traffic.hpp"
+#include "src/workload/trace.hpp"
 
 namespace xpl::traffic {
 namespace {
+
+using workload::load_trace;
+using workload::parse_trace;
 
 std::unique_ptr<noc::Network> make_net() {
   noc::NetworkConfig cfg;
@@ -24,7 +29,7 @@ TEST(Trace, ParsesEntriesAndComments) {
       "0 0 1 read 0 1\n"  // offsets are decimal
       "5 1 2 write 16 2\n"
       "\n"
-      "9 3 0 writenp 8 1  # trailing comment\n");
+      "9 3 0 writenp 8 1  # trailing comment\n").entries;
   ASSERT_EQ(trace.size(), 3u);
   EXPECT_EQ(trace[0].cycle, 0u);
   EXPECT_EQ(trace[0].cmd, ocp::Cmd::kRead);
@@ -59,7 +64,7 @@ TEST(Trace, ReplaysAtScheduledCycles) {
   const auto trace = parse_trace(
       "0 0 1 writenp 0 1\n"
       "50 1 2 writenp 8 1\n"
-      "100 2 3 writenp 16 1\n");
+      "100 2 3 writenp 16 1\n").entries;
   TracePlayer player(*net, trace);
   player.run(120);
   net->run_until_quiescent(50000);
@@ -79,7 +84,7 @@ TEST(Trace, WriteThenReadDataFlows) {
   // Same initiator writes then reads the same location in trace order.
   const auto trace = parse_trace(
       "0 0 2 write 24 1\n"
-      "10 0 2 read 24 1\n");
+      "10 0 2 read 24 1\n").entries;
   TracePlayer player(*net, trace);
   player.run(20);
   net->run_until_quiescent(50000);
@@ -97,7 +102,7 @@ TEST(Trace, LoadFromFile) {
     std::ofstream out(path);
     out << "0 0 0 read 0 1\n3 1 1 read 0 2\n";
   }
-  const auto trace = load_trace(path);
+  const auto trace = load_trace(path).entries;
   ASSERT_EQ(trace.size(), 2u);
   EXPECT_EQ(trace[1].burst, 2u);
 }

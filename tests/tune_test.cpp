@@ -98,6 +98,12 @@ TEST(TuneSpec, MalformedLinesReportTheirLineNumber) {
   expect_tune_line_error(ok + "search flow sideband\n", 3);
   expect_tune_line_error(ok + "search routing zigzag\n", 3);
   expect_tune_line_error(ok + "saturation 0.1 0.5\n", 3);  // arity
+  expect_tune_line_error(ok + "max_burst 4294967297\n", 3);  // truncated
+  expect_tune_line_error(ok + "read_fraction 7\n", 3);
+  expect_tune_line_error(ok + "read_fraction nan\n", 3);
+  expect_tune_line_error(ok + "target_mhz -inf\n", 3);
+  expect_tune_line_error(ok + "target_mhz 0\n", 3);
+  expect_tune_line_error(ok + "rate inf\n", 3);  // was caught by validate()
 }
 
 TEST(TuneSpec, ValidateRejectsBadValues) {

@@ -90,6 +90,20 @@ TEST(TraceFormat, HeaderlessBodyIsLegacyCompatible) {
   EXPECT_EQ(t.entries.size(), 2u);
 }
 
+/// Asserts parse_trace rejects `text` with an error that starts
+/// "trace line <line>:".
+void expect_trace_line_error(const std::string& text, std::size_t line) {
+  try {
+    parse_trace(text);
+    FAIL() << "expected xpl::Error for: " << text;
+  } catch (const Error& e) {
+    const std::string prefix = "trace line " + std::to_string(line) + ":";
+    EXPECT_EQ(std::string(e.what()).rfind(prefix, 0), 0u)
+        << "message '" << e.what() << "' does not start with '" << prefix
+        << "'";
+  }
+}
+
 TEST(TraceFormat, RejectsMalformed) {
   EXPECT_THROW(parse_trace("trace\n"), Error);          // missing value
   EXPECT_THROW(parse_trace("initiators x\n"), Error);   // bad count
@@ -106,6 +120,12 @@ TEST(TraceFormat, RejectsMalformed) {
   EXPECT_THROW(parse_trace("0 0 1 read 0 1 x\n"), Error);  // bad thread
   EXPECT_THROW(parse_trace("0 0 1 read 0 1 2 9\n"),
                Error);                                  // trailing token
+  // Entry numbers take the same digits-only grammar as the header: a
+  // sign no longer wraps the offset to 2^64-8 or the burst to 2^32-1.
+  expect_trace_line_error("0 0 1 read -8 1\n", 1);
+  expect_trace_line_error("0 0 1 read 0 -1\n", 1);
+  expect_trace_line_error("0 +1 1 read 0 1\n", 1);
+  expect_trace_line_error("trace t\n0 0 1 read 0 1 4294967296\n", 2);
 }
 
 TEST(TraceFormat, WriterRejectsNamesThatCannotReload) {

@@ -9,11 +9,11 @@ the fact (docs/LINTING.md maps each rule to its backstop):
                        XL203 missing-next-event
   signal discipline    XL301 write-outside-tick, XL302 watcher-budget,
                        XL303 signal-handle
-  export stability     XL401 raw-float-export
+  format stability     XL401 raw-float-export, XL402 stray-number-parse
   suppression hygiene  XL000 suppression-syntax, XL001 unused-suppression
 
-Checks consume the backend-built SourceFile models only; they never
-re-read source text, so the regex and libclang backends share them.
+Checks consume only the SourceFile models that model.py builds; they
+never re-read source text.
 """
 
 from __future__ import annotations
@@ -37,6 +37,7 @@ RULES: dict[str, tuple[str, str]] = {
     "XL302": ("watch", "more than two static watch() registrations on one wire"),
     "XL303": ("signal-handle", "raw Signal handle stored in a module outside the CutLink seam"),
     "XL401": ("float", "raw float reaches a CSV/JSON emitter without fmt_double/hex_double"),
+    "XL402": ("parse", "number parsing outside the shared text front end (src/common/text.cpp)"),
 }
 
 KNOWN_SLUGS = {slug for slug, _ in RULES.values() if slug}
@@ -73,6 +74,16 @@ EMITTER_RE = re.compile(r"(?i)csv|json|checkpoint|canonical|^write_(sweep|tune|n
 # Entry points of the sanctioned mutation phases: Module::tick and
 # CutChannel::exchange (the epoch-barrier replay).
 WRITE_ROOTS = ("tick", "exchange")
+
+# The one sanctioned home for text-to-number conversion: every file
+# format reads numbers through its parse_u64/parse_f64 grammar.
+NUMBER_PARSE_FILES = ("src/common/text.cpp",)
+
+NUMBER_PARSE_RE = re.compile(
+    r"\bstd::sto(?:i|l|ll|ul|ull|f|d|ld)\s*\(|"
+    r"\b(?:std::)?strto(?:l|ll|ul|ull|f|d|ld|imax|umax)\s*\(|"
+    r"\b(?:std::)?ato(?:i|l|ll|f)\s*\(|\bfrom_chars\s*\("
+)
 
 BANNED_CALL_RE = re.compile(
     r"\bstd::rand\b|\brand\s*\(|\bsrand\s*\(|\bstd::getenv\b|\bgetenv\s*\(|"
@@ -203,6 +214,7 @@ class Analyzer:
             self._check_watcher_budget(sf)
             self._check_signal_handles(sf)
             self._check_float_exports(sf)
+            self._check_number_parsing(sf)
         self._check_module_contracts()
         for sf in self.files:
             for sup in sf.suppressions:
@@ -361,6 +373,19 @@ class Analyzer:
                 "simulation state must derive from common/rng.hpp seeds and "
                 "explicit configuration — annotate banned-ok(<reason>) only on "
                 "non-simulation seams",
+            )
+
+    def _check_number_parsing(self, sf: SourceFile) -> None:
+        if sf.path.endswith(NUMBER_PARSE_FILES):
+            return
+        for m in NUMBER_PARSE_RE.finditer(sf.code):
+            self._emit(
+                sf,
+                sf.line_of(m.start()),
+                "XL402",
+                f"'{m.group(0).rstrip('( ')}' parses a number outside "
+                "src/common/text.cpp — use text::parse_u64/parse_f64 (one "
+                "grammar, a mandatory range) or annotate parse-ok(<reason>)",
             )
 
     def _check_signal_writes(self, sf: SourceFile) -> None:

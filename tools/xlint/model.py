@@ -1,11 +1,11 @@
-"""Source model shared by every xlint backend.
+"""The source model every xlint check consumes.
 
-A backend (regex or libclang, see backends.py) turns one C++ translation
-unit into a SourceFile: comment-stripped code with preserved line
-numbers, class extents with base lists and member declarations, function
-extents with bodies, and the suppression comments. Checks consume only
-this model, so both backends run the same rules — the libclang backend
-just resolves extents and types more precisely.
+build_regex_model turns one C++ translation unit into a SourceFile:
+comment-stripped code with preserved line numbers, class extents with
+base lists and member declarations, function extents with bodies, and
+the suppression comments. It is a brace-matching regex scanner over the
+stripped text, with no compiler or third-party dependency; checks
+consume only this model.
 
 Suppression grammar (docs/LINTING.md):
 

@@ -1,9 +1,8 @@
 #!/usr/bin/env python3
 """xlint — determinism & kernel-contract static analysis for this repo.
 
-Runs project-specific checks (tools/xlint/checks.py) over src/ using a
-libclang backend when clang.cindex is importable and the regex backend
-otherwise. Zero third-party dependencies either way.
+Runs project-specific checks (tools/xlint/checks.py) over src/ on the
+source model tools/xlint/model.py builds. Zero third-party dependencies.
 
     python3 tools/xlint/xlint.py                  # lint src/ (tree mode)
     python3 tools/xlint/xlint.py FILE...          # lint specific files
@@ -24,11 +23,11 @@ import sys
 
 if __package__ in (None, ""):  # direct script invocation
     sys.path.insert(0, os.path.dirname(os.path.dirname(os.path.abspath(__file__))))
-    from xlint.backends import build_model, load_cindex
-    from xlint.checks import RULES, Analyzer
+    from xlint.checks import KNOWN_SLUGS, RULES, Analyzer
+    from xlint.model import build_regex_model
 else:
-    from .backends import build_model, load_cindex
-    from .checks import RULES, Analyzer
+    from .checks import KNOWN_SLUGS, RULES, Analyzer
+    from .model import build_regex_model
 
 CXX_EXTENSIONS = (".cpp", ".hpp", ".cc", ".h")
 
@@ -46,46 +45,11 @@ def default_targets(root: str) -> list[str]:
     return sorted(out)
 
 
-def compile_args_for(root: str, compile_commands: str | None, path: str) -> list[str]:
-    """Flags for the libclang backend: from compile_commands.json when the
-    file appears there, else a minimal default."""
-    default = ["-std=c++20", f"-I{root}"]
-    if not compile_commands or not os.path.exists(compile_commands):
-        return default
-    try:
-        with open(compile_commands, encoding="utf-8") as f:
-            for entry in json.load(f):
-                if os.path.abspath(
-                    os.path.join(entry.get("directory", "."), entry["file"])
-                ) == os.path.abspath(path):
-                    args = entry.get("arguments") or entry.get("command", "").split()
-                    return [
-                        a
-                        for a in args[1:]
-                        if a.startswith(("-I", "-D", "-std", "-isystem"))
-                    ] or default
-    except (OSError, ValueError, KeyError):
-        pass
-    return default
-
-
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(
         prog="xlint", description=__doc__.splitlines()[0]
     )
     parser.add_argument("files", nargs="*", help="files to lint (default: src/)")
-    parser.add_argument(
-        "--backend",
-        choices=("auto", "regex", "clang"),
-        default="auto",
-        help="model builder: libclang when available (auto), or force one",
-    )
-    parser.add_argument(
-        "--compile-commands",
-        default=None,
-        help="compile_commands.json for the libclang backend "
-        "(default: build/compile_commands.json when present)",
-    )
     parser.add_argument("--json", dest="json_out", help="also write findings as JSON")
     parser.add_argument(
         "--list-checks", action="store_true", help="print the rule catalogue and exit"
@@ -108,29 +72,12 @@ def main(argv: list[str] | None = None) -> int:
         print(f"xlint: no such file: {missing[0]}", file=sys.stderr)
         return 2
 
-    cindex = None
-    if args.backend != "regex":
-        cindex = load_cindex()
-        if cindex is None and args.backend == "clang":
-            print(
-                "xlint: --backend=clang but clang.cindex/libclang is unavailable",
-                file=sys.stderr,
-            )
-            return 2
-    compile_commands = args.compile_commands or os.path.join(
-        root, "build", "compile_commands.json"
-    )
-
     models = []
     for path in targets:
         with open(path, encoding="utf-8") as f:
             raw = f.read()
         rel = os.path.relpath(path, root).replace(os.sep, "/")
-        models.append(
-            build_model(
-                rel, raw, args.backend, cindex, compile_args_for(root, compile_commands, path)
-            )
-        )
+        models.append(build_regex_model(rel, raw, KNOWN_SLUGS))
 
     findings = Analyzer(models).run()
     for finding in findings:
@@ -139,7 +86,6 @@ def main(argv: list[str] | None = None) -> int:
         with open(args.json_out, "w", encoding="utf-8") as f:
             json.dump(
                 {
-                    "backend": "clang" if cindex is not None else "regex",
                     "files_scanned": len(models),
                     "findings": [
                         {
@@ -156,10 +102,8 @@ def main(argv: list[str] | None = None) -> int:
             )
             f.write("\n")
     if not args.quiet:
-        backend = "clang" if cindex is not None else "regex"
         print(
-            f"xlint: {len(findings)} finding(s) in {len(models)} file(s) "
-            f"[{backend} backend]",
+            f"xlint: {len(findings)} finding(s) in {len(models)} file(s)",
             file=sys.stderr,
         )
     return 1 if findings else 0
