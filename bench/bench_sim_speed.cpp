@@ -25,6 +25,8 @@
 #include <string>
 #include <vector>
 
+#include "src/compiler/compiler.hpp"
+#include "src/compiler/spec_io.hpp"
 #include "src/link/flow.hpp"
 #include "src/link/goback_n.hpp"
 #include "src/link/link.hpp"
@@ -483,6 +485,42 @@ BENCHMARK(BM_PartitionedCyclesMT)
     ->Args({2, 4, 4, 0})
     ->Args({2, 4, 4, 1});
 
+// Network elaboration as xpipesc and every campaign point pay it: parse
+// the .noc text, build_simulation (routes, deadlock check, NI LUTs,
+// modules and wires), tear the network down. items = networks;
+// allocs_per_route = heap allocations per network over its NI-pair
+// routes. Routes live in a few arenas, so what remains is per module
+// and the ratio falls as the mesh grows.
+void BM_Elaborate(benchmark::State& state) {
+  using namespace xpl;
+  const auto n = static_cast<std::size_t>(state.range(0));
+  compiler::NocSpec spec;
+  spec.name = "elaborate";
+  spec.topo =
+      topology::make_mesh(n, n, topology::NiPlan::uniform(n * n, 1, 1));
+  spec.net = config(n);
+  // 12x12 and larger meshes route up to 2(n-1)+1 hops x 3 bits.
+  if (n >= 12) spec.net.flit_width = 128;
+  const std::string text = compiler::write_spec(spec);
+  const compiler::XpipesCompiler xpipes;
+  const std::uint64_t before = allocs();
+  for (auto _ : state) {
+    auto net = xpipes.build_simulation(compiler::parse_spec(text));
+    benchmark::DoNotOptimize(net.get());
+  }
+  state.SetItemsProcessed(state.iterations());
+  const double routes = 2.0 * static_cast<double>(n * n * n * n);
+  state.counters["allocs_per_route"] =
+      static_cast<double>(allocs() - before) /
+      (static_cast<double>(state.iterations()) * routes);
+}
+BENCHMARK(BM_Elaborate)
+    ->ArgNames({"mesh"})
+    ->Arg(8)
+    ->Arg(12)
+    ->Arg(16)
+    ->Unit(benchmark::kMillisecond);
+
 // The dateline payoff: saturated transaction throughput on a 4x4 torus,
 // minimal (shortest-path) routing with dateline VCs against the up*/down*
 // single-lane baseline the seed had to fall back to. Minimal routes use
@@ -671,7 +709,7 @@ bool write_bench_json(const std::string& path,
     // Scheduler-efficiency fractions (three decimals: these are shares,
     // not counts). Same NaN filter as above: the cv aggregate of an
     // all-zero counter (leapt_frac under full) is 0/0.
-    for (const char* key : {"awake_frac", "leapt_frac"}) {
+    for (const char* key : {"awake_frac", "leapt_frac", "allocs_per_route"}) {
       const auto it3 = run.counters.find(key);
       if (it3 != run.counters.end() &&
           std::isfinite(static_cast<double>(it3->second))) {

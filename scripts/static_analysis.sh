@@ -65,18 +65,20 @@ missing_tool() {
 }
 
 # --- changed-file selection -------------------------------------------
-# CHANGED_CPP: .cpp files for clang-tidy. CHANGED_ANY: every changed
-# C++ file for xlint; a header change makes xlint run the whole tree
-# (its module-contract merge spans files).
+# CHANGED_CPP: src/ .cpp files for clang-tidy. CHANGED_ANY: every changed
+# C++ file under src/ and tools/ for xlint; a header change makes xlint
+# run the whole tree (its module-contract merge spans files).
 CHANGED_CPP=()
 XLINT_ARGS=()
 if [[ -n "$CHANGED_FROM" ]]; then
   mapfile -t changed < <(git diff --name-only --diff-filter=d "$CHANGED_FROM" -- \
-    'src/*.cpp' 'src/*.hpp' 'src/**/*.cpp' 'src/**/*.hpp' | sort -u)
+    'src/*.cpp' 'src/*.hpp' 'src/**/*.cpp' 'src/**/*.hpp' \
+    'tools/*.cpp' 'tools/*.hpp' | sort -u)
   header_changed=0
   for f in "${changed[@]}"; do
     case "$f" in
-      *.cpp) CHANGED_CPP+=("$f") ;;
+      src/*.cpp) CHANGED_CPP+=("$f") ;;
+      *.cpp) ;;
       *.hpp) header_changed=1 ;;
     esac
   done

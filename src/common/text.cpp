@@ -56,6 +56,7 @@ bool is_decimal(std::string_view s) {
 }  // namespace
 
 void fail(const Where& at, const std::string& what) {
+  if (at.line == 0) throw Error(std::string(at.format) + ": " + what);
   throw Error(std::string(at.format) + " line " + std::to_string(at.line) +
               ": " + what);
 }

@@ -50,13 +50,19 @@ inline constexpr double kMinTargetMhz = 1.0;
 inline constexpr double kMaxTargetMhz = 100000.0;
 
 /// Where a token came from: the format's error prefix ("spec", "sweep",
-/// "tune", "trace", "checkpoint") and the 1-based line number.
+/// "tune", "trace", "checkpoint") and the 1-based line number. Line 0
+/// names a command-line flag instead: `format` is the flag ("--jobs").
 struct Where {
   const char* format;
   std::size_t line;
 };
 
-/// Throws xpl::Error("<format> line <N>: <what>").
+/// A command-line flag's value, read with the same grammar and caps as
+/// the file fields.
+inline Where flag(const char* name) { return {name, 0}; }
+
+/// Throws xpl::Error("<format> line <N>: <what>"), or "<flag>: <what>"
+/// for a flag.
 [[noreturn]] void fail(const Where& at, const std::string& what);
 
 /// The whole file as a string; throws "<who>: cannot open <path>".

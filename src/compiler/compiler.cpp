@@ -83,12 +83,13 @@ std::vector<std::size_t> XpipesCompiler::optimize_buffer_sizes(
   // Count route traversals through each switch (a proxy for expected
   // contention on its output queues).
   std::vector<double> load(spec.topo.num_switches(), 0.0);
-  for (const auto& [pair, route] : tables.routes) {
+  tables.for_each([&](std::uint32_t src, std::uint32_t,
+                      const topology::RouteRef& route) {
     for (const std::uint32_t sw :
-         topology::route_switch_path(spec.topo, pair.first, route)) {
+         topology::route_switch_path(spec.topo, src, route.links)) {
       load[sw] += 1.0;
     }
-  }
+  });
   const double max_load =
       *std::max_element(load.begin(), load.end());
 

@@ -243,16 +243,17 @@ std::map<std::string, std::string> XpipesCompiler::emit_systemc(
        << fmt.header.port_bits << ";\n"
        << "static const unsigned XPIPES_MAX_HOPS = " << fmt.header.max_hops
        << ";\n\n";
-    for (const auto& [pair, route] : network->routes().routes) {
-      os << "// NI " << pair.first << " -> NI " << pair.second << "\n"
-         << "static const unsigned char xpipes_route_" << pair.first << "_"
-         << pair.second << "[] = {";
+    network->routes().for_each([&](std::uint32_t src, std::uint32_t dst,
+                                   const topology::RouteRef& route) {
+      os << "// NI " << src << " -> NI " << dst << "\n"
+         << "static const unsigned char xpipes_route_" << src << "_" << dst
+         << "[] = {";
       for (std::size_t h = 0; h < route.size(); ++h) {
         if (h) os << ", ";
         os << static_cast<unsigned>(route[h]);
       }
       os << "};\n";
-    }
+    });
     os << "\n#endif  // XPIPES_ROUTES_H\n";
     files["xpipes_routes.h"] = os.str();
   }

@@ -50,6 +50,10 @@ PipelinedLink::PipelinedLink(std::string name, const LinkWires& upstream,
       up_(upstream),
       down_(downstream),
       rng_(config.seed) {
+  if (config_.stages > 0) {
+    fwd_q_.reserve(config_.stages + 1);
+    rev_q_.reserve(config_.stages + 1);
+  }
   // Wake on traffic from either end (a no-op under the full reference).
   up_.fwd->watch(*this);
   down_.rev->watch(*this);

@@ -10,8 +10,8 @@
 #pragma once
 
 #include <cstdint>
-#include <deque>
 
+#include "src/common/ring.hpp"
 #include "src/common/rng.hpp"
 #include "src/packet/flit.hpp"
 #include "src/sim/kernel.hpp"
@@ -89,8 +89,10 @@ class PipelinedLink : public sim::Module {
   Config config_;
   LinkWires up_;
   LinkWires down_;
-  std::deque<InFlight<FlitBeat>> fwd_q_;  ///< valid forward beats mid-pipe
-  std::deque<InFlight<AckBeat>> rev_q_;   ///< valid reverse beats mid-pipe
+  /// Valid beats mid-pipe, at most one per stage: reserved to stages + 1
+  /// at construction, and never allocated at all for a stage-0 link.
+  Ring<InFlight<FlitBeat>> fwd_q_;  ///< forward direction
+  Ring<InFlight<AckBeat>> rev_q_;   ///< reverse direction
   bool fwd_out_dirty_ = false;  ///< downstream fwd wire holds a valid beat
   bool rev_out_dirty_ = false;  ///< upstream rev wire holds a valid beat
   Rng rng_;

@@ -24,11 +24,6 @@ void RouteLut::add_range(const AddressRange& range) {
   ranges_.insert(next, range);
 }
 
-void RouteLut::set_route(std::uint32_t dst, Route route) {
-  if (dst >= routes_.size()) routes_.resize(dst + 1);
-  routes_[dst] = std::move(route);
-}
-
 std::optional<LutHit> RouteLut::lookup(std::uint64_t addr) const {
   // The only window that can hold `addr` is the last one based at or
   // below it.
@@ -38,40 +33,30 @@ std::optional<LutHit> RouteLut::lookup(std::uint64_t addr) const {
   if (next == ranges_.begin()) return std::nullopt;
   const AddressRange& range = *std::prev(next);
   if (!range.contains(addr)) return std::nullopt;
-  const Route* route = route_to(range.dst);
-  require(route != nullptr, "RouteLut: range maps to routeless target");
-  return LutHit{range.dst, addr - range.base, route};
+  const std::optional<RouteBytes> route = route_to(range.dst);
+  require(route.has_value(), "RouteLut: range maps to routeless target");
+  return LutHit{range.dst, addr - range.base, *route};
 }
 
-const Route* RouteLut::route_to(std::uint32_t dst) const {
-  if (dst >= routes_.size() || !routes_[dst].has_value()) return nullptr;
-  return &*routes_[dst];
+void RouteArena::set(std::uint32_t id, RouteBytes path, RouteBytes tail) {
+  if (id >= slots_.size()) slots_.resize(id + 1);
+  slots_[id] = {static_cast<std::uint32_t>(bytes_.size()),
+                static_cast<std::uint32_t>(path.size() + tail.size())};
+  bytes_.insert(bytes_.end(), path.begin(), path.end());
+  bytes_.insert(bytes_.end(), tail.begin(), tail.end());
 }
 
-std::size_t RouteLut::num_routes() const {
-  std::size_t n = 0;
-  for (const auto& r : routes_) {
-    if (r.has_value()) ++n;
+std::optional<RouteBytes> RouteArena::get(std::uint32_t id) const {
+  if (id >= slots_.size() || slots_[id].offset == kAbsent) {
+    return std::nullopt;
   }
-  return n;
+  return RouteBytes(bytes_.data() + slots_[id].offset, slots_[id].length);
 }
 
-void ResponseLut::set_route(std::uint32_t src, Route route) {
-  if (src >= routes_.size()) routes_.resize(src + 1);
-  routes_[src] = std::move(route);
-}
-
-const Route* ResponseLut::route_to(std::uint32_t src) const {
-  if (src >= routes_.size() || !routes_[src].has_value()) return nullptr;
-  return &*routes_[src];
-}
-
-std::size_t ResponseLut::num_routes() const {
-  std::size_t n = 0;
-  for (const auto& r : routes_) {
-    if (r.has_value()) ++n;
-  }
-  return n;
+std::size_t RouteArena::size() const {
+  return static_cast<std::size_t>(
+      std::count_if(slots_.begin(), slots_.end(),
+                    [](const Slot& s) { return s.offset != kAbsent; }));
 }
 
 }  // namespace xpl::ni

@@ -10,6 +10,7 @@
 
 #include <cstdint>
 #include <optional>
+#include <span>
 #include <vector>
 
 #include "src/packet/header.hpp"
@@ -27,11 +28,35 @@ struct AddressRange {
   }
 };
 
+/// Bytes of one installed route, valid while its LUT lives and is not
+/// re-programmed.
+using RouteBytes = std::span<const std::uint8_t>;
+
 /// Result of an address lookup.
 struct LutHit {
   std::uint32_t dst = 0;      ///< target NI id
   std::uint64_t offset = 0;   ///< address offset within the window
-  const Route* route = nullptr;  ///< precomputed source route
+  RouteBytes route;           ///< precomputed source route
+};
+
+/// Routes keyed by NI id, stored back to back in one byte arena: the ROM
+/// both LUTs hold. Installing a route appends it; re-installing one
+/// leaves the old bytes unused (a LUT is programmed once, at build).
+class RouteArena {
+ public:
+  /// Installs `path` followed by `tail` as the route for `id`.
+  void set(std::uint32_t id, RouteBytes path, RouteBytes tail = {});
+  std::optional<RouteBytes> get(std::uint32_t id) const;
+  std::size_t size() const;
+
+ private:
+  static constexpr std::uint32_t kAbsent = static_cast<std::uint32_t>(-1);
+  struct Slot {
+    std::uint32_t offset = kAbsent;
+    std::uint32_t length = 0;
+  };
+  std::vector<std::uint8_t> bytes_;
+  std::vector<Slot> slots_;  ///< indexed by NI id
 };
 
 /// Initiator-side LUT: address ranges plus one route per reachable target.
@@ -43,33 +68,42 @@ class RouteLut {
   /// plus the sorted insert.
   void add_range(const AddressRange& range);
 
-  /// Installs the route used to reach target `dst`.
-  void set_route(std::uint32_t dst, Route route);
+  /// Installs the route used to reach target `dst`: `path` then `tail`
+  /// (the compiler passes a table route's link hops and exit port).
+  void set_route(std::uint32_t dst, RouteBytes path, RouteBytes tail = {}) {
+    routes_.set(dst, path, tail);
+  }
 
   /// Decodes `addr` by binary search; nullopt means no window matches
   /// (the NI reports an OCP ERR response locally without touching the
   /// network).
   std::optional<LutHit> lookup(std::uint64_t addr) const;
 
-  const Route* route_to(std::uint32_t dst) const;
+  std::optional<RouteBytes> route_to(std::uint32_t dst) const {
+    return routes_.get(dst);
+  }
 
   std::size_t num_ranges() const { return ranges_.size(); }
-  std::size_t num_routes() const;
+  std::size_t num_routes() const { return routes_.size(); }
 
  private:
   std::vector<AddressRange> ranges_;  ///< sorted by base, disjoint
-  std::vector<std::optional<Route>> routes_;  ///< indexed by dst id
+  RouteArena routes_;                 ///< keyed by dst id
 };
 
 /// Target-side LUT: response route per initiator id.
 class ResponseLut {
  public:
-  void set_route(std::uint32_t src, Route route);
-  const Route* route_to(std::uint32_t src) const;
-  std::size_t num_routes() const;
+  void set_route(std::uint32_t src, RouteBytes path, RouteBytes tail = {}) {
+    routes_.set(src, path, tail);
+  }
+  std::optional<RouteBytes> route_to(std::uint32_t src) const {
+    return routes_.get(src);
+  }
+  std::size_t num_routes() const { return routes_.size(); }
 
  private:
-  std::vector<std::optional<Route>> routes_;  ///< indexed by src id
+  RouteArena routes_;  ///< keyed by src id
 };
 
 }  // namespace xpl::ni

@@ -73,7 +73,7 @@ void InitiatorNi::start_packet(const ocp::ReqBeat& beat, std::uint64_t) {
   }
 
   Building b;
-  b.header.route = *hit->route;
+  b.header.route.assign(hit->route.begin(), hit->route.end());
   switch (beat.cmd) {
     case ocp::Cmd::kWrite:
       b.header.cmd = PacketCmd::kWrite;

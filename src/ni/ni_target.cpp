@@ -45,10 +45,10 @@ TargetNi::TargetNi(std::string name, const TargetConfig& config,
 }
 
 void TargetNi::complete_response(RespBuild build) {
-  const Route* route = lut_.route_to(build.meta.src);
-  require(route != nullptr, "TargetNi: no response route for source");
+  const std::optional<RouteBytes> route = lut_.route_to(build.meta.src);
+  require(route.has_value(), "TargetNi: no response route for source");
   Packet packet;
-  packet.header.route = *route;
+  packet.header.route.assign(route->begin(), route->end());
   packet.header.cmd = PacketCmd::kResponse;
   packet.header.src = config_.node_id;
   packet.header.dst = build.meta.src;

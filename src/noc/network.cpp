@@ -284,7 +284,8 @@ Network::Network(topology::Topology topo, const NetworkConfig& config)
       const std::uint32_t tgt_node = target_ids_[t];
       ni_mod->lut().add_range(
           ni::AddressRange{target_base(t), config.target_window, tgt_node});
-      ni_mod->lut().set_route(tgt_node, routes_.at(node, tgt_node));
+      const topology::RouteRef route = routes_.at(node, tgt_node);
+      ni_mod->lut().set_route(tgt_node, route.links, {&route.exit, 1});
     }
     initiator_nis_.push_back(std::move(ni_mod));
   }
@@ -312,7 +313,8 @@ Network::Network(topology::Topology topo, const NetworkConfig& config)
         topo_.ni(node).name, tcfg, ocp_wires, ni_out_wires[node].down,
         ni_in_wires[node].up);
     for (const std::uint32_t ini_node : initiator_ids_) {
-      ni_mod->lut().set_route(ini_node, routes_.at(node, ini_node));
+      const topology::RouteRef route = routes_.at(node, ini_node);
+      ni_mod->lut().set_route(ini_node, route.links, {&route.exit, 1});
     }
     target_nis_.push_back(std::move(ni_mod));
   }

@@ -34,7 +34,10 @@ DeadlockReport check_deadlock(const Topology& topo,
   require(policy.vcs >= 1, "check_deadlock: vcs must be >= 1");
   // Dependency edges between channel ids (link * vcs + lane): a route
   // traversing l1 on lane v1 and then l2 on lane v2 adds
-  // (l1,v1) -> (l2,v2).
+  // (l1,v1) -> (l2,v2). A route's edges and lanes depend only on its
+  // switch path (the exit hop to the NI is no channel), so each distinct
+  // path is walked once; the adjacency lists are sorted and deduplicated
+  // below, so the graph is the one every NI-pair route would build.
   const std::size_t vcs = policy.vcs;
   const std::size_t n = topo.num_links() * vcs;
   std::vector<std::vector<std::uint32_t>> deps(n);
@@ -42,40 +45,38 @@ DeadlockReport check_deadlock(const Topology& topo,
     return static_cast<std::uint32_t>(link * vcs + vc);
   };
 
-  for (const auto& [pair, route] : tables.routes) {
-    const std::uint32_t src = pair.first;
-    // Lanes per link hop: the dateline walk, or the initiator-chosen lane
-    // held for the whole route. Without the dateline discipline every
-    // initial lane is reachable (round-robin assignment), so each route
-    // contributes vcs parallel copies of its dependency chain.
-    const std::size_t spreads = policy.dateline ? 1 : vcs;
-    std::vector<std::uint8_t> lanes;
-    if (policy.dateline) {
-      lanes = dateline_route_vcs(topo, src, route, vcs);
-    }
-    for (std::size_t lane0 = 0; lane0 < spreads; ++lane0) {
-      std::uint32_t cur = topo.ni(src).switch_id;
-      std::int64_t prev_channel = -1;
-      std::size_t hop_link = 0;
-      for (const std::uint8_t selector : route) {
-        const auto& ports = topo.output_ports(cur);
-        require(selector < ports.size(), "check_deadlock: bad selector");
-        const PortRef& ref = ports[selector];
-        if (ref.kind == PortRef::Kind::kNi) break;  // ejection channel
+  tables.for_each_path([&](std::uint32_t from_sw,
+                           std::span<const std::uint8_t> links) {
+    std::uint32_t cur = from_sw;
+    std::int64_t prev_link = -1;
+    std::uint8_t prev_vc = 0;
+    for (const std::uint8_t selector : links) {
+      const auto& ports = topo.output_ports(cur);
+      require(selector < ports.size(), "check_deadlock: bad selector");
+      const std::uint32_t link = ports[selector].id;
+      if (policy.dateline) {
+        // Lanes follow the dateline walk.
         const std::uint8_t vc =
-            policy.dateline ? lanes.at(hop_link)
-                            : static_cast<std::uint8_t>(lane0);
-        require(vc < vcs, "check_deadlock: lane out of range");
-        const std::uint32_t ch = channel(ref.id, vc);
-        if (prev_channel >= 0) {
-          deps[static_cast<std::size_t>(prev_channel)].push_back(ch);
+            dateline_step(topo, prev_link, link, prev_vc, vcs);
+        if (prev_link >= 0) {
+          deps[channel(static_cast<std::uint32_t>(prev_link), prev_vc)]
+              .push_back(channel(link, vc));
         }
-        prev_channel = ch;
-        ++hop_link;
-        cur = topo.link(ref.id).to;
+        prev_vc = vc;
+      } else if (prev_link >= 0) {
+        // The initiator-chosen lane is held for the whole route, and
+        // round-robin assignment makes every initial lane reachable: vcs
+        // parallel copies of the dependency chain.
+        for (std::size_t lane = 0; lane < vcs; ++lane) {
+          const auto vc = static_cast<std::uint8_t>(lane);
+          deps[channel(static_cast<std::uint32_t>(prev_link), vc)]
+              .push_back(channel(link, vc));
+        }
       }
+      prev_link = link;
+      cur = topo.link(link).to;
     }
-  }
+  });
   for (auto& d : deps) {
     std::sort(d.begin(), d.end());
     d.erase(std::unique(d.begin(), d.end()), d.end());

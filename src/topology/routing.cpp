@@ -1,6 +1,7 @@
 #include "src/topology/routing.hpp"
 
 #include <algorithm>
+#include <array>
 
 namespace xpl::topology {
 
@@ -71,58 +72,78 @@ StateTree grow_tree(const Topology& topo, std::uint32_t from_sw,
   return tree;
 }
 
-// Output-port selectors of the tree path to `to_sw` (link hops only).
-Route tree_path(const StateTree& tree, std::uint32_t to_sw,
-                const char* unreachable) {
+// Appends the output-port selectors of the tree path to `to_sw` (link
+// hops only) to `out`.
+void append_tree_path(const StateTree& tree, std::uint32_t to_sw,
+                      const char* unreachable, std::vector<std::uint8_t>& out) {
   require(tree.reach[to_sw] >= 0, unreachable);
-  Route ports;
+  const std::size_t begin = out.size();
   for (std::int64_t packed =
            tree.via[static_cast<std::size_t>(tree.reach[to_sw])];
        packed != kRoot;
        packed = tree.via[static_cast<std::size_t>(packed >> 32)]) {
-    ports.push_back(static_cast<std::uint8_t>(packed & 0xFFFFFFFFll));
+    out.push_back(static_cast<std::uint8_t>(packed & 0xFFFFFFFFll));
   }
-  std::reverse(ports.begin(), ports.end());
-  return ports;
+  std::reverse(out.begin() + static_cast<std::ptrdiff_t>(begin), out.end());
+}
+
+// Grid directions of a dimension-order step.
+enum Direction : std::size_t { kEast, kWest, kNorth, kSouth, kDirections };
+
+// Per switch and direction, the first output port (in port order) whose
+// link makes that unit grid step; kBlocked when none does.
+std::vector<std::array<std::size_t, kDirections>> grid_ports(
+    const Topology& topo) {
+  std::vector<std::array<std::size_t, kDirections>> table(
+      topo.num_switches());
+  for (std::uint32_t s = 0; s < topo.num_switches(); ++s) {
+    table[s].fill(kBlocked);
+    const SwitchNode& here = topo.switch_node(s);
+    const auto& ports = topo.output_ports(s);
+    for (std::size_t p = 0; p < ports.size(); ++p) {
+      if (ports[p].kind != PortRef::Kind::kLink) continue;
+      const SwitchNode& next = topo.switch_node(topo.link(ports[p].id).to);
+      const int dx = next.x - here.x;
+      const int dy = next.y - here.y;
+      std::size_t dir = kDirections;
+      if (dy == 0 && (dx == 1 || dx == -1)) dir = dx == 1 ? kEast : kWest;
+      if (dx == 0 && (dy == 1 || dy == -1)) dir = dy == 1 ? kNorth : kSouth;
+      if (dir != kDirections && table[s][dir] == kBlocked) table[s][dir] = p;
+    }
+  }
+  return table;
 }
 
 // Dimension-order: full X displacement, then Y. Requires coordinates and
-// a grid link in the needed direction at every step. Returns the output
-// ports of the link hops.
-Route xy_path(const Topology& topo, std::uint32_t from_sw,
-              std::uint32_t to_sw) {
-  Route path;
-  std::uint32_t cur = from_sw;
-  auto step_toward = [&](bool x_dim) {
-    const SwitchNode& here = topo.switch_node(cur);
-    const SwitchNode& goal = topo.switch_node(to_sw);
+// a grid link in the needed direction at every step. Appends the output
+// ports of the link hops to `out`. Every switch an XY step reaches lies
+// between two coordinate-carrying switches, so checking the endpoints
+// checks every step.
+void append_xy_path(const Topology& topo,
+                    const std::vector<std::array<std::size_t, kDirections>>&
+                        grid,
+                    std::uint32_t from_sw, std::uint32_t to_sw,
+                    std::vector<std::uint8_t>& out) {
+  const SwitchNode& goal = topo.switch_node(to_sw);
+  {
+    const SwitchNode& here = topo.switch_node(from_sw);
     require(here.x >= 0 && here.y >= 0 && goal.x >= 0 && goal.y >= 0,
             "compute_route: XY routing needs grid coordinates");
-    const int want = x_dim ? (goal.x > here.x ? 1 : goal.x < here.x ? -1 : 0)
-                           : (goal.y > here.y ? 1 : goal.y < here.y ? -1 : 0);
-    if (want == 0) return false;
-    const auto& ports = topo.output_ports(cur);
-    for (std::size_t p = 0; p < ports.size(); ++p) {
-      if (ports[p].kind != PortRef::Kind::kLink) continue;
-      const Link& link = topo.link(ports[p].id);
-      const SwitchNode& next = topo.switch_node(link.to);
-      const int dx = next.x - here.x;
-      const int dy = next.y - here.y;
-      if ((x_dim && dx == want && dy == 0) ||
-          (!x_dim && dy == want && dx == 0)) {
-        path.push_back(static_cast<std::uint8_t>(p));
-        cur = link.to;
-        return true;
-      }
-    }
-    throw Error("compute_route: grid link missing for XY step");
-  };
-  while (step_toward(/*x_dim=*/true)) {
   }
-  while (step_toward(/*x_dim=*/false)) {
+  std::uint32_t cur = from_sw;
+  auto step = [&](Direction dir) {
+    const std::size_t p = grid[cur][dir];
+    require(p != kBlocked, "compute_route: grid link missing for XY step");
+    out.push_back(static_cast<std::uint8_t>(p));
+    cur = topo.link(topo.output_ports(cur)[p].id).to;
+  };
+  while (topo.switch_node(cur).x != goal.x) {
+    step(goal.x > topo.switch_node(cur).x ? kEast : kWest);
+  }
+  while (topo.switch_node(cur).y != goal.y) {
+    step(goal.y > topo.switch_node(cur).y ? kNorth : kSouth);
   }
   XPL_ASSERT(cur == to_sw);
-  return path;
 }
 
 // Routes of one algorithm over one topology. What the algorithm needs
@@ -142,37 +163,30 @@ class Router {
                      classes_.end());
     } else if (algorithm == RoutingAlgorithm::kUpDown) {
       compute_levels();
+    } else {
+      grid_ = grid_ports(topo);
     }
   }
 
-  Route route(std::uint32_t src, std::uint32_t dst) {
-    require(src < topo_.num_nis() && dst < topo_.num_nis(),
-            "compute_route: NI id out of range");
-    require(src != dst, "compute_route: src and dst NIs are the same");
-    const std::uint32_t from_sw = topo_.ni(src).switch_id;
-    const std::uint32_t to_sw = topo_.ni(dst).switch_id;
-
-    Route route;
+  /// Appends the link selectors of the path from switch `from_sw` to
+  /// switch `to_sw` to `out`.
+  void append_path(std::uint32_t from_sw, std::uint32_t to_sw,
+                   std::vector<std::uint8_t>& out) {
     switch (algorithm_) {
       case RoutingAlgorithm::kShortestPath:
-        route = tree_path(tree(from_sw), to_sw,
-                          "compute_route: destination switch unreachable "
-                          "by a class-monotone path");
+        append_tree_path(tree(from_sw), to_sw,
+                         "compute_route: destination switch unreachable "
+                         "by a class-monotone path",
+                         out);
         break;
       case RoutingAlgorithm::kXY:
-        route = xy_path(topo_, from_sw, to_sw);
+        append_xy_path(topo_, grid_, from_sw, to_sw, out);
         break;
       case RoutingAlgorithm::kUpDown:
-        route = tree_path(tree(from_sw), to_sw,
-                          "compute_route: no up*/down* path");
+        append_tree_path(tree(from_sw), to_sw,
+                         "compute_route: no up*/down* path", out);
         break;
     }
-    // Final hop: exit the last switch toward the destination NI.
-    const std::size_t exit_port =
-        topo_.output_index(to_sw, PortRef{PortRef::Kind::kNi, dst});
-    XPL_ASSERT(exit_port != Topology::npos);
-    route.push_back(static_cast<std::uint8_t>(exit_port));
-    return route;
   }
 
  private:
@@ -242,80 +256,132 @@ class Router {
   RoutingAlgorithm algorithm_;
   std::vector<std::uint8_t> classes_;   ///< sorted distinct vc classes
   std::vector<std::size_t> level_;      ///< up*/down* BFS level
+  std::vector<std::array<std::size_t, kDirections>> grid_;  ///< XY ports
   std::vector<StateTree> trees_;        ///< per source switch
 };
+
+// Output port from NI `ni`'s switch to the NI: a route's final hop.
+std::uint8_t exit_port(const Topology& topo, std::uint32_t ni) {
+  const std::size_t port = topo.output_index(
+      topo.ni(ni).switch_id, PortRef{PortRef::Kind::kNi, ni});
+  XPL_ASSERT(port != Topology::npos);
+  return static_cast<std::uint8_t>(port);
+}
 
 }  // namespace
 
 Route compute_route(const Topology& topo, std::uint32_t src,
                     std::uint32_t dst, RoutingAlgorithm algorithm) {
-  return Router(topo, algorithm).route(src, dst);
+  require(src < topo.num_nis() && dst < topo.num_nis(),
+          "compute_route: NI id out of range");
+  require(src != dst, "compute_route: src and dst NIs are the same");
+  Route route;
+  Router(topo, algorithm)
+      .append_path(topo.ni(src).switch_id, topo.ni(dst).switch_id, route);
+  route.push_back(exit_port(topo, dst));
+  return route;
 }
 
-const Route& RoutingTables::at(std::uint32_t src, std::uint32_t dst) const {
-  const auto it = routes.find({src, dst});
-  require(it != routes.end(), "RoutingTables: no route for pair");
-  return it->second;
+Route RouteRef::to_route() const {
+  Route route(links.begin(), links.end());
+  route.push_back(exit);
+  return route;
 }
 
-std::size_t RoutingTables::max_hops() const {
-  std::size_t hops = 0;
-  for (const auto& [key, route] : routes) {
-    hops = std::max(hops, route.size());
-  }
-  return hops;
+RouteRef RoutingTables::at(std::uint32_t src, std::uint32_t dst) const {
+  require(src < nis_.size() && dst < nis_.size() &&
+              nis_[src].initiator != nis_[dst].initiator,
+          "RoutingTables: no route for pair");
+  return route(src, dst);
 }
 
 RoutingTables compute_all_routes(const Topology& topo,
                                  RoutingAlgorithm algorithm) {
-  // One router for the whole table: each source switch's search tree is
-  // grown once and read for every destination.
-  Router router(topo, algorithm);
-  const std::vector<std::uint32_t> targets = topo.target_ids();
   RoutingTables tables;
-  for (const std::uint32_t ini : topo.initiator_ids()) {
-    for (const std::uint32_t tgt : targets) {
-      tables.routes[{ini, tgt}] = router.route(ini, tgt);
-      tables.routes[{tgt, ini}] = router.route(tgt, ini);
+  tables.initiators_ = topo.initiator_ids();
+  tables.targets_ = topo.target_ids();
+  // Dense ranks for the switches that host NIs: only their pairs route.
+  std::vector<std::uint32_t> rank(topo.num_switches(), RoutingTables::kNoPath);
+  tables.nis_.resize(topo.num_nis());
+  for (std::uint32_t n = 0; n < topo.num_nis(); ++n) {
+    const std::uint32_t sw = topo.ni(n).switch_id;
+    if (rank[sw] == RoutingTables::kNoPath) {
+      rank[sw] = static_cast<std::uint32_t>(tables.endpoints_.size());
+      tables.endpoints_.push_back(sw);
+    }
+    tables.nis_[n] = {rank[sw], exit_port(topo, n), topo.ni(n).initiator};
+  }
+  tables.paths_.resize(tables.endpoints_.size() * tables.endpoints_.size());
+
+  // One router for the whole table: each source switch's search tree is
+  // grown once and read for every destination. Pairs are visited in
+  // initiator x target order, request route first, so the first pair
+  // that cannot be routed raises the same error as a per-pair loop; a
+  // switch pair already routed is not routed again.
+  Router router(topo, algorithm);
+  std::size_t longest = 0;
+  auto elaborate = [&](std::uint32_t src, std::uint32_t dst) {
+    RoutingTables::Path& path = tables.paths_[tables.path_index(src, dst)];
+    if (path.offset != RoutingTables::kNoPath) return;
+    const std::size_t offset = tables.bytes_.size();
+    router.append_path(topo.ni(src).switch_id, topo.ni(dst).switch_id,
+                       tables.bytes_);
+    path = {static_cast<std::uint32_t>(offset),
+            static_cast<std::uint32_t>(tables.bytes_.size() - offset)};
+    longest = std::max<std::size_t>(longest, path.length);
+  };
+  for (const std::uint32_t ini : tables.initiators_) {
+    for (const std::uint32_t tgt : tables.targets_) {
+      elaborate(ini, tgt);
+      elaborate(tgt, ini);
     }
   }
+  if (tables.size() > 0) tables.max_hops_ = longest + 1;  // + ejection
   return tables;
 }
 
-std::vector<std::uint8_t> dateline_route_vcs(const Topology& topo,
-                                             std::uint32_t src,
-                                             const Route& route,
-                                             std::size_t vcs) {
+std::uint8_t dateline_step(const Topology& topo, std::int64_t prev_link,
+                           std::uint32_t link, std::uint8_t vc,
+                           std::size_t vcs) {
+  const Link& next = topo.link(link);
+  if (prev_link < 0 ||
+      topo.link(static_cast<std::uint32_t>(prev_link)).vc_class !=
+          next.vc_class) {
+    vc = 0;  // injection or routing-phase change: back to lane 0
+  }
+  if (next.dateline) ++vc;
+  if (vc >= vcs) {
+    throw Error("dateline_route_vcs: route needs lane " +
+                std::to_string(int(vc)) + " but the network has " +
+                std::to_string(vcs) + " lane(s)");
+  }
+  return vc;
+}
+
+std::vector<std::uint8_t> dateline_route_vcs(
+    const Topology& topo, std::uint32_t src,
+    std::span<const std::uint8_t> route, std::size_t vcs) {
   std::vector<std::uint8_t> lanes;
   std::uint32_t cur = topo.ni(src).switch_id;
   std::int64_t prev_link = -1;
   std::uint8_t vc = 0;
-  for (std::size_t hop = 0; hop < route.size(); ++hop) {
+  for (const std::uint8_t selector : route) {
     const auto& ports = topo.output_ports(cur);
-    require(route[hop] < ports.size(),
+    require(selector < ports.size(),
             "dateline_route_vcs: selector out of range");
-    const PortRef& ref = ports[route[hop]];
+    const PortRef& ref = ports[selector];
     if (ref.kind == PortRef::Kind::kNi) break;  // ejection keeps the lane
-    const Link& link = topo.link(ref.id);
-    if (prev_link < 0 ||
-        topo.link(static_cast<std::uint32_t>(prev_link)).vc_class !=
-            link.vc_class) {
-      vc = 0;  // injection or routing-phase change: back to lane 0
-    }
-    if (link.dateline) ++vc;
-    require(vc < vcs, "dateline_route_vcs: route needs lane " +
-                          std::to_string(int(vc)) + " but the network has " +
-                          std::to_string(vcs) + " lane(s)");
+    vc = dateline_step(topo, prev_link, ref.id, vc, vcs);
     lanes.push_back(vc);
     prev_link = ref.id;
-    cur = link.to;
+    cur = topo.link(ref.id).to;
   }
   return lanes;
 }
 
-std::vector<std::uint32_t> route_switch_path(const Topology& topo,
-                                             std::uint32_t src,
-                                             const Route& route) {
+std::vector<std::uint32_t> route_switch_path(
+    const Topology& topo, std::uint32_t src,
+    std::span<const std::uint8_t> route) {
   std::vector<std::uint32_t> path;
   std::uint32_t cur = topo.ni(src).switch_id;
   path.push_back(cur);

@@ -19,7 +19,7 @@
 #pragma once
 
 #include <cstdint>
-#include <map>
+#include <span>
 #include <vector>
 
 #include "src/packet/header.hpp"
@@ -36,27 +36,101 @@ const char* routing_name(RoutingAlgorithm algorithm);
 Route compute_route(const Topology& topo, std::uint32_t src,
                     std::uint32_t dst, RoutingAlgorithm algorithm);
 
+/// One stored route: the link selectors of its switch path, then the port
+/// that exits to the destination NI. Views into a RoutingTables arena,
+/// valid while the table lives.
+struct RouteRef {
+  std::span<const std::uint8_t> links;
+  std::uint8_t exit = 0;
+
+  std::size_t size() const { return links.size() + 1; }
+  std::uint8_t operator[](std::size_t hop) const {
+    return hop < links.size() ? links[hop] : exit;
+  }
+  /// The whole route as a header carries it.
+  Route to_route() const;
+};
+
 /// All-pairs routes the compiler programs into the NI LUTs: initiator ->
 /// every target (request routes) and target -> every initiator (response
-/// routes).
-struct RoutingTables {
-  /// routes[{src, dst}] — present for every initiator->target and
-  /// target->initiator pair.
-  std::map<std::pair<std::uint32_t, std::uint32_t>, Route> routes;
-
-  const Route& at(std::uint32_t src, std::uint32_t dst) const;
+/// routes). An NI-pair route is its switch pair's path plus the
+/// destination NI's exit port, so each (source switch, destination switch)
+/// path is elaborated once and stored once, back to back in one byte
+/// arena. A default-constructed table holds no routes.
+class RoutingTables {
+ public:
+  /// The route from NI `src` to NI `dst`; throws unless one of them is an
+  /// initiator and the other a target of the routed topology. O(1).
+  RouteRef at(std::uint32_t src, std::uint32_t dst) const;
+  /// Number of NI-pair routes: 2 * initiators * targets.
+  std::size_t size() const { return 2 * initiators_.size() * targets_.size(); }
   /// Longest route in the table, in hops (switch traversals).
-  std::size_t max_hops() const;
+  std::size_t max_hops() const { return max_hops_; }
+
+  /// Calls fn(src, dst, RouteRef) for every NI-pair route in ascending
+  /// (src, dst) order.
+  template <typename Fn>
+  void for_each(Fn&& fn) const {
+    for (std::uint32_t src = 0; src < nis_.size(); ++src) {
+      const auto& dsts = nis_[src].initiator ? targets_ : initiators_;
+      for (const std::uint32_t dst : dsts) fn(src, dst, route(src, dst));
+    }
+  }
+
+  /// Calls fn(from_switch, links) once per distinct switch path the
+  /// table's routes take (each NI-pair route is one of these plus an exit
+  /// port).
+  template <typename Fn>
+  void for_each_path(Fn&& fn) const {
+    for (std::size_t p = 0; p < paths_.size(); ++p) {
+      if (paths_[p].offset == kNoPath) continue;
+      fn(endpoints_[p / endpoints_.size()], path(p));
+    }
+  }
+
+ private:
+  friend RoutingTables compute_all_routes(const Topology& topo,
+                                          RoutingAlgorithm algorithm);
+
+  static constexpr std::uint32_t kNoPath = static_cast<std::uint32_t>(-1);
+  struct Path {
+    std::uint32_t offset = kNoPath;  ///< into bytes_; kNoPath = not routed
+    std::uint32_t length = 0;
+  };
+  struct NiSlot {
+    std::uint32_t rank = 0;  ///< index of the NI's switch in endpoints_
+    std::uint8_t exit = 0;   ///< output port from that switch to the NI
+    bool initiator = false;
+  };
+
+  std::span<const std::uint8_t> path(std::size_t p) const {
+    return {bytes_.data() + paths_[p].offset, paths_[p].length};
+  }
+  std::size_t path_index(std::uint32_t src, std::uint32_t dst) const {
+    return nis_[src].rank * endpoints_.size() + nis_[dst].rank;
+  }
+  RouteRef route(std::uint32_t src, std::uint32_t dst) const {
+    return {path(path_index(src, dst)), nis_[dst].exit};
+  }
+
+  std::vector<std::uint8_t> bytes_;         ///< every switch path's selectors
+  std::vector<Path> paths_;                 ///< [src rank * E + dst rank]
+  std::vector<NiSlot> nis_;                 ///< per NI id
+  std::vector<std::uint32_t> endpoints_;    ///< switches hosting NIs (E)
+  std::vector<std::uint32_t> initiators_;   ///< ascending NI ids
+  std::vector<std::uint32_t> targets_;      ///< ascending NI ids
+  std::size_t max_hops_ = 0;
 };
 
 RoutingTables compute_all_routes(const Topology& topo,
                                  RoutingAlgorithm algorithm);
 
 /// Switch sequence visited by a route starting at NI `src` (used by the
-/// deadlock checker and tests). Includes the injection switch first.
-std::vector<std::uint32_t> route_switch_path(const Topology& topo,
-                                             std::uint32_t src,
-                                             const Route& route);
+/// buffer-sizing pass and tests). Includes the injection switch first; a
+/// route's link selectors alone give the same sequence.
+std::vector<std::uint32_t> route_switch_path(
+    const Topology& topo, std::uint32_t src,
+    std::span<const std::uint8_t> route);
 
 /// Lane (virtual channel) of each switch-to-switch link a route traverses
 /// under the dateline discipline: a packet starts on lane 0, resets to
@@ -67,9 +141,14 @@ std::vector<std::uint32_t> route_switch_path(const Topology& topo,
 /// returned vector parallels the route's link hops (the final ejection
 /// hop, which exits to an NI, is excluded). Throws xpl::Error if any hop
 /// needs a lane >= vcs.
-std::vector<std::uint8_t> dateline_route_vcs(const Topology& topo,
-                                             std::uint32_t src,
-                                             const Route& route,
-                                             std::size_t vcs);
+std::vector<std::uint8_t> dateline_route_vcs(
+    const Topology& topo, std::uint32_t src,
+    std::span<const std::uint8_t> route, std::size_t vcs);
+
+/// One hop of that rule: the lane on `link` of a packet that held lane
+/// `vc` on `prev_link` (-1 at injection). Throws like dateline_route_vcs.
+std::uint8_t dateline_step(const Topology& topo, std::int64_t prev_link,
+                           std::uint32_t link, std::uint8_t vc,
+                           std::size_t vcs);
 
 }  // namespace xpl::topology

@@ -162,9 +162,12 @@ std::size_t Topology::max_radix_out() const {
 void Topology::validate() const {
   require(!switches_.empty(), "Topology: no switches");
   require(!nis_.empty(), "Topology: no network interfaces");
+  // Messages are built only on failure: a passing check costs no string.
   for (std::uint32_t s = 0; s < switches_.size(); ++s) {
-    require(!in_ports_[s].empty() && !out_ports_[s].empty(),
-            "Topology: switch " + switches_[s].name + " has unused ports");
+    if (in_ports_[s].empty() || out_ports_[s].empty()) {
+      throw Error("Topology: switch " + switches_[s].name +
+                  " has unused ports");
+    }
   }
   // Reachability of every switch from every NI's switch (strong
   // connectivity over the link graph) guarantees routes exist. One
@@ -188,8 +191,10 @@ void Topology::validate() const {
     }
     if (n > 1) {
       for (std::uint32_t t = 0; t < n; ++t) {
-        require(seen[t], "Topology: switch " + switches_[t].name +
-                             " unreachable from " + switches_[start].name);
+        if (!seen[t]) {
+          throw Error("Topology: switch " + switches_[t].name +
+                      " unreachable from " + switches_[start].name);
+        }
       }
     }
   }

@@ -190,11 +190,12 @@ TEST(Emitter, RoutesFileCarriesComputedRoutes) {
   const auto& routes = files.at("xpipes_routes.h");
   auto net = xpipes.build_simulation(spec);
   // Every pair in the routing tables appears as a named array.
-  for (const auto& [pair, route] : net->routes().routes) {
-    const std::string name = "xpipes_route_" + std::to_string(pair.first) +
-                             "_" + std::to_string(pair.second);
+  net->routes().for_each([&](std::uint32_t src, std::uint32_t dst,
+                              const topology::RouteRef&) {
+    const std::string name = "xpipes_route_" + std::to_string(src) + "_" +
+                             std::to_string(dst);
     EXPECT_NE(routes.find(name), std::string::npos) << name;
-  }
+  });
 }
 
 TEST(Emitter, TopInstantiatesEverything) {

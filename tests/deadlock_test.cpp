@@ -52,7 +52,8 @@ TEST(Deadlock, UnidirectionalRingCycles) {
   const auto report = check_deadlock(t, tables);
   EXPECT_FALSE(report.deadlock_free);
   EXPECT_GE(report.cycle.size(), 2u);
-  EXPECT_NE(report.to_string(t).find("cycle"), std::string::npos);
+  EXPECT_EQ(report.to_string(t),
+            "channel-dependency cycle: sw1->sw2 sw2->sw3 sw3->sw0 sw0->sw1");
 }
 
 TEST(Deadlock, TorusShortestPathReport) {
@@ -61,7 +62,7 @@ TEST(Deadlock, TorusShortestPathReport) {
   // the up*/down* alternative must always be clean.
   const auto t = make_torus(3, 3, NiPlan::uniform(9, 1, 1));
   const auto sp = compute_all_routes(t, RoutingAlgorithm::kShortestPath);
-  (void)check_deadlock(t, sp);
+  EXPECT_EQ(check_deadlock(t, sp).to_string(t), "deadlock-free");
   const auto ud = compute_all_routes(t, RoutingAlgorithm::kUpDown);
   EXPECT_TRUE(check_deadlock(t, ud).deadlock_free);
 }
@@ -87,6 +88,20 @@ TEST(Deadlock, BidirectionalRingShortestPathCycles) {
       compute_all_routes(t, RoutingAlgorithm::kShortestPath);
   const auto report = check_deadlock(t, tables);
   EXPECT_FALSE(report.deadlock_free);
+  EXPECT_EQ(report.to_string(t),
+            "channel-dependency cycle: sw1->sw2 sw2->sw3 sw3->sw4 sw4->sw5 "
+            "sw5->sw0 sw0->sw1");
+}
+
+TEST(Deadlock, TorusShortestPathCyclesAtOneLane) {
+  // One lane cannot break the wrap-around rings a minimal torus route
+  // closes; the report names the first ring the search meets.
+  const auto t = make_torus(4, 4, NiPlan::uniform(16, 1, 1));
+  const auto tables =
+      compute_all_routes(t, RoutingAlgorithm::kShortestPath);
+  EXPECT_EQ(check_deadlock(t, tables, VcPolicy{1, false}).to_string(t),
+            "channel-dependency cycle: sw_1_0->sw_2_0 sw_2_0->sw_3_0 "
+            "sw_3_0->sw_0_0 sw_0_0->sw_1_0");
 }
 
 TEST(Deadlock, VcAwareCheckerMatchesSeedAtOneLane) {
@@ -129,7 +144,9 @@ TEST(Deadlock, CycleReportNamesLanes) {
   ASSERT_FALSE(report.deadlock_free);
   EXPECT_GE(report.cycle.size(), 2u);
   for (const auto& ch : report.cycle) EXPECT_LT(ch.vc, 2);
-  EXPECT_NE(report.to_string(ring).find("cycle"), std::string::npos);
+  EXPECT_EQ(report.to_string(ring),
+            "channel-dependency cycle: sw1->sw2 sw2->sw3 sw3->sw4 sw4->sw5 "
+            "sw5->sw0 sw0->sw1");
 }
 
 TEST(Deadlock, ReportPrintsFreeForCleanTables) {

@@ -55,10 +55,12 @@ TEST_P(RandomTopologySweep, UpDownRoutesAndDeadlockFree) {
   EXPECT_TRUE(topology::check_deadlock(topo, tables).deadlock_free)
       << "seed " << GetParam();
   // Every route walks to its destination.
-  for (const auto& [pair, route] : tables.routes) {
-    const auto path = topology::route_switch_path(topo, pair.first, route);
-    EXPECT_EQ(path.back(), topo.ni(pair.second).switch_id);
-  }
+  tables.for_each([&](std::uint32_t src, std::uint32_t dst,
+                      const topology::RouteRef& route) {
+    const auto path =
+        topology::route_switch_path(topo, src, route.to_route());
+    EXPECT_EQ(path.back(), topo.ni(dst).switch_id);
+  });
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, RandomTopologySweep, ::testing::Range(0, 20));

@@ -18,6 +18,7 @@
 #include <sstream>
 #include <string>
 
+#include "src/compiler/compiler.hpp"
 #include "src/link/flow.hpp"
 #include "src/sweep/runner.hpp"
 #include "src/sweep/spec.hpp"
@@ -277,6 +278,31 @@ TEST(Golden, RecordedTraceIsPartitionInvariant) {
 
   ASSERT_GT(recorder.recorded(), 0u);
   expect_golden("run.trace", workload::write_trace(recorder.trace()));
+}
+
+// The emitted LUT contents: every NI-pair route, in (source, destination)
+// order, as the hardware view's constant arrays. Pinned for the paper's
+// 3x4 case study under XY and for a 4x4 torus under minimal routing with
+// two dateline lanes, so route elaboration keeps every byte.
+std::string routes_header(compiler::NocSpec spec) {
+  return compiler::XpipesCompiler().emit_systemc(spec).at("xpipes_routes.h");
+}
+
+TEST(Golden, CaseStudyRoutesHeaderIsByteStable) {
+  compiler::NocSpec spec;
+  spec.name = "case_study";
+  spec.topo = topology::make_paper_case_study();
+  spec.net.routing = topology::RoutingAlgorithm::kXY;
+  expect_golden("routes_case_study_xy.h", routes_header(spec));
+}
+
+TEST(Golden, DatelineTorusRoutesHeaderIsByteStable) {
+  compiler::NocSpec spec;
+  spec.name = "torus4";
+  spec.topo = topology::make_torus(4, 4, topology::NiPlan::uniform(16, 1, 1));
+  spec.net.routing = topology::RoutingAlgorithm::kShortestPath;
+  spec.net.vcs = 2;
+  expect_golden("routes_torus4_dateline.h", routes_header(spec));
 }
 
 }  // namespace

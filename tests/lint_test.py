@@ -12,7 +12,7 @@ Three guarantees, per ISSUE/docs/LINTING.md:
   2. Every check stays SILENT on conforming code: the clean twins (and
      the cross-file merge pair) must produce zero findings, which also
      proves that used suppressions do not decay into XL001.
-  3. The real tree passes clean: xlint over src/ exits 0.
+  3. The real tree passes clean: xlint over src/ and tools/ exits 0.
 
 The analyzer has no third-party dependency, so the suite is hermetic.
 """
@@ -42,9 +42,15 @@ BAD_FIXTURES = (
     "bad_signals.cpp",
     "bad_export.cpp",
     "bad_parse.cpp",
+    "bad_cli_flags.cpp",
     "bad_suppressions.cpp",
 )
-CLEAN_FIXTURES = ("clean_determinism.cpp", "clean_module.cpp", "clean_parse.cpp")
+CLEAN_FIXTURES = (
+    "clean_determinism.cpp",
+    "clean_module.cpp",
+    "clean_parse.cpp",
+    "clean_cli_flags.cpp",
+)
 MERGE_FIXTURES = ("merge_a_impl.cpp", "merge_z_decl.hpp")  # order matters
 
 
@@ -109,6 +115,9 @@ class FixtureCase(unittest.TestCase):
     def test_number_parsing_check_fires(self):
         self.assert_matches_expects(["bad_parse.cpp"])
 
+    def test_cli_flag_parsing_check_fires(self):
+        self.assert_matches_expects(["bad_cli_flags.cpp"])
+
     def test_suppression_hygiene_checks_fire(self):
         self.assert_matches_expects(["bad_suppressions.cpp"])
 
@@ -148,9 +157,31 @@ class CliCase(unittest.TestCase):
     def test_real_tree_is_clean(self):
         proc = self.run_xlint("-q")
         self.assertEqual(
-            proc.returncode, 0, f"src/ has findings:\n{proc.stdout}{proc.stderr}"
+            proc.returncode,
+            0,
+            f"src/ or tools/ has findings:\n{proc.stdout}{proc.stderr}",
         )
         self.assertEqual(proc.stdout, "")
+
+    def test_tree_mode_covers_the_cli_tools(self):
+        with tempfile.TemporaryDirectory() as tmp:
+            report = os.path.join(tmp, "report.json")
+            proc = self.run_xlint("-q", "--json", report)
+            self.assertEqual(proc.returncode, 0, proc.stdout)
+            with open(report, encoding="utf-8") as f:
+                scanned = json.load(f)["files_scanned"]
+        tools = [
+            name
+            for name in os.listdir(os.path.join(ROOT, "tools"))
+            if name.endswith((".cpp", ".hpp"))
+        ]
+        src = sum(
+            name.endswith((".cpp", ".hpp"))
+            for _base, _dirs, names in os.walk(os.path.join(ROOT, "src"))
+            for name in names
+        )
+        self.assertIn("xsweep.cpp", tools)
+        self.assertEqual(scanned, src + len(tools))
 
     def test_seeded_violation_fails_the_gate(self):
         proc = self.run_xlint(os.path.join(FIXTURES, "bad_determinism.cpp"))

@@ -10,6 +10,8 @@
 namespace xpl::ni {
 namespace {
 
+Route as_route(RouteBytes bytes) { return Route(bytes.begin(), bytes.end()); }
+
 TEST(RouteLut, LookupHitReturnsOffsetAndRoute) {
   RouteLut lut;
   lut.add_range({0x1000, 0x100, 5});
@@ -18,8 +20,7 @@ TEST(RouteLut, LookupHitReturnsOffsetAndRoute) {
   ASSERT_TRUE(hit.has_value());
   EXPECT_EQ(hit->dst, 5u);
   EXPECT_EQ(hit->offset, 0x42u);
-  ASSERT_NE(hit->route, nullptr);
-  EXPECT_EQ(*hit->route, (Route{1, 2, 3}));
+  EXPECT_EQ(as_route(hit->route), (Route{1, 2, 3}));
 }
 
 TEST(RouteLut, MissReturnsNullopt) {
@@ -129,11 +130,11 @@ TEST(ResponseLut, RoutesPerSource) {
   ResponseLut lut;
   lut.set_route(2, Route{3, 1});
   lut.set_route(7, Route{0});
-  ASSERT_NE(lut.route_to(2), nullptr);
-  EXPECT_EQ(*lut.route_to(2), (Route{3, 1}));
-  ASSERT_NE(lut.route_to(7), nullptr);
-  EXPECT_EQ(lut.route_to(3), nullptr);
-  EXPECT_EQ(lut.route_to(100), nullptr);
+  ASSERT_TRUE(lut.route_to(2).has_value());
+  EXPECT_EQ(as_route(*lut.route_to(2)), (Route{3, 1}));
+  ASSERT_TRUE(lut.route_to(7).has_value());
+  EXPECT_FALSE(lut.route_to(3).has_value());
+  EXPECT_FALSE(lut.route_to(100).has_value());
   EXPECT_EQ(lut.num_routes(), 2u);
 }
 
@@ -141,7 +142,7 @@ TEST(ResponseLut, RouteOverwrite) {
   ResponseLut lut;
   lut.set_route(1, Route{1});
   lut.set_route(1, Route{2, 2});
-  EXPECT_EQ(*lut.route_to(1), (Route{2, 2}));
+  EXPECT_EQ(as_route(*lut.route_to(1)), (Route{2, 2}));
   EXPECT_EQ(lut.num_routes(), 1u);
 }
 

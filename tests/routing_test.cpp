@@ -138,11 +138,11 @@ TEST(Routing, AllRoutesTablesComplete) {
   const auto tables = compute_all_routes(t, RoutingAlgorithm::kXY);
   const auto inis = t.initiator_ids();
   const auto tgts = t.target_ids();
-  EXPECT_EQ(tables.routes.size(), 2 * inis.size() * tgts.size());
+  EXPECT_EQ(tables.size(), 2 * inis.size() * tgts.size());
   for (const auto i : inis) {
     for (const auto g : tgts) {
-      EXPECT_EQ(walk_route(t, i, tables.at(i, g)), g);
-      EXPECT_EQ(walk_route(t, g, tables.at(g, i)), i);
+      EXPECT_EQ(walk_route(t, i, tables.at(i, g).to_route()), g);
+      EXPECT_EQ(walk_route(t, g, tables.at(g, i).to_route()), i);
     }
   }
 }
@@ -340,17 +340,76 @@ TEST(Routing, PerSourceTreesMatchPerPairSearch) {
        {RoutingAlgorithm::kShortestPath, RoutingAlgorithm::kUpDown}) {
     for (const auto& [name, topo] : topos) {
       const RoutingTables tables = compute_all_routes(topo, algorithm);
-      EXPECT_EQ(tables.routes.size(),
+      EXPECT_EQ(tables.size(),
                 2 * topo.initiator_ids().size() * topo.target_ids().size());
-      for (const auto& [key, route] : tables.routes) {
-        const Route expected =
-            reference_route(topo, key.first, key.second, algorithm);
+      tables.for_each([&](std::uint32_t src, std::uint32_t dst,
+                          const RouteRef& ref) {
+        const Route route = ref.to_route();
+        const Route expected = reference_route(topo, src, dst, algorithm);
         EXPECT_EQ(route, expected) << name << " " << routing_name(algorithm)
-                                   << " " << key.first << "->" << key.second;
-        EXPECT_EQ(compute_route(topo, key.first, key.second, algorithm),
-                  expected)
+                                   << " " << src << "->" << dst;
+        EXPECT_EQ(compute_route(topo, src, dst, algorithm), expected)
             << name;
-        EXPECT_EQ(walk_route(topo, key.first, route), key.second) << name;
+        EXPECT_EQ(walk_route(topo, src, route), dst) << name;
+      });
+    }
+  }
+}
+
+// Every generator under every algorithm: the all-pairs table holds one
+// route per initiator->target and target->initiator pair, each equal to
+// the per-pair search. Where a per-pair search fails (XY without grid
+// coordinates), building the table fails with the message of the first
+// failing pair in initiator x target order.
+TEST(Routing, TablesMatchPerPairRoutesOnEveryGenerator) {
+  const std::vector<std::pair<const char*, Topology>> topos = {
+      {"mesh", make_mesh(3, 4, NiPlan::uniform(12, 1, 1))},
+      {"cmesh", make_cmesh(2, 3, 2)},
+      {"torus", make_torus(4, 3, NiPlan::uniform(12, 1, 2))},
+      {"ring", make_ring(5, NiPlan::uniform(5, 2, 1))},
+      {"star", make_star(4, NiPlan::uniform(5, 1, 1))},
+      {"spidergon", make_spidergon(8, NiPlan::uniform(8, 1, 1))},
+      {"binary_tree", make_binary_tree(3, NiPlan::uniform(7, 1, 1))},
+      {"case_study", make_paper_case_study()},
+  };
+  for (const auto algorithm :
+       {RoutingAlgorithm::kShortestPath, RoutingAlgorithm::kXY,
+        RoutingAlgorithm::kUpDown}) {
+    for (const auto& [name, topo] : topos) {
+      const auto inis = topo.initiator_ids();
+      const auto tgts = topo.target_ids();
+      std::string pair_error;
+      for (std::size_t i = 0; i < inis.size() && pair_error.empty(); ++i) {
+        for (std::size_t g = 0; g < tgts.size() && pair_error.empty(); ++g) {
+          try {
+            compute_route(topo, inis[i], tgts[g], algorithm);
+            compute_route(topo, tgts[g], inis[i], algorithm);
+          } catch (const Error& e) {
+            pair_error = e.what();
+          }
+        }
+      }
+      RoutingTables tables;
+      std::string table_error;
+      try {
+        tables = compute_all_routes(topo, algorithm);
+      } catch (const Error& e) {
+        table_error = e.what();
+      }
+      const std::string label =
+          std::string(name) + " " + routing_name(algorithm);
+      EXPECT_EQ(table_error, pair_error) << label;
+      if (!table_error.empty()) continue;
+      EXPECT_EQ(tables.size(), 2 * inis.size() * tgts.size()) << label;
+      for (const auto i : inis) {
+        for (const auto g : tgts) {
+          EXPECT_EQ(tables.at(i, g).to_route(),
+                    compute_route(topo, i, g, algorithm))
+              << label << " " << i << "->" << g;
+          EXPECT_EQ(tables.at(g, i).to_route(),
+                    compute_route(topo, g, i, algorithm))
+              << label << " " << g << "->" << i;
+        }
       }
     }
   }

@@ -7,6 +7,9 @@
 #include <cstdlib>
 #include <fstream>
 #include <sstream>
+#include <utility>
+
+#include <sys/wait.h>
 
 #include "src/common/error.hpp"
 #include "src/topology/generators.hpp"
@@ -36,6 +39,17 @@ initiator cpu0 at leaf_a
 initiator cpu1 at leaf_b
 target mem0 at hub
 )";
+
+/// Runs `cmd` with stdout and stderr captured; returns {exit code, output}.
+std::pair<int, std::string> run_tool(const std::string& cmd,
+                                     const std::string& tag) {
+  const std::string log = ::testing::TempDir() + "/" + tag + ".log";
+  const int status = std::system((cmd + " > " + log + " 2>&1").c_str());
+  std::ostringstream out;
+  out << std::ifstream(log).rdbuf();
+  std::remove(log.c_str());
+  return {WIFEXITED(status) ? WEXITSTATUS(status) : -1, out.str()};
+}
 
 TEST(SpecIo, ParsesEveryDirective) {
   const NocSpec spec = parse_spec(kSample);
@@ -282,6 +296,24 @@ TEST(SpecIo, XpipescReportsTheBadLineInsteadOfTerminating) {
   EXPECT_EQ(out.str().find("terminate"), std::string::npos) << out.str();
   std::remove(spec.c_str());
   std::remove(log.c_str());
+}
+
+TEST(SpecIo, XpipescRejectsAMistypedNumericFlag) {
+  // Numeric flags read with the file fields' grammar and caps: a typo is
+  // a usage error (exit 2), not a prefix or a zero.
+  const std::string spec = ::testing::TempDir() + "/xpl_flag_sample.noc";
+  std::ofstream(spec) << kSample;
+  const std::string xpipesc = std::string(XPL_XPIPESC) + " " + spec;
+  auto [code, out] = run_tool(xpipesc + " --estimate 9OO", "xpl_estimate");
+  EXPECT_EQ(code, 2) << out;
+  EXPECT_EQ(out, "xpipesc: --estimate: bad number '9OO'\n");
+  std::tie(code, out) = run_tool(xpipesc + " --rate 1.5", "xpl_rate");
+  EXPECT_EQ(code, 2) << out;
+  EXPECT_EQ(out, "xpipesc: --rate: value 1.5 out of range [0, 1]\n");
+  std::tie(code, out) = run_tool(xpipesc + " --sim-threads 0", "xpl_st");
+  EXPECT_EQ(code, 2) << out;
+  EXPECT_EQ(out, "xpipesc: --sim-threads: value 0 out of range [1, 256]\n");
+  std::remove(spec.c_str());
 }
 
 TEST(SpecIo, CommentsAndBlanksIgnored) {

@@ -3,7 +3,14 @@
 // hand-built fixtures.
 #include <gtest/gtest.h>
 
+#include <cstdlib>
+#include <fstream>
 #include <set>
+#include <sstream>
+#include <string>
+#include <utility>
+
+#include <sys/wait.h>
 
 #include "src/common/error.hpp"
 #include "src/sweep/pareto.hpp"
@@ -30,6 +37,35 @@ fifo_depth 2 8
 pattern uniform hotspot
 injection_rate 0.01 0.05
 )";
+
+/// Runs `cmd` with stdout and stderr captured; returns {exit code, output}.
+std::pair<int, std::string> run_tool(const std::string& cmd,
+                                     const std::string& tag) {
+  const std::string log = ::testing::TempDir() + "/" + tag + ".log";
+  const int status = std::system((cmd + " > " + log + " 2>&1").c_str());
+  std::ostringstream out;
+  out << std::ifstream(log).rdbuf();
+  std::remove(log.c_str());
+  return {WIFEXITED(status) ? WEXITSTATUS(status) : -1, out.str()};
+}
+
+TEST(SweepSpec, XsweepRejectsAMistypedNumericFlag) {
+  // `--jobs x` used to run with the default job count.
+  const std::string spec = ::testing::TempDir() + "/xpl_flag.sweep";
+  std::ofstream(spec) << kSpecText;
+  const std::string xsweep = std::string(XPL_XSWEEP) + " " + spec;
+  auto [code, out] = run_tool(xsweep + " --jobs x", "xpl_jobs");
+  EXPECT_EQ(code, 2) << out;
+  EXPECT_EQ(out, "xsweep: --jobs: bad number 'x'\n");
+  std::tie(code, out) = run_tool(xsweep + " --max-hw-threads 0", "xpl_hw");
+  EXPECT_EQ(code, 2) << out;
+  EXPECT_EQ(out,
+            "xsweep: --max-hw-threads: value 0 out of range [1, 256]\n");
+  std::tie(code, out) = run_tool(xsweep + " --halt-after -1", "xpl_halt");
+  EXPECT_EQ(code, 2) << out;
+  EXPECT_EQ(out, "xsweep: --halt-after: bad number '-1'\n");
+  std::remove(spec.c_str());
+}
 
 TEST(SweepSpec, ParsesEveryDirective) {
   const SweepSpec spec = parse_sweep(kSpecText);

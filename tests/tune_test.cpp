@@ -6,9 +6,15 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstdlib>
+#include <fstream>
 #include <limits>
+#include <sstream>
 #include <string>
+#include <utility>
 #include <vector>
+
+#include <sys/wait.h>
 
 #include "src/common/error.hpp"
 #include "src/compiler/spec_io.hpp"
@@ -41,6 +47,27 @@ search fifo_depth 2 4
 search flow ack_nack credit
 saturation 0.05 0.8 0.01
 )";
+
+/// Runs `cmd` with stdout and stderr captured; returns {exit code, output}.
+std::pair<int, std::string> run_tool(const std::string& cmd,
+                                     const std::string& tag) {
+  const std::string log = ::testing::TempDir() + "/" + tag + ".log";
+  const int status = std::system((cmd + " > " + log + " 2>&1").c_str());
+  std::ostringstream out;
+  out << std::ifstream(log).rdbuf();
+  std::remove(log.c_str());
+  return {WIFEXITED(status) ? WEXITSTATUS(status) : -1, out.str()};
+}
+
+TEST(TuneSpec, XtuneRejectsAMistypedNumericFlag) {
+  const std::string spec = ::testing::TempDir() + "/xpl_flag.tune";
+  std::ofstream(spec) << kSpecText;
+  const auto [code, out] =
+      run_tool(std::string(XPL_XTUNE) + " " + spec + " --jobs 4x", "xpl_j");
+  EXPECT_EQ(code, 2) << out;
+  EXPECT_EQ(out, "xtune: --jobs: bad number '4x'\n");
+  std::remove(spec.c_str());
+}
 
 TEST(TuneSpec, ParsesEveryDirective) {
   const TuneSpec spec = parse_tune(kSpecText);

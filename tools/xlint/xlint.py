@@ -1,10 +1,11 @@
 #!/usr/bin/env python3
 """xlint — determinism & kernel-contract static analysis for this repo.
 
-Runs project-specific checks (tools/xlint/checks.py) over src/ on the
-source model tools/xlint/model.py builds. Zero third-party dependencies.
+Runs project-specific checks (tools/xlint/checks.py) over the C++ under
+src/ and tools/ on the source model tools/xlint/model.py builds. Zero
+third-party dependencies.
 
-    python3 tools/xlint/xlint.py                  # lint src/ (tree mode)
+    python3 tools/xlint/xlint.py                  # lint src/ + tools/ (tree mode)
     python3 tools/xlint/xlint.py FILE...          # lint specific files
     python3 tools/xlint/xlint.py --json report.json
     python3 tools/xlint/xlint.py --list-checks
@@ -36,12 +37,18 @@ def repo_root() -> str:
     return os.path.dirname(os.path.dirname(os.path.dirname(os.path.abspath(__file__))))
 
 
+# Tree mode: the library and the CLI tools (whose flag parsing XL402
+# holds to the same number grammar as the file formats).
+TREE_DIRS = ("src", "tools")
+
+
 def default_targets(root: str) -> list[str]:
     out: list[str] = []
-    for base, _dirs, names in os.walk(os.path.join(root, "src")):
-        for name in sorted(names):
-            if name.endswith(CXX_EXTENSIONS):
-                out.append(os.path.join(base, name))
+    for tree in TREE_DIRS:
+        for base, _dirs, names in os.walk(os.path.join(root, tree)):
+            for name in sorted(names):
+                if name.endswith(CXX_EXTENSIONS):
+                    out.append(os.path.join(base, name))
     return sorted(out)
 
 
@@ -49,7 +56,7 @@ def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(
         prog="xlint", description=__doc__.splitlines()[0]
     )
-    parser.add_argument("files", nargs="*", help="files to lint (default: src/)")
+    parser.add_argument("files", nargs="*", help="files to lint (default: src/ and tools/)")
     parser.add_argument("--json", dest="json_out", help="also write findings as JSON")
     parser.add_argument(
         "--list-checks", action="store_true", help="print the rule catalogue and exit"

@@ -25,6 +25,7 @@
 #include "src/compiler/spec_io.hpp"
 #include "src/traffic/stats.hpp"
 #include "src/traffic/traffic.hpp"
+#include "tools/flags.hpp"
 
 namespace {
 
@@ -67,21 +68,20 @@ int main(int argc, char** argv) {
     if (arg == "--emit") {
       emit_dir = next();
     } else if (arg == "--estimate") {
-      estimate_mhz = std::atof(next());
+      estimate_mhz = cli::flag_f64("xpipesc", arg, next(),
+                                   text::kMinTargetMhz, text::kMaxTargetMhz);
     } else if (arg == "--simulate") {
-      simulate_cycles = static_cast<std::size_t>(std::atoll(next()));
+      simulate_cycles = static_cast<std::size_t>(
+          cli::flag_u64("xpipesc", arg, next(), 1, text::kMaxU64));
     } else if (arg == "--rate") {
-      rate = std::atof(next());
+      rate = cli::flag_f64("xpipesc", arg, next(), 0.0, 1.0);
     } else if (arg == "--optimize-buffers") {
       optimize_buffers = true;
     } else if (arg == "--print-spec") {
       print_spec = true;
     } else if (arg == "--sim-threads") {
-      sim_threads = static_cast<std::size_t>(std::atoll(next()));
-      if (sim_threads == 0) {
-        std::fprintf(stderr, "xpipesc: --sim-threads must be >= 1\n");
-        return 2;
-      }
+      sim_threads = static_cast<std::size_t>(
+          cli::flag_u64("xpipesc", arg, next(), 1, text::kMaxThreads));
     } else if (arg == "--help" || arg == "-h") {
       usage(argv[0]);
       return 0;

@@ -58,6 +58,7 @@
 #include "src/sweep/spec.hpp"
 #include "src/topology/deadlock.hpp"
 #include "src/workload/benchmarks.hpp"
+#include "tools/flags.hpp"
 
 namespace {
 
@@ -148,19 +149,14 @@ int main(int argc, char** argv) {
       return argv[++i];
     };
     if (arg == "--jobs") {
-      jobs = static_cast<std::size_t>(std::atoll(next()));
+      jobs = static_cast<std::size_t>(
+          cli::flag_u64("xsweep", arg, next(), 1, text::kMaxThreads));
     } else if (arg == "--sim-threads") {
-      sim_threads = static_cast<std::size_t>(std::atoll(next()));
-      if (sim_threads == 0) {
-        std::fprintf(stderr, "xsweep: --sim-threads must be >= 1\n");
-        return 2;
-      }
+      sim_threads = static_cast<std::size_t>(
+          cli::flag_u64("xsweep", arg, next(), 1, text::kMaxThreads));
     } else if (arg == "--max-hw-threads") {
-      max_hw_threads = static_cast<std::size_t>(std::atoll(next()));
-      if (max_hw_threads == 0) {
-        std::fprintf(stderr, "xsweep: --max-hw-threads must be >= 1\n");
-        return 2;
-      }
+      max_hw_threads = static_cast<std::size_t>(
+          cli::flag_u64("xsweep", arg, next(), 1, text::kMaxThreads));
     } else if (arg == "--csv") {
       csv_path = next();
     } else if (arg == "--json") {
@@ -172,7 +168,8 @@ int main(int argc, char** argv) {
     } else if (arg == "--resume") {
       resume_path = next();
     } else if (arg == "--halt-after") {
-      halt_after = static_cast<std::size_t>(std::atoll(next()));
+      halt_after = static_cast<std::size_t>(
+          cli::flag_u64("xsweep", arg, next(), 1, text::kMaxU64));
     } else if (arg == "--pareto") {
       pareto_only = true;
     } else if (arg == "--check-deadlock") {

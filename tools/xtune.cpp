@@ -36,6 +36,7 @@
 #include "src/tune/spec.hpp"
 #include "src/tune/tuner.hpp"
 #include "src/workload/benchmarks.hpp"
+#include "tools/flags.hpp"
 
 namespace {
 
@@ -137,7 +138,8 @@ int main(int argc, char** argv) {
       return argv[++i];
     };
     if (arg == "--jobs") {
-      jobs = static_cast<std::size_t>(std::atoll(next()));
+      jobs = static_cast<std::size_t>(
+          cli::flag_u64("xtune", arg, next(), 1, text::kMaxThreads));
     } else if (arg == "--out-dir") {
       out_dir = next();
     } else if (arg == "--trajectory-csv") {
