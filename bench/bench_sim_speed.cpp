@@ -150,52 +150,6 @@ xpl::sim::Scheduler sched_from_arg(std::int64_t v) {
                 : xpl::sim::Scheduler::kFull;
 }
 
-// The activity-gating payoff at sweep-campaign operating points: low
-// injection rates leave most of the network quiescent most cycles, and
-// time-leap (sched == 2) skips those modules' ticks and whole quiescent
-// cycle gaps, while the full reference (sched == 0) pays for every
-// module every cycle. Results are bit-identical
-// (tests/kernel_equiv_test.cpp, tests/timeleap_test.cpp); only the wall
-// clock may differ. awake_frac reports the active-set share at the end
-// of the run (1.0 under full — every module ticks) and leapt_frac the
-// share of cycles never walked at all — the two knobs the speedups ride
-// on. This benchmark steps cycle-by-cycle (the sweep driver's external
-// protocol), so time-leap can only take single-cycle leaps here;
-// BM_IdleCyclesSched and BM_LowLoadCampaign below run batched spans
-// where multi-cycle leaps engage.
-void BM_GatedSweep(benchmark::State& state) {
-  using namespace xpl;
-  const auto n = static_cast<std::size_t>(state.range(0));
-  noc::NetworkConfig cfg = config(n);
-  cfg.scheduler = sched_from_arg(state.range(1));
-  noc::Network net(
-      topology::make_mesh(n, n, topology::NiPlan::uniform(n * n, 1, 1)),
-      cfg);
-  traffic::TrafficConfig tcfg;
-  tcfg.injection_rate = 0.01;
-  traffic::TrafficDriver driver(net, tcfg);
-  for (auto _ : state) {
-    driver.step();
-    net.step();
-  }
-  state.SetItemsProcessed(state.iterations());
-  state.SetLabel(sim::scheduler_name(cfg.scheduler));
-  state.counters["awake_frac"] =
-      static_cast<double>(net.kernel().awake_count()) /
-      static_cast<double>(net.kernel().module_count());
-  state.counters["leapt_frac"] =
-      state.iterations() > 0
-          ? static_cast<double>(net.kernel().leapt_cycles()) /
-                static_cast<double>(state.iterations())
-          : 0.0;
-}
-BENCHMARK(BM_GatedSweep)
-    ->ArgNames({"mesh", "sched"})
-    ->Args({4, 0})
-    ->Args({4, 2})
-    ->Args({8, 0})
-    ->Args({8, 2});
-
 // The time-leap headline: a quiescent network advanced in batched spans,
 // where the calendar is empty and every span collapses into one leap.
 // BM_IdleCycles above steps one cycle per iteration (its rows feed the

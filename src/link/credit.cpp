@@ -7,47 +7,30 @@ namespace xpl::link {
 CreditSender::CreditSender(LinkWires wires, const ProtocolConfig& config)
     : wires_(wires), config_(config) {
   config_.validate();
-  lanes_.resize(config_.vcs);
-  for (Lane& lane : lanes_) {
-    lane.credits = config_.window;
-    lane.buffer.reserve(config_.window);  // can_accept bounds it at window
-  }
+  credits_.assign(config_.vcs, config_.window);
 }
 
 void CreditSender::collect(std::uint8_t vc) {
   // One valid reverse beat = one credit returned for lane vc (ack/seqno
   // unused).
-  XPL_ASSERT(vc < lanes_.size());
-  Lane& lane = lanes_[vc];
-  XPL_ASSERT(lane.credits < config_.window);
-  if (lane.credits == 0) --starved_;
-  ++lane.credits;
+  XPL_ASSERT(vc < credits_.size());
+  std::size_t& credits = credits_[vc];
+  XPL_ASSERT(credits < config_.window);
+  if (credits == 0) --starved_;
+  ++credits;
   --spent_;
 }
 
 void CreditSender::transmit() {
-  // One physical flit per cycle: serve lanes with staged flits
-  // round-robin. can_accept keeps each lane's staged count <= its
-  // credits, so a staged flit always has a credit to spend.
-  std::size_t v = next_lane_;
-  for (std::size_t k = 0; k < lanes_.size(); ++k) {
-    Lane& lane = lanes_[v];
-    const std::size_t next = v + 1 == lanes_.size() ? 0 : v + 1;
-    if (!lane.buffer.empty()) {
-      XPL_ASSERT(lane.credits > 0);
-      if (--lane.credits == 0) ++starved_;
-      ++spent_;
-      --staged_;
-      wires_.fwd->write(FlitBeat{true, std::move(lane.buffer.front())});
-      fwd_dirty_ = true;
-      lane.buffer.pop_front();
-      ++flits_sent_;
-      next_lane_ = next;
-      return;
-    }
-    v = next;
-  }
-  XPL_ASSERT(false);  // staged_ counted a flit that no lane holds
+  // can_accept granted the staged flit its lane's credit.
+  std::size_t& credits = credits_[slot_.vc];
+  XPL_ASSERT(credits > 0);
+  if (--credits == 0) ++starved_;
+  ++spent_;
+  staged_ = false;
+  wires_.fwd->write(FlitBeat{true, std::move(slot_)});
+  fwd_dirty_ = true;
+  ++flits_sent_;
 }
 
 CreditReceiver::CreditReceiver(LinkWires wires, const ProtocolConfig& config)

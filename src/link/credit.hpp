@@ -14,11 +14,11 @@
 //
 // Like the go-back-N endpoints, both ends are lane-generic: each of the
 // link's `vcs` virtual channels has its own credit counter and its own
-// credited buffer, so one stalled lane parks only its own window while
-// other lanes keep moving (the per-VC flow control that makes dateline
-// deadlock avoidance sound). Flits and credit returns carry the lane tag;
-// one flit crosses per cycle, lanes served round-robin. vcs == 1 is the
-// seed's single-lane protocol unchanged.
+// credited buffer at the receiver, so one stalled lane parks only its own
+// window while other lanes keep moving (the per-VC flow control that
+// makes dateline deadlock avoidance sound). Flits and credit returns
+// carry the lane tag; one flit crosses per cycle, its lane picked by the
+// owner. vcs == 1 is the seed's single-lane protocol unchanged.
 //
 // CreditSender and CreditReceiver mirror the go-back-N endpoints' call
 // shape exactly (begin_cycle / can_accept / accept / end_cycle on the
@@ -42,12 +42,15 @@
 
 namespace xpl::link {
 
-/// Sender endpoint: stages flits and spends credits to transmit them.
+/// Sender endpoint: stages one flit per cycle and spends a credit to
+/// transmit it in the same cycle.
 ///
-/// Lane-scan questions are answered from three counters kept in step
-/// with the lanes (staged_, starved_, spent_), so an endpoint costs what
-/// its busy lanes do: the per-tick fast paths below are inline and only
-/// an arriving credit (collect) or a staged flit (transmit) leaves them.
+/// The owner protocol (flow.hpp) accepts at most one flit per tick and
+/// end_cycle transmits it, so one staging slot is all the buffering the
+/// sender needs: it is empty between ticks. Lane-scan questions are
+/// answered from two counters kept in step with the lanes (starved_,
+/// spent_); the per-tick fast paths below are inline and only an
+/// arriving credit (collect) or a staged flit (transmit) leaves them.
 class CreditSender {
  public:
   CreditSender() = default;
@@ -61,36 +64,35 @@ class CreditSender {
     if (beat.valid) collect(beat.vc);
   }
 
-  /// True if a new flit can be staged on lane `vc` this cycle: that
-  /// lane's outstanding flits (staged + credit not yet returned) stay
-  /// below the window, mirroring the go-back-N sender's occupancy bound
-  /// (so a flow-control comparison measures protocol behaviour, not a
-  /// doubled per-hop buffer). staged + (window - credits) < window is
-  /// staged < credits.
+  /// True if a new flit can be staged on lane `vc` this cycle: the slot
+  /// is empty and the lane has a credit, so its outstanding flits stay
+  /// within the window, mirroring the go-back-N sender's occupancy bound
+  /// (a flow-control comparison measures protocol behaviour, not a
+  /// doubled per-hop buffer).
   bool can_accept(std::size_t vc = 0) const {
-    XPL_ASSERT(vc < lanes_.size());
-    const Lane& lane = lanes_[vc];
-    return lane.buffer.size() < lane.credits;
+    XPL_ASSERT(vc < credits_.size());
+    return !staged_ && credits_[vc] > 0;
   }
 
   /// Stages `flit` for transmission on lane flit.vc. Requires
-  /// can_accept(flit.vc). Reliable link: no seqno, no CRC seal — the
-  /// receiver never checks.
+  /// can_accept(flit.vc), in particular an empty slot. Reliable link: no
+  /// seqno, no CRC seal — the receiver never checks.
   void accept(Flit&& flit) {
+    XPL_ASSERT(!staged_);
     XPL_ASSERT(can_accept(flit.vc));
-    lanes_[flit.vc].buffer.push_back(std::move(flit));
-    ++staged_;
+    slot_ = std::move(flit);
+    staged_ = true;
   }
 
-  /// Transmits at most one flit (lanes served round-robin, credit
-  /// permitting) and drives the wire. Call last in the owner's tick().
+  /// Transmits the staged flit, if any, and drives the wire. Call last
+  /// in the owner's tick().
   void end_cycle() {
     XPL_ASSERT(wires_.fwd != nullptr);
-    if (staged_ != 0) {
+    if (staged_) {
       transmit();
       return;
     }
-    // Credit starvation: nothing staged anywhere, and at least one lane's
+    // Credit starvation: nothing staged, and at least one lane's
     // entire window is parked at the receiver awaiting drain.
     if (starved_ != 0) ++credit_stalls_;
     // Write-on-change: drive the wire idle once after the last valid beat.
@@ -100,16 +102,16 @@ class CreditSender {
     }
   }
 
-  /// Flits staged locally plus flits whose credit has not returned yet
-  /// (in flight on the link or buffered at the receiver), over all lanes.
-  std::size_t in_flight() const { return staged_ + spent_; }
+  /// The staged flit plus flits whose credit has not returned yet (in
+  /// flight on the link or buffered at the receiver), over all lanes.
+  std::size_t in_flight() const { return (staged_ ? 1 : 0) + spent_; }
   bool idle() const { return in_flight() == 0; }
 
   /// Wakes `owner` whenever a credit returns on the reverse wire.
   void watch(sim::Module& owner) { wires_.rev->watch(owner); }
 
-  /// Endpoint part of the owner's quiescence predicate: nothing staged on
-  /// any lane, the forward wire already driven idle, no credit arriving,
+  /// Endpoint part of the owner's quiescence predicate: nothing staged,
+  /// the forward wire already driven idle, no credit arriving,
   /// and no lane sitting at zero credits. The zero-credit clause is a
   /// counter contract, not a progress requirement: end_cycle counts one
   /// credit_stall per starved cycle, so a starved sender must keep
@@ -123,13 +125,13 @@ class CreditSender {
   /// would have accumulated is restored in closed form by
   /// catch_up_stalls() (the owner tracks the gap; DESIGN.md §2).
   bool gate_idle_leap() const {
-    return staged_ == 0 && !fwd_dirty_ && !wires_.rev->read().valid;
+    return !staged_ && !fwd_dirty_ && !wires_.rev->read().valid;
   }
 
   /// True when a frozen (skipped) tick of the owner would have counted
-  /// one credit_stall: end_cycle's starvation rule — nothing staged on
-  /// any lane, some lane starved.
-  bool stall_pending() const { return staged_ == 0 && starved_ != 0; }
+  /// one credit_stall: end_cycle's starvation rule — nothing staged,
+  /// some lane starved.
+  bool stall_pending() const { return !staged_ && starved_ != 0; }
 
   /// Closed-form catch-up: credits `n` skipped starved cycles.
   void catch_up_stalls(std::uint64_t n) { credit_stalls_ += n; }
@@ -141,29 +143,23 @@ class CreditSender {
   /// back-pressure signal (the counterpart of go-back-N's flow-control
   /// retransmissions).
   std::uint64_t credit_stalls() const { return credit_stalls_; }
-  std::size_t credits(std::size_t vc = 0) const {
-    return lanes_.at(vc).credits;
-  }
+  std::size_t credits(std::size_t vc = 0) const { return credits_.at(vc); }
 
  private:
   /// begin_cycle's work when a credit for lane `vc` arrives.
   void collect(std::uint8_t vc);
-  /// end_cycle's work when some lane has a staged flit.
+  /// end_cycle's work when a flit is staged.
   void transmit();
-
-  struct Lane {
-    Ring<Flit> buffer;         ///< staged flits, oldest first (<= window)
-    std::size_t credits = 0;   ///< free receiver slots (starts at window)
-  };
 
   LinkWires wires_{};
   ProtocolConfig config_{};
-  std::vector<Lane> lanes_;
-  std::size_t next_lane_ = 0;  ///< transmit rotation over lanes
-  bool fwd_dirty_ = false;     ///< forward wire still holds a valid beat
-  std::size_t staged_ = 0;     ///< sum of lane buffer sizes
-  std::size_t starved_ = 0;    ///< lanes at zero credits
-  std::size_t spent_ = 0;      ///< sum of (window - credits): unreturned
+  /// Per lane: free receiver slots (starts at window).
+  std::vector<std::size_t> credits_;
+  Flit slot_;                ///< the staged flit (valid while staged_)
+  bool staged_ = false;
+  bool fwd_dirty_ = false;   ///< forward wire still holds a valid beat
+  std::size_t starved_ = 0;  ///< lanes at zero credits
+  std::size_t spent_ = 0;    ///< sum of (window - credits): unreturned
 
   std::uint64_t flits_sent_ = 0;
   std::uint64_t credit_stalls_ = 0;

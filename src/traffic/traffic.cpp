@@ -50,48 +50,12 @@ TracePlayer::TracePlayer(noc::Network& network, std::vector<TraceEntry> trace,
     require(entry.thread < network.config().num_threads,
             "TracePlayer: thread id exceeds network num_threads");
   }
-  sim::Kernel& kernel = network_.kernel();
-  use_injector_ = !kernel.partitioned() &&
-                  kernel.scheduler() == sim::Scheduler::kTimeLeap;
-  if (use_injector_) kernel.add_module(injector_);
+  engine_.attach();
 }
 
-void TracePlayer::roll_until(std::uint64_t kernel_limit) {
-  while (true) {
-    const std::uint64_t release = cycle_ + offset_;
-    if (release >= horizon_ || release > kernel_limit) break;
-    if (next_ < trace_.size() && trace_[next_].cycle <= cycle_) {
-      roll_cycle(release);
-      continue;
-    }
-    // Entry-free stretch: jump the player clock (silent rolls are pure
-    // increments — no RNG draw, no injection).
-    std::uint64_t target = std::min<std::uint64_t>(kernel_limit + 1, horizon_);
-    if (next_ < trace_.size()) {
-      target = std::min(target, trace_[next_].cycle + offset_);
-    }
-    cycle_ = target - offset_;
-  }
-}
-
-void TracePlayer::injector_tick(sim::Kernel& kernel) {
-  if (!active_) return;
-  // Transactions released at cycle c must be queued before c begins (the
-  // masters tick earlier in module order), so roll through now + 1.
-  roll_until(kernel.cycle() + 1);
-}
-
-std::uint64_t TracePlayer::injector_next_event(std::uint64_t now) const {
-  if (!active_ || next_ >= trace_.size()) return sim::kNever;
-  const std::uint64_t release =
-      std::max(trace_[next_].cycle, cycle_) + offset_;
-  if (release >= horizon_) return sim::kNever;  // next run's business
-  // The entry must be queued by the tick before its release cycle.
-  return std::max(now + 1, release - 1);
-}
-
-void TracePlayer::roll_cycle(std::uint64_t release) {
-  while (next_ < trace_.size() && trace_[next_].cycle <= cycle_) {
+bool TracePlayer::roll(std::uint64_t cycle, std::uint64_t release) {
+  const std::size_t first = next_;
+  while (next_ < trace_.size() && trace_[next_].cycle <= cycle) {
     const TraceEntry& entry = trace_[next_];
     ocp::Transaction txn;
     txn.cmd = entry.cmd;
@@ -108,38 +72,7 @@ void TracePlayer::roll_cycle(std::uint64_t release) {
         .push_transaction_at(std::move(txn), release);
     ++next_;
   }
-  ++cycle_;
-}
-
-void TracePlayer::step() { roll_cycle(network_.kernel().cycle()); }
-
-void TracePlayer::run(std::size_t cycles) {
-  if (use_injector_) {
-    const std::uint64_t base = network_.kernel().cycle();
-    // Unsigned wrap-around is fine: only cycle_ + offset_ is ever read.
-    offset_ = base - cycle_;
-    horizon_ = base + cycles;
-    // Entries due at `base` itself must be queued before the run starts.
-    roll_until(base);
-    active_ = true;
-    injector_.wake();
-    network_.step(cycles);
-    active_ = false;
-    // Normalize the player clock across a leapt silent tail so the next
-    // run starts from the same player cycle as the per-cycle schedule.
-    if (cycle_ + offset_ < horizon_) cycle_ = horizon_ - offset_;
-    return;
-  }
-  const std::size_t k =
-      std::max<std::size_t>(1, network_.kernel().lookahead());
-  std::size_t done = 0;
-  while (done < cycles) {
-    const std::size_t n = std::min(k, cycles - done);
-    const std::uint64_t base = network_.kernel().cycle();
-    for (std::size_t j = 0; j < n; ++j) roll_cycle(base + j);
-    network_.step(n);
-    done += n;
-  }
+  return next_ != first;
 }
 
 TrafficDriver::TrafficDriver(noc::Network& network,
@@ -177,10 +110,6 @@ TrafficDriver::TrafficDriver(noc::Network& network,
   require(config.burstiness >= 0.0 && config.burstiness < 1.0,
           "TrafficDriver: burstiness must be in [0, 1)");
   rate_threshold_ = Rng::chance_threshold(config.injection_rate);
-  sim::Kernel& kernel = network.kernel();
-  use_injector_ = !kernel.partitioned() &&
-                  kernel.scheduler() == sim::Scheduler::kTimeLeap;
-  if (use_injector_) kernel.add_module(injector_);
   if (config.burstiness > 0.0) {
     require(config.avg_burst_cycles >= 1.0,
             "TrafficDriver: avg_burst_cycles must be >= 1");
@@ -201,6 +130,7 @@ TrafficDriver::TrafficDriver(noc::Network& network,
       burst_on_[i] = rng_.chance(on_fraction);  // stationary start
     }
   }
+  engine_.attach();
 }
 
 std::size_t TrafficDriver::next_injector(std::size_t from) {
@@ -253,7 +183,8 @@ std::size_t TrafficDriver::pick_target(std::size_t initiator) {
   return 0;
 }
 
-void TrafficDriver::roll_cycle(std::uint64_t release) {
+bool TrafficDriver::roll(std::uint64_t, std::uint64_t release) {
+  const std::uint64_t before = injected_;
   const std::size_t initiators = network_.num_initiators();
   for (std::size_t i = next_injector(0); i < initiators;
        i = next_injector(i + 1)) {
@@ -294,73 +225,7 @@ void TrafficDriver::roll_cycle(std::uint64_t release) {
     network_.master(i).push_transaction_at(std::move(txn), release);
     ++injected_;
   }
-}
-
-void TrafficDriver::step() {
-  roll_cycle(network_.kernel().cycle());
-  // Keep the injector's bookmark coherent when step() and run() mix.
-  rolled_next_ = std::max(rolled_next_, network_.kernel().cycle() + 1);
-}
-
-void TrafficDriver::injector_tick(sim::Kernel& kernel) {
-  if (!active_) return;
-  const std::uint64_t now = kernel.cycle();
-  // Mandatory: cycle now + 1 must be rolled before its masters tick.
-  // Past that, keep rolling silent cycles so next_event() can name the
-  // cycle before the next unrolled one — the kernel leaps the gap. RNG
-  // draw order is cycle order either way; the release gate in MasterCore
-  // makes early queuing unobservable.
-  while (rolled_next_ < horizon_) {
-    const std::uint64_t before = injected_;
-    roll_cycle(rolled_next_);
-    ++rolled_next_;
-    if (rolled_next_ > now + 1 && injected_ != before) break;
-  }
-}
-
-std::uint64_t TrafficDriver::injector_next_event(std::uint64_t now) const {
-  if (!active_ || rolled_next_ >= horizon_) return sim::kNever;
-  return std::max(now + 1, rolled_next_ - 1);
-}
-
-void TrafficDriver::run(std::size_t cycles) {
-  if (use_injector_) {
-    const std::uint64_t base = network_.kernel().cycle();
-    rolled_next_ = std::max(rolled_next_, base);
-    horizon_ = base + cycles;
-    // Injections released at `base` itself must be queued before the run
-    // starts: the masters tick before the injector within a cycle.
-    while (rolled_next_ <= base && rolled_next_ < horizon_) {
-      roll_cycle(rolled_next_);
-      ++rolled_next_;
-    }
-    active_ = true;
-    injector_.wake();
-    network_.step(cycles);
-    active_ = false;
-    // Safety net: a run cut short of the injector's last wake (never in
-    // normal operation) still leaves RNG state and injected() matching
-    // the per-cycle schedule.
-    while (rolled_next_ < horizon_) {
-      roll_cycle(rolled_next_);
-      ++rolled_next_;
-    }
-    return;
-  }
-  // Epoch batching: pre-roll the injections for the whole conservative
-  // window (RNG order is per cycle, per initiator — identical to the
-  // per-cycle schedule), then let the kernel run the epoch. The release
-  // gate in MasterCore makes issue timing bit-exact either way.
-  const std::size_t k =
-      std::max<std::size_t>(1, network_.kernel().lookahead());
-  std::size_t done = 0;
-  while (done < cycles) {
-    const std::size_t n = std::min(k, cycles - done);
-    const std::uint64_t base = network_.kernel().cycle();
-    for (std::size_t j = 0; j < n; ++j) roll_cycle(base + j);
-    network_.step(n);
-    done += n;
-  }
+  return injected_ != before;
 }
 
 }  // namespace xpl::traffic

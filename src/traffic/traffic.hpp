@@ -10,6 +10,7 @@
 // (src/workload/) builds app-benchmark and trace-replay scenarios on top.
 #pragma once
 
+#include <algorithm>
 #include <cstdint>
 #include <functional>
 #include <string>
@@ -17,6 +18,7 @@
 
 #include "src/common/rng.hpp"
 #include "src/noc/network.hpp"
+#include "src/traffic/injection.hpp"
 
 namespace xpl::traffic {
 
@@ -89,13 +91,9 @@ const char* trace_cmd_name(ocp::Cmd cmd);
 /// Validates every entry against the network (initiator/target/thread
 /// ranges, burst fit) at construction. This is the one replay engine:
 /// workload::TraceDriver layers the trace *file* format and a seed-free
-/// payload policy on top of it.
-///
-/// On an unpartitioned time-leap kernel the player registers a small
-/// injector module with the kernel so run() can hand the whole span to
-/// Kernel::run at once: the injector declares the next entry's cycle via
-/// next_event(), the kernel leaps the silent gaps, and the release gate
-/// in MasterCore keeps the issue schedule bit-exact (DESIGN.md §2).
+/// payload policy on top of it. An entry's cycle is a source cycle of
+/// the InjectionEngine, which knows the next entry exactly and so skips
+/// entry-free stretches in O(1).
 class TracePlayer {
  public:
   /// Write payload for beat `beat` of entry `index`. The default (null)
@@ -106,106 +104,57 @@ class TracePlayer {
   TracePlayer(noc::Network& network, std::vector<TraceEntry> trace,
               PayloadFn payload = nullptr);
 
-  void step();
-  /// Steps player and network together. On a partitioned network the
-  /// injections for each lookahead epoch are pre-rolled (released at
-  /// their exact cycles via push_transaction_at), so replay timing is
-  /// identical at any partition/thread count.
-  void run(std::size_t cycles);
+  /// Injects the entries of the next source cycle, released now.
+  void step() { engine_.step(); }
+  /// Steps player and network together (see InjectionEngine::run).
+  void run(std::size_t cycles) { engine_.run(cycles); }
   /// True when every entry has been injected.
   bool done() const { return next_ == trace_.size(); }
   std::uint64_t injected() const { return next_; }
+  /// Cycles of step() (or run()) left until done().
+  std::uint64_t cycles_to_done() const {
+    return done() ? 0 : trace_.back().cycle + 1 - engine_.rolled();
+  }
 
  private:
-  /// Schedulable face of the player (time-leap runs only): ticks after
-  /// every network module, rolling the player far enough ahead that any
-  /// transaction released at cycle c is queued before c begins. Inert
-  /// (is_idle) outside run().
-  class Injector : public sim::Module {
-   public:
-    explicit Injector(TracePlayer& owner)
-        : sim::Module("trace_player.injector"), owner_(owner) {}
-    void tick(sim::Kernel& kernel) override { owner_.injector_tick(kernel); }
-    bool is_idle() const override { return !owner_.active_; }
-    std::uint64_t next_event(std::uint64_t now) const override {
-      return owner_.injector_next_event(now);
-    }
+  friend class InjectionEngine<TracePlayer>;
 
-   private:
-    TracePlayer& owner_;
-  };
-
-  /// Injects the entries of player-cycle `cycle_`, released at `release`
-  /// (the matching kernel cycle), then advances the player clock.
-  void roll_cycle(std::uint64_t release);
-  /// Rolls player cycles whose kernel release is <= `kernel_limit` (and
-  /// below the run horizon), bulk-skipping entry-free stretches — silent
-  /// rolls draw no RNG, so the skip is unobservable.
-  void roll_until(std::uint64_t kernel_limit);
-  void injector_tick(sim::Kernel& kernel);
-  std::uint64_t injector_next_event(std::uint64_t now) const;
+  bool roll(std::uint64_t cycle, std::uint64_t release);
+  std::uint64_t next_injection(std::uint64_t cycle) const {
+    return done() ? sim::kNever : std::max(cycle, trace_[next_].cycle);
+  }
 
   noc::Network& network_;
   std::vector<TraceEntry> trace_;
   PayloadFn payload_;
-  std::size_t next_ = 0;
-  std::uint64_t cycle_ = 0;
+  std::size_t next_ = 0;  ///< first entry not yet injected
   Rng rng_;  ///< write payload generation (default policy)
-
-  Injector injector_{*this};
-  bool use_injector_ = false;  ///< unpartitioned time-leap kernel
-  bool active_ = false;        ///< inside run()
-  /// Kernel cycle = player cycle + offset_ for the current run (unsigned
-  /// wrap-around arithmetic; only the sum is meaningful).
-  std::uint64_t offset_ = 0;
-  std::uint64_t horizon_ = 0;  ///< first kernel cycle past the run
+  InjectionEngine<TracePlayer> engine_{network_, *this,
+                                       "trace_player.injector"};
 };
 
 /// Injects transactions into every master of `network` when step() is
-/// called once per simulated cycle.
-///
-/// On an unpartitioned time-leap kernel the driver registers an injector
-/// module (see TracePlayer) so run() can hand the whole span to
-/// Kernel::run: the injector rolls ahead through silent cycles until a
-/// roll injects (RNG draw order is cycle order either way), sleeps until
-/// the cycle before the next unrolled one, and the kernel leaps the gap.
+/// called once per simulated cycle. Every source cycle draws from the
+/// RNG, so the InjectionEngine skips none.
 class TrafficDriver {
  public:
   TrafficDriver(noc::Network& network, const TrafficConfig& config);
 
   /// Rolls injection for every initiator for one cycle.
-  void step();
+  void step() { engine_.step(); }
 
-  /// Convenience: step the network and the driver together. On a
-  /// partitioned network each lookahead epoch's injections are
-  /// pre-rolled (released at their exact cycles), preserving both the
-  /// RNG draw order and the issue schedule of the per-cycle loop.
-  void run(std::size_t cycles);
+  /// Steps the network and the driver together (see
+  /// InjectionEngine::run): the RNG draw order and the issue schedule
+  /// are those of the per-cycle loop.
+  void run(std::size_t cycles) { engine_.run(cycles); }
 
   std::uint64_t injected() const { return injected_; }
 
  private:
-  /// Schedulable face of the driver (time-leap runs only); see
-  /// TracePlayer::Injector.
-  class Injector : public sim::Module {
-   public:
-    explicit Injector(TrafficDriver& owner)
-        : sim::Module("traffic_driver.injector"), owner_(owner) {}
-    void tick(sim::Kernel& kernel) override { owner_.injector_tick(kernel); }
-    bool is_idle() const override { return !owner_.active_; }
-    std::uint64_t next_event(std::uint64_t now) const override {
-      return owner_.injector_next_event(now);
-    }
+  friend class InjectionEngine<TrafficDriver>;
 
-   private:
-    TrafficDriver& owner_;
-  };
-
-  /// Rolls one driver cycle, releasing injections at kernel cycle
-  /// `release` (== the current cycle when called via step()).
-  void roll_cycle(std::uint64_t release);
-  void injector_tick(sim::Kernel& kernel);
-  std::uint64_t injector_next_event(std::uint64_t now) const;
+  bool roll(std::uint64_t cycle, std::uint64_t release);
+  std::uint64_t next_injection(std::uint64_t cycle) const { return cycle; }
   std::size_t pick_target(std::size_t initiator);
   /// Rolls the injection coin (and, when bursty, the on/off Markov
   /// chain) for initiators from, from + 1, ... of the current cycle and
@@ -225,12 +174,8 @@ class TrafficDriver {
   double peak_rate_ = 0.0;   ///< injection probability while ON
   double p_on_to_off_ = 0.0;
   double p_off_to_on_ = 0.0;
-
-  Injector injector_{*this};
-  bool use_injector_ = false;    ///< unpartitioned time-leap kernel
-  bool active_ = false;          ///< inside run()
-  std::uint64_t rolled_next_ = 0;  ///< first kernel cycle not yet rolled
-  std::uint64_t horizon_ = 0;      ///< first kernel cycle past the run
+  InjectionEngine<TrafficDriver> engine_{network_, *this,
+                                         "traffic_driver.injector"};
 };
 
 }  // namespace xpl::traffic

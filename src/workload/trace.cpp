@@ -211,12 +211,8 @@ TraceDriver::TraceDriver(noc::Network& network, Trace trace)
               &payload_word) {}
 
 std::uint64_t TraceDriver::replay(std::uint64_t max_drain_cycles) {
-  std::uint64_t cycles = 0;
-  while (!done()) {
-    player_.step();
-    network_.step();
-    ++cycles;
-  }
+  const std::uint64_t cycles = player_.cycles_to_done();
+  player_.run(cycles);
   return cycles + network_.run_until_quiescent(max_drain_cycles);
 }
 

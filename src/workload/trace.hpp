@@ -101,8 +101,9 @@ class TraceDriver {
   /// Convenience: step the driver and the network together.
   void run(std::size_t cycles) { player_.run(cycles); }
 
-  /// Runs until the whole trace is injected, then drains the network
-  /// (run_until_quiescent). Returns total cycles stepped.
+  /// Runs until the whole trace is injected (one run(), leaping silent
+  /// stretches), then drains the network (run_until_quiescent). Returns
+  /// total cycles stepped.
   std::uint64_t replay(std::uint64_t max_drain_cycles = 100000);
 
   /// True when every entry has been injected.

@@ -203,7 +203,7 @@ TEST(Credit, SenderStaysBusyUntilCreditsReturn) {
 }
 
 // The endpoints answer their lane-scan questions from counters
-// (staged_, starved_, spent_, buffered_). A randomized accept /
+// (the staged slot, starved_, spent_, buffered_). A randomized accept /
 // credit-return / drain schedule checks every answer, every cycle,
 // against a scan over the lanes rebuilt from the wires and credits().
 class CreditCounters : public ::testing::TestWithParam<std::size_t> {};
@@ -234,16 +234,17 @@ TEST_P(CreditCounters, MatchLaneScanEveryCycle) {
     const double take_p = draining || (cycle / 200) % 2 == 1 ? 0.9 : 0.15;
 
     tx.begin_cycle();
-    // Several lanes may stage in one cycle while one flit leaves, so
-    // staged flits pile up beside starved lanes.
-    for (std::size_t lane = 0; lane < vcs; ++lane) {
-      if (draining || !rng.chance(0.5) || !tx.can_accept(lane)) continue;
+    // Like every owner, stage at most one flit per cycle: on a randomly
+    // chosen lane, which may be starved while others hold credits.
+    const std::size_t lane = rng.next_below(vcs);
+    if (!draining && rng.chance(0.8) && tx.can_accept(lane)) {
       Flit f(BitVector(16, next_payload & 0xFFFF), true, true);
       f.vc = static_cast<std::uint8_t>(lane);
       sent[lane].push_back(next_payload & 0xFFFF);
       ++next_payload;
       tx.accept(std::move(f));
       ++staged[lane];
+      EXPECT_FALSE(tx.can_accept(lane)) << "one staging slot";
     }
 
     std::uint32_t mask = 0;
