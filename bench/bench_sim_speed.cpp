@@ -566,7 +566,7 @@ void BM_FlitHop(benchmark::State& state) {
   std::uint8_t lane = 0;
   const std::uint64_t allocs_before = allocs();
   for (auto _ : state) {
-    tx.begin_cycle();
+    tx.begin_cycle(kernel.cycle());
     if (tx.can_accept(lane)) {
       Flit flit(payload, /*head=*/true, /*tail=*/true);
       flit.vc = lane;  // single-flit packets rotate over the lanes
@@ -609,19 +609,22 @@ BENCHMARK(BM_FlitHop)
     ->Args({128, 1, 1});
 
 // ------------------------------------------------------------ reporting
-// Console reporter that also captures finished runs so main() can emit
-// the compact BENCH_*.json perf record (README.md "Tracking performance")
-// next to the normal console output.
-class CaptureReporter : public benchmark::ConsoleReporter {
+// Display reporter (console or JSON, per --benchmark_format) that also
+// captures finished runs so main() can emit the compact BENCH_*.json perf
+// record (README.md "Tracking performance") next to the normal output.
+template <typename Base>
+class CaptureReporter : public Base {
  public:
+  using Run = benchmark::BenchmarkReporter::Run;
+
+  explicit CaptureReporter(std::vector<Run>& sink) : sink_(sink) {}
   void ReportRuns(const std::vector<Run>& runs) override {
-    for (const Run& run : runs) runs_.push_back(run);
-    benchmark::ConsoleReporter::ReportRuns(runs);
+    sink_.insert(sink_.end(), runs.begin(), runs.end());
+    Base::ReportRuns(runs);
   }
-  const std::vector<Run>& runs() const { return runs_; }
 
  private:
-  std::vector<Run> runs_;
+  std::vector<Run>& sink_;
 };
 
 bool write_bench_json(const std::string& path,
@@ -682,8 +685,12 @@ bool write_bench_json(const std::string& path,
 }  // namespace
 
 int main(int argc, char** argv) {
-  // Extract --bench-json before google-benchmark parses the rest.
+  // Extract --bench-json before google-benchmark parses the rest. The
+  // display reporter is ours (it captures runs for --bench-json), so the
+  // stdout format is chosen here: google-benchmark ignores
+  // --benchmark_format once a display reporter is passed in.
   std::string bench_json;
+  std::string format = "console";
   std::vector<char*> args;
   for (int i = 0; i < argc; ++i) {
     const std::string arg = argv[i];
@@ -692,8 +699,19 @@ int main(int argc, char** argv) {
     } else if (arg.rfind("--bench-json=", 0) == 0) {
       bench_json = arg.substr(std::string("--bench-json=").size());
     } else {
+      if (arg.rfind("--benchmark_format=", 0) == 0) {
+        format = arg.substr(std::string("--benchmark_format=").size());
+      }
       args.push_back(argv[i]);
     }
+  }
+  if (format != "console" && format != "json") {
+    std::fprintf(stderr,
+                 "bench_sim_speed: --benchmark_format=%s is not supported "
+                 "(console or json); for files use --bench-json <file> or "
+                 "--benchmark_out=<file> --benchmark_out_format=<format>\n",
+                 format.c_str());
+    return 2;
   }
   int filtered_argc = static_cast<int>(args.size());
   benchmark::Initialize(&filtered_argc, args.data());
@@ -701,8 +719,14 @@ int main(int argc, char** argv) {
     return 1;
   }
 
-  CaptureReporter capture;
-  benchmark::RunSpecifiedBenchmarks(&capture);
+  std::vector<benchmark::BenchmarkReporter::Run> runs;
+  if (format == "json") {
+    CaptureReporter<benchmark::JSONReporter> display(runs);
+    benchmark::RunSpecifiedBenchmarks(&display);
+  } else {
+    CaptureReporter<benchmark::ConsoleReporter> display(runs);
+    benchmark::RunSpecifiedBenchmarks(&display);
+  }
 
   bool failed = g_flit_hop_alloc_failure;
   if (failed) {
@@ -710,7 +734,7 @@ int main(int argc, char** argv) {
                  "FAILED: BM_FlitHop: heap allocation on the flit hop "
                  "path at width <= 128\n");
   }
-  if (!bench_json.empty() && !write_bench_json(bench_json, capture.runs())) {
+  if (!bench_json.empty() && !write_bench_json(bench_json, runs)) {
     failed = true;
   }
   benchmark::Shutdown();

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cmath>
 #include <limits>
+#include <span>
 #include <sstream>
 
 namespace xpl::compiler {
@@ -81,13 +82,29 @@ std::vector<std::size_t> XpipesCompiler::optimize_buffer_sizes(
       topology::compute_all_routes(spec.topo, spec.net.routing);
 
   // Count route traversals through each switch (a proxy for expected
-  // contention on its output queues).
-  std::vector<double> load(spec.topo.num_switches(), 0.0);
-  tables.for_each([&](std::uint32_t src, std::uint32_t,
-                      const topology::RouteRef& route) {
-    for (const std::uint32_t sw :
-         topology::route_switch_path(spec.topo, src, route.links)) {
-      load[sw] += 1.0;
+  // contention on its output queues). NI-pair routes share their switch
+  // pair's path, so each distinct path is walked once, weighted by the
+  // pairs riding it: initiators at its start to targets at its end
+  // (requests), and targets to initiators (responses).
+  const topology::Topology& topo = spec.topo;
+  std::vector<double> initiators(topo.num_switches(), 0.0);
+  std::vector<double> targets(topo.num_switches(), 0.0);
+  for (const std::uint32_t ni : topo.initiator_ids()) {
+    initiators[topo.ni(ni).switch_id] += 1.0;
+  }
+  for (const std::uint32_t ni : topo.target_ids()) {
+    targets[topo.ni(ni).switch_id] += 1.0;
+  }
+  std::vector<double> load(topo.num_switches(), 0.0);
+  tables.for_each_path([&](std::uint32_t from, std::uint32_t to,
+                           std::span<const std::uint8_t> links) {
+    const double pairs =
+        initiators[from] * targets[to] + targets[from] * initiators[to];
+    std::uint32_t sw = from;
+    load[sw] += pairs;
+    for (const std::uint8_t selector : links) {
+      sw = topo.link(topo.output_ports(sw)[selector].id).to;
+      load[sw] += pairs;
     }
   });
   const double max_load =

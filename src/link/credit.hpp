@@ -51,15 +51,25 @@ namespace xpl::link {
 /// answered from two counters kept in step with the lanes (starved_,
 /// spent_); the per-tick fast paths below are inline and only an
 /// arriving credit (collect) or a staged flit (transmit) leaves them.
+///
+/// The sender counts its own stalls across its owner's sleep. An owner
+/// may sleep while a lane is starved (gate_idle ignores starvation), and
+/// the cycles it sleeps through leave the sender frozen: each would have
+/// counted one stall. The sender remembers its first un-ticked cycle, so
+/// begin_cycle credits a closed gap and credit_stalls(now) an open one.
 class CreditSender {
  public:
   CreditSender() = default;
   CreditSender(LinkWires wires, const ProtocolConfig& config);
 
   /// Collects returned credits from the reverse wire. Call first in the
-  /// owner's tick().
-  void begin_cycle() {
+  /// owner's tick() with the current cycle. Stalls of the cycles slept
+  /// through since the last tick are credited first, against the frozen
+  /// state those ticks would have seen.
+  void begin_cycle(std::uint64_t now) {
     XPL_ASSERT(wires_.rev != nullptr);
+    credit_stalls_ += gap_stalls(now);
+    next_cycle_ = now + 1;
     const AckBeat& beat = wires_.rev->read();
     if (beat.valid) collect(beat.vc);
   }
@@ -110,42 +120,34 @@ class CreditSender {
   /// Wakes `owner` whenever a credit returns on the reverse wire.
   void watch(sim::Module& owner) { wires_.rev->watch(owner); }
 
-  /// Endpoint part of the owner's quiescence predicate: nothing staged,
-  /// the forward wire already driven idle, no credit arriving,
-  /// and no lane sitting at zero credits. The zero-credit clause is a
-  /// counter contract, not a progress requirement: end_cycle counts one
-  /// credit_stall per starved cycle, so a starved sender must keep
-  /// ticking (or catch up in closed form) for both schedulers to report
-  /// equal stats.
-  bool gate_idle() const { return starved_ == 0 && gate_idle_leap(); }
-
-  /// gate_idle without the zero-credit counter clause — the quiescence
-  /// bound the time-leap scheduler uses. A sender idle by this predicate
-  /// does no *work* on a frozen tick; the per-cycle credit_stall count it
-  /// would have accumulated is restored in closed form by
-  /// catch_up_stalls() (the owner tracks the gap; DESIGN.md §2).
-  bool gate_idle_leap() const {
+  /// Endpoint part of the owner's sleep claim: nothing staged, the
+  /// forward wire already driven idle, and no credit arriving. A starved
+  /// lane does not keep the owner awake: the stalls it would count are
+  /// credited on the next begin_cycle.
+  bool gate_idle() const {
     return !staged_ && !fwd_dirty_ && !wires_.rev->read().valid;
   }
-
-  /// True when a frozen (skipped) tick of the owner would have counted
-  /// one credit_stall: end_cycle's starvation rule — nothing staged,
-  /// some lane starved.
-  bool stall_pending() const { return !staged_ && starved_ != 0; }
-
-  /// Closed-form catch-up: credits `n` skipped starved cycles.
-  void catch_up_stalls(std::uint64_t n) { credit_stalls_ += n; }
 
   std::uint64_t flits_sent() const { return flits_sent_; }
   /// Credit-starvation cycles: cycles in which nothing was transmitted
   /// while some lane sat at zero credits, i.e. with its entire window
   /// parked at the receiver awaiting drain — the credit protocol's
   /// back-pressure signal (the counterpart of go-back-N's flow-control
-  /// retransmissions).
-  std::uint64_t credit_stalls() const { return credit_stalls_; }
+  /// retransmissions). `now` is the current cycle: the count includes the
+  /// stalls of a sleep gap still open, so it matches per-cycle ticking at
+  /// any cycle boundary.
+  std::uint64_t credit_stalls(std::uint64_t now) const {
+    return credit_stalls_ + gap_stalls(now);
+  }
   std::size_t credits(std::size_t vc = 0) const { return credits_.at(vc); }
 
  private:
+  /// Stalls of the un-ticked cycles before `now`: end_cycle's rule
+  /// (nothing staged, some lane starved) held on each, since the slot is
+  /// empty between ticks and nothing changes while the owner sleeps.
+  std::uint64_t gap_stalls(std::uint64_t now) const {
+    return now > next_cycle_ && starved_ != 0 ? now - next_cycle_ : 0;
+  }
   /// begin_cycle's work when a credit for lane `vc` arrives.
   void collect(std::uint8_t vc);
   /// end_cycle's work when a flit is staged.
@@ -162,7 +164,8 @@ class CreditSender {
   std::size_t spent_ = 0;    ///< sum of (window - credits): unreturned
 
   std::uint64_t flits_sent_ = 0;
-  std::uint64_t credit_stalls_ = 0;
+  std::uint64_t credit_stalls_ = 0;  ///< through the last tick
+  std::uint64_t next_cycle_ = 0;     ///< first cycle not yet ticked
 };
 
 /// Receiver endpoint: owns the per-lane credited buffers and returns
@@ -204,7 +207,7 @@ class CreditReceiver {
   /// Wakes `owner` whenever a flit arrives on the forward wire.
   void watch(sim::Module& owner) { wires_.fwd->watch(owner); }
 
-  /// Endpoint part of the owner's quiescence predicate: no flit arriving,
+  /// Endpoint part of the owner's sleep claim: no flit arriving,
   /// nothing buffered awaiting the owner's drain, and the credit wire
   /// already driven idle.
   bool gate_idle() const {

@@ -72,20 +72,6 @@ void CutLink::tick_receiver(sim::Kernel& kernel) {
   }
 }
 
-bool CutLink::sender_idle() const {
-  // Mirrors PipelinedLink::is_idle restricted to the sender's half of
-  // the state: pending records anywhere on this side, an undrained
-  // upstream input, or an un-reset reverse output all block quiescence
-  // (so drain-cycle counts match the uncut link's).
-  return fwd_outbox_.empty() && rev_inbox_.empty() && !rev_out_dirty_ &&
-         !up_.fwd->read().valid;
-}
-
-bool CutLink::receiver_idle() const {
-  return fwd_inbox_.empty() && rev_outbox_.empty() && !fwd_out_dirty_ &&
-         !down_.rev->read().valid;
-}
-
 // Time-leap next events for the halves. Only the *inbox* front due is a
 // self-driven event: capture gates on written() (the watcher wakes the
 // half on every upstream write), outboxes drain at the exchange barrier

@@ -94,7 +94,6 @@ class CutLink final : public sim::CutChannel {
     Sender(CutLink& owner, std::string name)
         : sim::Module(std::move(name)), owner_(owner) {}
     void tick(sim::Kernel& kernel) override { owner_.tick_sender(kernel); }
-    bool is_idle() const override { return owner_.sender_idle(); }
     std::uint64_t next_event(std::uint64_t now) const override {
       return owner_.sender_next_event(now);
     }
@@ -110,7 +109,6 @@ class CutLink final : public sim::CutChannel {
     void tick(sim::Kernel& kernel) override {
       owner_.tick_receiver(kernel);
     }
-    bool is_idle() const override { return owner_.receiver_idle(); }
     std::uint64_t next_event(std::uint64_t now) const override {
       return owner_.receiver_next_event(now);
     }
@@ -121,8 +119,6 @@ class CutLink final : public sim::CutChannel {
 
   void tick_sender(sim::Kernel& kernel);
   void tick_receiver(sim::Kernel& kernel);
-  bool sender_idle() const;
-  bool receiver_idle() const;
   std::uint64_t sender_next_event(std::uint64_t now) const;
   std::uint64_t receiver_next_event(std::uint64_t now) const;
 

@@ -64,9 +64,11 @@ class LinkSender {
     }
   }
 
-  void begin_cycle() {
+  /// `now` is the current cycle (credit mode counts stalls across sleep
+  /// gaps with it; go-back-N ignores it).
+  void begin_cycle(std::uint64_t now) {
     flow_ == FlowControl::kAckNack ? ack_.begin_cycle()
-                                   : credit_.begin_cycle();
+                                   : credit_.begin_cycle(now);
   }
   /// Room on lane `vc` (the accepted flit's vc field picks the lane).
   bool can_accept(std::size_t vc = 0) const {
@@ -93,26 +95,10 @@ class LinkSender {
     flow_ == FlowControl::kAckNack ? ack_.watch(owner)
                                    : credit_.watch(owner);
   }
-  /// Endpoint part of the owner's quiescence predicate.
+  /// Endpoint part of the owner's sleep claim.
   bool gate_idle() const {
     return flow_ == FlowControl::kAckNack ? ack_.gate_idle()
                                           : credit_.gate_idle();
-  }
-  /// Quiescence bound for the time-leap scheduler: gate_idle without the
-  /// credit-mode zero-credit counter clause (go-back-N has no per-cycle
-  /// counters, so there it equals gate_idle). See CreditSender.
-  bool gate_idle_leap() const {
-    return flow_ == FlowControl::kAckNack ? ack_.gate_idle()
-                                          : credit_.gate_idle_leap();
-  }
-  /// A skipped tick would have counted one credit_stall (credit mode
-  /// only; structurally false for go-back-N).
-  bool stall_pending() const {
-    return flow_ == FlowControl::kAckNack ? false : credit_.stall_pending();
-  }
-  /// Credits `n` skipped starved cycles (no-op for go-back-N).
-  void catch_up_stalls(std::uint64_t n) {
-    if (flow_ != FlowControl::kAckNack) credit_.catch_up_stalls(n);
   }
   std::uint64_t flits_sent() const {
     return flow_ == FlowControl::kAckNack ? ack_.flits_sent()
@@ -123,9 +109,9 @@ class LinkSender {
     return flow_ == FlowControl::kAckNack ? ack_.retransmissions() : 0;
   }
   /// Credit only; 0 in ACK/nACK mode (back-pressure shows up as
-  /// flow-control retransmissions instead).
-  std::uint64_t credit_stalls() const {
-    return flow_ == FlowControl::kAckNack ? 0 : credit_.credit_stalls();
+  /// flow-control retransmissions instead). See CreditSender.
+  std::uint64_t credit_stalls(std::uint64_t now) const {
+    return flow_ == FlowControl::kAckNack ? 0 : credit_.credit_stalls(now);
   }
 
  private:
@@ -165,7 +151,7 @@ class LinkReceiver {
     flow_ == FlowControl::kAckNack ? ack_.watch(owner)
                                    : credit_.watch(owner);
   }
-  /// Endpoint part of the owner's quiescence predicate.
+  /// Endpoint part of the owner's sleep claim.
   bool gate_idle() const {
     return flow_ == FlowControl::kAckNack ? ack_.gate_idle()
                                           : credit_.gate_idle();

@@ -90,7 +90,7 @@ class GoBackNSender {
   /// Wakes `owner` whenever an ACK/nACK arrives on the reverse wire.
   void watch(sim::Module& owner) { wires_.rev->watch(owner); }
 
-  /// Endpoint part of the owner's quiescence predicate: nothing left to
+  /// Endpoint part of the owner's sleep claim: nothing left to
   /// (re)transmit on any lane, the forward wire already driven idle, and
   /// no reverse beat arriving. Flits that were sent but not yet ACKed do
   /// NOT keep the endpoint awake — the ACK (or nACK) arrival wakes it.
@@ -176,7 +176,7 @@ class GoBackNReceiver {
   /// Wakes `owner` whenever a flit arrives on the forward wire.
   void watch(sim::Module& owner) { wires_.fwd->watch(owner); }
 
-  /// Endpoint part of the owner's quiescence predicate: no flit arriving
+  /// Endpoint part of the owner's sleep claim: no flit arriving
   /// and the ACK wire already driven idle.
   bool gate_idle() const {
     return !rev_dirty_ && !wires_.fwd->read().valid;

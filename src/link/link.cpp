@@ -136,12 +136,6 @@ void PipelinedLink::tick(sim::Kernel& kernel) {
   }
 }
 
-bool PipelinedLink::is_idle() const {
-  return !fwd_out_dirty_ && !rev_out_dirty_ && fwd_q_.empty() &&
-         rev_q_.empty() && !up_.fwd->read().valid &&
-         !down_.rev->read().valid;
-}
-
 std::uint64_t PipelinedLink::next_event(std::uint64_t now) const {
   // Dirty output wires owe a trailing idle write next cycle; a valid
   // input wire means a beat is arriving. Otherwise the only pending work

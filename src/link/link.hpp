@@ -54,14 +54,11 @@ class PipelinedLink : public sim::Module {
 
   void tick(sim::Kernel& kernel) override;
 
-  /// Quiescent when both directions hold no in-flight beats, both output
-  /// wires are already driven idle, and nothing is arriving on either
-  /// input wire (the link watches both, so arrivals wake it).
-  bool is_idle() const override;
-
-  /// Earliest in-flight due cycle (time-leap scheduler). A link busy only
-  /// because beats are mid-pipe sleeps until the first one emerges; dirty
-  /// output wires and valid input wires pin it to the next cycle.
+  /// Earliest in-flight due cycle. A link busy only because beats are
+  /// mid-pipe sleeps until the first one emerges; dirty output wires and
+  /// valid input wires pin it to the next cycle. With no beat in flight
+  /// and both output wires already driven idle it sleeps until an input
+  /// wire is written (the link watches both).
   std::uint64_t next_event(std::uint64_t now) const override;
 
   /// Flits that traversed the link (including retransmissions).

@@ -53,7 +53,7 @@ InitiatorNi::InitiatorNi(std::string name, const InitiatorConfig& config,
   resp_out_.reserve(config_.resp_queue_depth + 8);
 }
 
-void InitiatorNi::start_packet(const ocp::ReqBeat& beat, std::uint64_t) {
+void InitiatorNi::start_packet(const ocp::ReqBeat& beat) {
   const auto hit = lut_.lookup(beat.addr);
   if (!hit.has_value()) {
     // No address window matches: answer ERR locally, never touching the
@@ -184,18 +184,9 @@ void InitiatorNi::deliver_response(const Packet& packet) {
 }
 
 void InitiatorNi::tick(sim::Kernel& kernel) {
-  // Stall catch-up (time-leap): see Switch::tick — evaluated against the
-  // frozen pre-wake state, before begin_cycle consumes the credit beat.
-  kernel_ = &kernel;
-  const std::uint64_t now = kernel.cycle();
-  if (now > next_tick_ && tx_.stall_pending()) {
-    tx_.catch_up_stalls(now - next_tick_);
-  }
-  next_tick_ = now + 1;
-
   ocp_req_.begin_cycle();
   ocp_resp_.begin_cycle();
-  tx_.begin_cycle();
+  tx_.begin_cycle(kernel.cycle());
 
   // Network transmit: one flit per cycle from the packetizer output.
   if (!flit_out_.empty() && tx_.can_accept(flit_out_.front().vc)) {
@@ -231,7 +222,7 @@ void InitiatorNi::tick(sim::Kernel& kernel) {
           resp_out_.size() < config_.resp_queue_depth) {
         XPL_ASSERT(beat.beat_index == 0);
         ocp_req_.pop();
-        start_packet(beat, kernel.cycle());
+        start_packet(beat);
       }
     }
   }
@@ -270,36 +261,16 @@ bool InitiatorNi::idle() const {
          ocp_req_.empty();
 }
 
-bool InitiatorNi::is_idle() const {
-  // Deliberately weaker than idle(): outstanding_/reorder_/building_ and
-  // mid-packet depacketizers are sleepable (input-driven) state.
-  return ocp_req_.empty() && flit_out_.empty() && resp_out_.empty() &&
-         ocp_req_.gate_idle() && ocp_resp_.gate_idle() && tx_.gate_idle() &&
-         rx_.gate_idle();
-}
-
+// xlint: next-event-ok(the clock only feeds the credit sender's closed-form stall catch-up; no deadline is slept on)
 std::uint64_t InitiatorNi::next_event(std::uint64_t now) const {
-  // is_idle() with the sender's zero-credit clause relaxed: if that
-  // clause is the only thing keeping this NI awake, the skipped per-cycle
-  // stall counts are restored by the catch-up above and the credit return
-  // wakes it through the watched reverse wire.
-  const bool leap_idle = ocp_req_.empty() && flit_out_.empty() &&
-                         resp_out_.empty() && ocp_req_.gate_idle() &&
-                         ocp_resp_.gate_idle() && tx_.gate_idle_leap() &&
-                         rx_.gate_idle();
-  return leap_idle ? sim::kNever : now + 1;
-}
-
-std::uint64_t InitiatorNi::credit_stalls() const {
-  // A sleeping starved sender has not counted the gap's stalls yet; add
-  // them so reads taken mid-gap (stats probes, end-of-run collection)
-  // match the per-cycle schedulers.
-  std::uint64_t total = tx_.credit_stalls();
-  if (kernel_ != nullptr) {
-    const std::uint64_t now = kernel_->cycle();
-    if (now > next_tick_ && tx_.stall_pending()) total += now - next_tick_;
-  }
-  return total;
+  // Deliberately weaker than idle(): outstanding_/reorder_/building_,
+  // mid-packet depacketizers and a starved sender are sleepable
+  // (input-driven) state.
+  const bool asleep = ocp_req_.empty() && flit_out_.empty() &&
+                      resp_out_.empty() && ocp_req_.gate_idle() &&
+                      ocp_resp_.gate_idle() && tx_.gate_idle() &&
+                      rx_.gate_idle();
+  return asleep ? sim::kNever : now + 1;
 }
 
 }  // namespace xpl::ni

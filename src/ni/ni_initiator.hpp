@@ -62,25 +62,23 @@ class InitiatorNi : public sim::Module {
 
   void tick(sim::Kernel& kernel) override;
 
-  /// Quiescence predicate: nothing buffered toward the
-  /// network or the core and every endpoint inert. Outstanding
-  /// transactions, the reorder buffer, a half-built packet and mid-packet
-  /// reassembly are input-driven state: a tick moves them only when a
-  /// beat arrives, and arrivals wake this module. See DESIGN.md §2.
-  bool is_idle() const override;
-
-  /// Time-leap next event: kNever when busy only by the network sender's
-  /// zero-credit counter clause (stalls caught up in closed form on wake
-  /// — DESIGN.md §2), next cycle otherwise.
+  /// Sleep claim: kNever once nothing is buffered toward the network or
+  /// the core and every endpoint is inert, next cycle otherwise.
+  /// Outstanding transactions, the reorder buffer, a half-built packet,
+  /// mid-packet reassembly and a starved credit sender are input-driven
+  /// state: a tick moves them only when a beat arrives, and arrivals wake
+  /// this module. See DESIGN.md §2.
   std::uint64_t next_event(std::uint64_t now) const override;
 
   const InitiatorConfig& config() const { return config_; }
   std::uint64_t packets_sent() const { return packets_sent_; }
   std::uint64_t packets_received() const { return packets_received_; }
   std::uint64_t lut_misses() const { return lut_misses_; }
-  /// Network-port sender back-pressure (0 unless flow == kCredit).
-  /// Includes the not-yet-applied stalls of an in-progress sleep gap.
-  std::uint64_t credit_stalls() const;
+  /// Network-port sender back-pressure (0 unless flow == kCredit)
+  /// through cycle `now`.
+  std::uint64_t credit_stalls(std::uint64_t now) const {
+    return tx_.credit_stalls(now);
+  }
   /// True when no transaction is in flight anywhere in this NI.
   bool idle() const;
 
@@ -97,7 +95,7 @@ class InitiatorNi : public sim::Module {
     std::uint32_t beats_needed = 0;
   };
 
-  void start_packet(const ocp::ReqBeat& beat, std::uint64_t cycle);
+  void start_packet(const ocp::ReqBeat& beat);
   void finish_packet();
   void deliver_response(const Packet& packet);
 
@@ -127,11 +125,6 @@ class InitiatorNi : public sim::Module {
   std::uint64_t packets_sent_ = 0;
   std::uint64_t packets_received_ = 0;
   std::uint64_t lut_misses_ = 0;
-
-  /// Stall catch-up bookkeeping (time-leap; see Switch): first un-ticked
-  /// cycle and the clock that measures sleep gaps.
-  std::uint64_t next_tick_ = 0;
-  const sim::Kernel* kernel_ = nullptr;
 };
 
 }  // namespace xpl::ni

@@ -72,16 +72,7 @@ void TargetNi::complete_response(RespBuild build) {
 }
 
 void TargetNi::tick(sim::Kernel& kernel) {
-  // Stall catch-up (time-leap): see Switch::tick — evaluated against the
-  // frozen pre-wake state, before begin_cycle consumes the credit beat.
-  kernel_ = &kernel;
-  const std::uint64_t now = kernel.cycle();
-  if (now > next_tick_ && tx_.stall_pending()) {
-    tx_.catch_up_stalls(now - next_tick_);
-  }
-  next_tick_ = now + 1;
-
-  tx_.begin_cycle();
+  tx_.begin_cycle(kernel.cycle());
   ocp_req_.begin_cycle();
   ocp_resp_.begin_cycle();
 
@@ -215,36 +206,16 @@ bool TargetNi::idle() const {
          ocp_resp_.empty();
 }
 
-bool TargetNi::is_idle() const {
-  // Deliberately weaker than idle(): pending_/collecting_ and mid-packet
-  // depacketizers are sleepable (input-driven) state.
-  return jobs_.empty() && !issuing_.has_value() && ocp_resp_.empty() &&
-         flit_out_.empty() && rx_.gate_idle() && tx_.gate_idle() &&
-         ocp_req_.gate_idle() && ocp_resp_.gate_idle();
-}
-
+// xlint: next-event-ok(the clock only feeds the credit sender's closed-form stall catch-up; no deadline is slept on)
 std::uint64_t TargetNi::next_event(std::uint64_t now) const {
-  // is_idle() with the sender's zero-credit clause relaxed: if that
-  // clause is the only thing keeping this NI awake, the skipped per-cycle
-  // stall counts are restored by the catch-up above and the credit return
-  // wakes it through the watched reverse wire.
-  const bool leap_idle = jobs_.empty() && !issuing_.has_value() &&
-                         ocp_resp_.empty() && flit_out_.empty() &&
-                         rx_.gate_idle() && tx_.gate_idle_leap() &&
-                         ocp_req_.gate_idle() && ocp_resp_.gate_idle();
-  return leap_idle ? sim::kNever : now + 1;
-}
-
-std::uint64_t TargetNi::credit_stalls() const {
-  // A sleeping starved sender has not counted the gap's stalls yet; add
-  // them so reads taken mid-gap (stats probes, end-of-run collection)
-  // match the per-cycle schedulers.
-  std::uint64_t total = tx_.credit_stalls();
-  if (kernel_ != nullptr) {
-    const std::uint64_t now = kernel_->cycle();
-    if (now > next_tick_ && tx_.stall_pending()) total += now - next_tick_;
-  }
-  return total;
+  // Deliberately weaker than idle(): pending_/collecting_, mid-packet
+  // depacketizers and a starved sender are sleepable (input-driven)
+  // state.
+  const bool asleep = jobs_.empty() && !issuing_.has_value() &&
+                      ocp_resp_.empty() && flit_out_.empty() &&
+                      rx_.gate_idle() && tx_.gate_idle() &&
+                      ocp_req_.gate_idle() && ocp_resp_.gate_idle();
+  return asleep ? sim::kNever : now + 1;
 }
 
 }  // namespace xpl::ni

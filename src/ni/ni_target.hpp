@@ -58,23 +58,21 @@ class TargetNi : public sim::Module {
 
   void tick(sim::Kernel& kernel) override;
 
-  /// Quiescence predicate: no job queued or issuing,
-  /// nothing buffered toward the network, and every endpoint inert.
-  /// Pending/collecting response bookkeeping and mid-packet reassembly
-  /// are input-driven (sleepable) state. See DESIGN.md §2.
-  bool is_idle() const override;
-
-  /// Time-leap next event: kNever when busy only by the network sender's
-  /// zero-credit counter clause (stalls caught up in closed form on wake
-  /// — DESIGN.md §2), next cycle otherwise.
+  /// Sleep claim: kNever once no job is queued or issuing, nothing is
+  /// buffered toward the network and every endpoint is inert, next cycle
+  /// otherwise. Pending/collecting response bookkeeping, mid-packet
+  /// reassembly and a starved credit sender are input-driven (sleepable)
+  /// state. See DESIGN.md §2.
   std::uint64_t next_event(std::uint64_t now) const override;
 
   const TargetConfig& config() const { return config_; }
   std::uint64_t packets_received() const { return packets_received_; }
   std::uint64_t packets_sent() const { return packets_sent_; }
-  /// Network-port sender back-pressure (0 unless flow == kCredit).
-  /// Includes the not-yet-applied stalls of an in-progress sleep gap.
-  std::uint64_t credit_stalls() const;
+  /// Network-port sender back-pressure (0 unless flow == kCredit)
+  /// through cycle `now`.
+  std::uint64_t credit_stalls(std::uint64_t now) const {
+    return tx_.credit_stalls(now);
+  }
   bool idle() const;
 
  private:
@@ -117,11 +115,6 @@ class TargetNi : public sim::Module {
 
   std::uint64_t packets_received_ = 0;
   std::uint64_t packets_sent_ = 0;
-
-  /// Stall catch-up bookkeeping (time-leap; see Switch): first un-ticked
-  /// cycle and the clock that measures sleep gaps.
-  std::uint64_t next_tick_ = 0;
-  const sim::Kernel* kernel_ = nullptr;
 };
 
 }  // namespace xpl::ni

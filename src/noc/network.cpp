@@ -405,10 +405,11 @@ std::uint64_t Network::total_retransmissions() const {
 }
 
 std::uint64_t Network::total_credit_stalls() const {
+  const std::uint64_t now = kernel_.cycle();
   std::uint64_t total = 0;
-  for (const auto& s : switches_) total += s->credit_stalls();
-  for (const auto& n : initiator_nis_) total += n->credit_stalls();
-  for (const auto& n : target_nis_) total += n->credit_stalls();
+  for (const auto& s : switches_) total += s->credit_stalls(now);
+  for (const auto& n : initiator_nis_) total += n->credit_stalls(now);
+  for (const auto& n : target_nis_) total += n->credit_stalls(now);
   return total;
 }
 

@@ -31,8 +31,8 @@ void MasterCore::push_transaction_at(Transaction txn,
   queue_.push_back({std::move(txn), release});
   // External injection: no signal write re-arms a sleeping master, so the
   // push itself must (wake-hazard regression: tests/wake_hazard_test.cpp).
-  // A future release keeps the master awake until it arrives (is_idle
-  // tests queue_.empty()); pre-release ticks change nothing.
+  // A future release parks the master on the calendar until it arrives
+  // (next_event); pre-release ticks change nothing.
   wake();
 }
 
@@ -40,18 +40,13 @@ bool MasterCore::quiescent() const {
   return queue_.empty() && !active_.has_value() && awaiting_total_ == 0;
 }
 
-bool MasterCore::is_idle() const {
-  // awaiting_ is sleepable: the response beat that advances it wakes us.
-  return queue_.empty() && !active_.has_value() && resp_.empty() &&
-         req_.gate_idle() && resp_.gate_idle();
-}
-
 std::uint64_t MasterCore::next_event(std::uint64_t now) const {
   if (active_.has_value() || !resp_.empty() || !req_.gate_idle() ||
       !resp_.gate_idle()) {
     return now + 1;
   }
-  if (queue_.empty()) return now + 1;  // unreachable when !is_idle()
+  // awaiting_ is sleepable: the response beat that advances it wakes us.
+  if (queue_.empty()) return sim::kNever;
   // Pre-release ticks change nothing (the issue gate tests release
   // against the cycle), so the queued head's release is the next event.
   // A released head that did not issue is blocked on the outstanding
@@ -158,20 +153,14 @@ SlaveCore::SlaveCore(std::string name, const OcpWires& wires,
   resp_.watch(*this);  // response credits returned by the NI/master
 }
 
-bool SlaveCore::is_idle() const {
-  // jobs_ non-empty keeps the slave awake (time-driven ready_cycle);
+std::uint64_t SlaveCore::next_event(std::uint64_t now) const {
   // collecting_/responding_ are kept awake conservatively — both are
   // short-lived and always adjacent to wire activity.
-  return req_.empty() && jobs_.empty() && !responding_.has_value() &&
-         !collecting_.has_value() && req_.gate_idle() && resp_.gate_idle();
-}
-
-std::uint64_t SlaveCore::next_event(std::uint64_t now) const {
   if (!req_.empty() || collecting_.has_value() || responding_.has_value() ||
       !req_.gate_idle() || !resp_.gate_idle()) {
     return now + 1;
   }
-  if (jobs_.empty()) return now + 1;  // unreachable when !is_idle()
+  if (jobs_.empty()) return sim::kNever;
   // Ticks before the front job's ready_cycle are no-ops (the promotion
   // gate tests it against the cycle); the service window is the wait.
   return std::max<std::uint64_t>(jobs_.front().ready_cycle, now + 1);

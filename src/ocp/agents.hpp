@@ -65,16 +65,14 @@ class MasterCore : public sim::Module {
   /// True when nothing is queued, in flight, or awaiting response.
   bool quiescent() const;
 
-  /// Quiescence predicate: nothing to issue and both
-  /// socket endpoints inert. Transactions awaiting responses are
-  /// sleepable — the response beat wakes this module. push_transaction
-  /// wakes the module itself (external injection bypasses the wires).
-  bool is_idle() const override;
-
-  /// Time-leap next event: a master busy only because its head-of-queue
-  /// transaction has a future release cycle sleeps until that release;
-  /// one blocked on the outstanding limit sleeps until a response beat
-  /// wakes it (both kinds of waiting tick as observable no-ops).
+  /// Sleep claim: kNever with nothing to issue and both socket endpoints
+  /// inert. Transactions awaiting responses are sleepable — the response
+  /// beat wakes this module — and push_transaction wakes the module
+  /// itself (external injection bypasses the wires). A master whose
+  /// head-of-queue transaction has a future release cycle sleeps until
+  /// that release; one blocked on the outstanding limit sleeps until a
+  /// response beat wakes it (both kinds of waiting tick as observable
+  /// no-ops).
   std::uint64_t next_event(std::uint64_t now) const override;
 
   std::size_t issued_count() const { return issued_count_; }
@@ -130,15 +128,13 @@ class SlaveCore : public sim::Module {
 
   void tick(sim::Kernel& kernel) override;
 
-  /// Quiescence predicate. Jobs awaiting their service
-  /// latency MUST keep the slave awake: ready_cycle promotion is
-  /// time-driven, not input-driven, so no wire write would re-arm it.
-  bool is_idle() const override;
-
-  /// Time-leap next event: a slave whose only pending work is jobs inside
-  /// their service window sleeps until the front job's ready_cycle (jobs
-  /// complete collection in cycle order with a constant latency, so the
-  /// front ready_cycle is the minimum).
+  /// Sleep claim. Jobs awaiting their service latency must not sleep
+  /// past it: ready_cycle promotion is time-driven, not input-driven, so
+  /// no wire write would re-arm the slave. One whose only pending work is
+  /// jobs inside their service window sleeps until the front job's
+  /// ready_cycle (jobs complete collection in cycle order with a constant
+  /// latency, so the front ready_cycle is the minimum); one with no work
+  /// at all sleeps until a request beat wakes it.
   std::uint64_t next_event(std::uint64_t now) const override;
 
   /// Direct backdoor access for tests (word index = byte addr / 8).

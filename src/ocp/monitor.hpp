@@ -32,12 +32,14 @@ class Monitor : public sim::Module {
 
   void tick(sim::Kernel& kernel) override;
 
-  /// Always idle: the monitor's state advances
-  /// only on valid beats, and it registers as a watcher on both data
-  /// wires, so any beat (or its drive-idle reset) wakes it for exactly
-  /// the cycles where it would observe something.
+  /// Always asleep after a tick: the monitor's state advances only on
+  /// valid beats, and it registers as a watcher on both data wires, so
+  /// any beat (or its drive-idle reset) wakes it for exactly the cycles
+  /// where it would observe something.
   // xlint: idle-ok(pure observer; watcher wakes on both wires cover every observable cycle, pinned by wake_hazard_test)
-  bool is_idle() const override { return true; }  // xlint: next-event-ok(reads cycle() only to timestamp violations; never self-scheduled — the wire watchers wake it)
+  std::uint64_t next_event(std::uint64_t) const override {  // xlint: next-event-ok(reads cycle() only to timestamp violations; never self-scheduled — the wire watchers wake it)
+    return sim::kNever;
+  }
 
   const std::vector<std::string>& violations() const { return violations_; }
   bool clean() const { return violations_.empty(); }

@@ -78,11 +78,11 @@ bool Kernel::run_cycle(Parts parts, std::uint64_t& clock) {
   }
   bool awake = scheduler_ == Scheduler::kFull;
   if (!awake) {
-    // Active-set update, after commit so is_idle() reads committed values.
-    // It visits only the awake bits: a woken module stays in the set; any
-    // other awake module ticked this cycle and leaves the set when its
-    // quiescence predicate holds, or parks on its partition's calendar
-    // when its next self-driven change lies beyond the next cycle.
+    // Active-set update, after commit so next_event() reads committed
+    // values. It visits only the awake bits: a woken module stays in the
+    // set; any other awake module ticked this cycle and stays only when
+    // its next event is the next cycle. Otherwise it leaves the set, and
+    // parks on its partition's calendar unless that event is kNever.
     for (const auto& p : parts) {
       ActiveSet& set = p->active;
       for (std::size_t w = 0; w < set.awake_.size(); ++w) {
@@ -92,7 +92,6 @@ bool Kernel::run_cycle(Parts parts, std::uint64_t& clock) {
              ticked &= ticked - 1) {
           const int b = std::countr_zero(ticked);
           Module* m = p->modules[w * 64 + b];
-          if (m->is_idle()) continue;
           if (const std::uint64_t e = m->next_event(clock); e > clock + 1) {
             if (e != kNever) p->calendar.schedule(e, m);
             continue;

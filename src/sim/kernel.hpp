@@ -22,13 +22,13 @@
 //
 // One loop body runs every cycle (Kernel::run_cycle, DESIGN.md §2): serve
 // the wake calendar, tick the awake modules, commit the signals written
-// this cycle, then update the active set. A ticked module leaves the set
-// when its is_idle() predicate holds, until a signal it watches is
-// written (Signal::watch) or it is woken explicitly (Module::wake). A busy
-// module whose next self-driven change lies beyond the next cycle
-// declares that cycle via Module::next_event() and parks on a timed-wake
-// calendar (calendar.hpp). When nothing is awake the kernel leaps the
-// clock to the calendar's next due cycle instead of walking the gap.
+// this cycle, then update the active set. Each ticked module answers one
+// question, Module::next_event(): kNever leaves the set until a signal it
+// watches is written (Signal::watch) or it is woken explicitly
+// (Module::wake); a cycle beyond the next parks it on a timed-wake
+// calendar (calendar.hpp) until then. When nothing is awake the kernel
+// leaps the clock to the calendar's next due cycle instead of walking the
+// gap.
 //
 // Two schedulers share the body (Scheduler): kTimeLeap, the production
 // loop, and kFull, the reference, which never lets a module sleep and
@@ -162,20 +162,12 @@ class Module {
   /// is awake (every cycle under the full reference).
   virtual void tick(Kernel& kernel) = 0;
 
-  /// Quiescence predicate of the active set: return true only when
-  /// the next tick() would provably change no internal state and write no
-  /// signal value that differs from what the wires already hold. Modules
-  /// that cannot promise this keep the safe default (never skipped). The
-  /// kernel evaluates this after commit, so implementations read committed
-  /// signal values. See DESIGN.md §2 for the per-module contracts.
-  virtual bool is_idle() const { return false; }
-
   /// Re-arms this module. Called automatically when a watched signal is
   /// written; call it directly when injecting work from outside the
   /// simulation (e.g. MasterCore::push_transaction). Arms the *current*
   /// tick phase too: an externally-injected transaction must be served
   /// the same cycle as under the full scheduler, and an extra tick of a
-  /// genuinely idle module is a no-op by the is_idle() contract, so a
+  /// sleeping module is a no-op by the next_event() contract, so a
   /// mid-phase wake of a later-ordered module is harmless.
   /// A module not yet registered with a kernel has no active set; it
   /// joins awake, so waking it is a no-op.
@@ -187,20 +179,22 @@ class Module {
   /// full reference, which never lets a module sleep).
   bool awake() const { return active_ == nullptr || active_->awake(slot_); }
 
-  /// The cycle of this module's next
-  /// *self-driven* state change, consulted right after a tick when
-  /// is_idle() is still false. Contract:
+  /// The module's sleep contract: the cycle of its next *self-driven*
+  /// state change. The kernel asks after each tick's commit, so
+  /// implementations read committed signal values.
   ///
   ///  * now + 1 (the safe default) — stay awake; tick again next cycle.
-  ///  * kNever — nothing pending; sleep until a watched-signal wake.
+  ///  * kNever — sleep until a watched signal is written or wake() is
+  ///    called; every tick until then would be an observable no-op.
   ///  * any c > now + 1 — sleep on the wake calendar until cycle c; every
-  ///    tick in (now, c) must be an observable no-op (no committed signal
-  ///    change, no internal state change that a later cycle could see).
-  ///    Counters that would have advanced during the gap must be caught
-  ///    up in closed form on the next tick (DESIGN.md §2).
+  ///    tick in (now, c) must be an observable no-op.
   ///
-  /// Spurious early wakes are harmless by the same contract; returning a
-  /// too-late cycle is a correctness bug the differential harness catches.
+  /// An observable no-op changes no committed signal and no internal state
+  /// a later cycle could see. A counter that would have advanced on the
+  /// skipped ticks (a starved credit sender's stalls) is caught up in
+  /// closed form on the next tick (DESIGN.md §2). Spurious early wakes are
+  /// harmless by the same contract; a too-late cycle is a correctness bug
+  /// the differential harness catches.
   virtual std::uint64_t next_event(std::uint64_t now) const {
     return now + 1;
   }
@@ -452,8 +446,9 @@ class Kernel {
 
   /// Parks `m` on its partition's wake calendar for cycle `due`. Under
   /// the full reference — or when `due` is not in the future — this wakes
-  /// the module immediately instead: an extra awake tick is a no-op by the
-  /// is_idle() contract, so callers need no scheduler-specific logic.
+  /// the module immediately instead: an extra tick before `due` is a no-op
+  /// by the next_event() contract, so callers need no scheduler-specific
+  /// logic.
   void schedule_wake(Module& m, std::uint64_t due) {
     if (scheduler_ == Scheduler::kFull || due <= cycle()) {
       m.wake();
@@ -477,7 +472,7 @@ class Kernel {
 
   std::size_t module_count() const { return modules_.size(); }
   /// Registered modules in tick order (quiescence-invariant tests walk
-  /// this to check every module's is_idle() claim after a drain).
+  /// this to check every module's next_event() claim after a drain).
   const std::vector<Module*>& modules() const { return modules_; }
   std::size_t signal_count() const { return signal_count_; }
   /// Distinct signal types in use.

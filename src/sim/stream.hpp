@@ -85,7 +85,7 @@ class StreamProducer {
   /// Wakes `owner` whenever credits are returned on this stream.
   void watch(Module& owner) { wires_.credit->watch(owner); }
 
-  /// Endpoint part of the owner's quiescence predicate: nothing left to
+  /// Endpoint part of the owner's sleep claim: nothing left to
   /// drive on the data wire and no credits arriving that a tick would
   /// need to absorb.
   bool gate_idle() const {
@@ -150,7 +150,7 @@ class StreamConsumer {
   /// Wakes `owner` whenever a beat arrives on this stream.
   void watch(Module& owner) { wires_.data->watch(owner); }
 
-  /// Endpoint part of the owner's quiescence predicate: no beat arriving
+  /// Endpoint part of the owner's sleep claim: no beat arriving
   /// and no credit return left to drive. FIFO occupancy is deliberately
   /// excluded — whether buffered beats still need processing is the
   /// owning module's concern.

@@ -142,21 +142,7 @@ void Switch::tick(sim::Kernel& kernel) {
   // VC/switch allocation + crossbar + output-queue write, then link
   // transmit).
   const std::size_t vcs = config_.vcs;
-
-  // Stall catch-up (time-leap): skipped cycles were frozen, so every
-  // sender that was starved when this module went to sleep stayed starved
-  // through the gap — credit each with one stall per skipped cycle.
-  // Evaluated before begin_cycle consumes the credit beat that (usually)
-  // caused this wake, i.e. against the exact state the skipped ticks
-  // would have seen.
-  kernel_ = &kernel;
   const std::uint64_t now = kernel.cycle();
-  if (now > next_tick_) {
-    for (OutputPort& out : outputs_) {
-      if (out.tx.stall_pending()) out.tx.catch_up_stalls(now - next_tick_);
-    }
-  }
-  next_tick_ = now + 1;
 
   // Output ports, one pass each: the sender's ACK/nACK / credit
   // bookkeeping (it retires or rewinds), link transmit — drain one flit
@@ -165,7 +151,7 @@ void Switch::tick(sim::Kernel& kernel) {
   // tick touches a sender, so its wire write here is the one it would
   // make at the end of the tick.
   for (OutputPort& out : outputs_) {
-    out.tx.begin_cycle();
+    out.tx.begin_cycle(now);
     std::size_t v = out.next_tx_lane;
     for (std::size_t k = 0; k < vcs; ++k, v = next_lane(v, vcs)) {
       OutLane& lane = out.lanes[v];
@@ -184,8 +170,7 @@ void Switch::tick(sim::Kernel& kernel) {
     for (OutputPort& out : outputs_) {
       for (OutLane& lane : out.lanes) {
         if (!lane.pipe.empty() &&
-            kernel.cycle() >=
-                lane.pipe.front().second + config_.extra_pipeline) {
+            now >= lane.pipe.front().second + config_.extra_pipeline) {
           lane.fifo.push_back(std::move(lane.pipe.front().first));
           lane.pipe.pop_front();
         }
@@ -289,7 +274,7 @@ void Switch::tick(sim::Kernel& kernel) {
       il.locked_output = kNoPort;
     }
     if (config_.extra_pipeline > 0) {
-      ol.pipe.emplace_back(std::move(flit), kernel.cycle());
+      ol.pipe.emplace_back(std::move(flit), now);
     } else {
       ol.fifo.push_back(std::move(flit));
     }
@@ -335,21 +320,9 @@ std::uint64_t Switch::retransmissions() const {
   return total;
 }
 
-std::uint64_t Switch::credit_stalls() const {
+std::uint64_t Switch::credit_stalls(std::uint64_t now) const {
   std::uint64_t total = 0;
-  for (const OutputPort& out : outputs_) total += out.tx.credit_stalls();
-  // Time-leap correction: cycles this module has slept through so far
-  // while a sender sat starved would each have counted one stall under
-  // per-cycle ticking; the frozen state says exactly how many. Zero under
-  // kFull (next_tick_ == cycle(): a switch that never sleeps).
-  if (kernel_ != nullptr) {
-    const std::uint64_t now = kernel_->cycle();
-    if (now > next_tick_) {
-      for (const OutputPort& out : outputs_) {
-        if (out.tx.stall_pending()) total += now - next_tick_;
-      }
-    }
-  }
+  for (const OutputPort& out : outputs_) total += out.tx.credit_stalls(now);
   return total;
 }
 
@@ -397,48 +370,27 @@ bool Switch::idle() const {
   return true;
 }
 
-bool Switch::is_idle() const {
-  // Unlike idle(), a held wormhole lock or unACKed-but-transmitted flit
-  // is sleepable state: only an input-wire or reverse-wire beat can move
-  // it along, and both wake this module via the endpoint watches.
-  for (const InputPort& in : inputs_) {
-    if (!in.rx.gate_idle()) return false;
-    for (const InLane& lane : in.lanes) {
-      if (!lane.fifo.empty()) return false;
-    }
-  }
-  for (const OutputPort& out : outputs_) {
-    if (!out.tx.gate_idle()) return false;
-    for (const OutLane& lane : out.lanes) {
-      if (!lane.fifo.empty() || !lane.pipe.empty()) return false;
-    }
-  }
-  return true;
-}
-
-bool Switch::leap_idle() const {
-  for (const InputPort& in : inputs_) {
-    if (!in.rx.gate_idle()) return false;
-    for (const InLane& lane : in.lanes) {
-      if (!lane.fifo.empty()) return false;
-    }
-  }
-  for (const OutputPort& out : outputs_) {
-    if (!out.tx.gate_idle_leap()) return false;
-    for (const OutLane& lane : out.lanes) {
-      if (!lane.fifo.empty() || !lane.pipe.empty()) return false;
-    }
-  }
-  return true;
-}
-
+// xlint: next-event-ok(the clock times delay-line entries, which keep the switch awake until they drain, and the senders' closed-form stall catch-up)
 std::uint64_t Switch::next_event(std::uint64_t now) const {
-  // Only consulted when is_idle() is false. If the switch is busy solely
-  // because a starved sender must count per-cycle stalls, those frozen
-  // ticks are caught up in closed form — sleep until the credit return
-  // wakes it through the watched reverse wire. Anything else (buffered
-  // flits, delay-line entries, arriving beats) needs the next cycle.
-  return leap_idle() ? sim::kNever : now + 1;
+  // Unlike idle(), a held wormhole lock, an unACKed-but-transmitted flit
+  // or a starved credit sender is sleepable state: only an input-wire or
+  // reverse-wire beat can move it along, both wake this module via the
+  // endpoint watches, and a sender credits its slept-through stalls on
+  // the next tick. Buffered flits, delay-line entries and arriving beats
+  // need the next cycle.
+  for (const InputPort& in : inputs_) {
+    if (!in.rx.gate_idle()) return now + 1;
+    for (const InLane& lane : in.lanes) {
+      if (!lane.fifo.empty()) return now + 1;
+    }
+  }
+  for (const OutputPort& out : outputs_) {
+    if (!out.tx.gate_idle()) return now + 1;
+    for (const OutLane& lane : out.lanes) {
+      if (!lane.fifo.empty() || !lane.pipe.empty()) return now + 1;
+    }
+  }
+  return sim::kNever;
 }
 
 }  // namespace xpl::switchlib

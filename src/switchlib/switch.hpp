@@ -109,16 +109,11 @@ class Switch : public sim::Module {
 
   void tick(sim::Kernel& kernel) override;
 
-  /// Quiescence predicate: every buffer, delay line and
-  /// endpoint is inert. Held wormhole locks are static state and do NOT
-  /// keep the switch awake — the next body flit wakes it through its
-  /// input wire. See DESIGN.md §2.
-  bool is_idle() const override;
-
-  /// Time-leap next event: kNever when the switch is busy only by the
-  /// credit-counter clause of is_idle() (a starved sender's per-cycle
-  /// stall count is restored in closed form on wake — DESIGN.md §2),
-  /// next cycle otherwise.
+  /// Sleep claim: kNever once every buffer, delay line and endpoint is
+  /// inert, next cycle otherwise. Held wormhole locks, unacknowledged
+  /// flits and starved credit senders are sleepable state — the next
+  /// body flit or credit/ACK beat wakes the switch through a watched
+  /// wire. See DESIGN.md §2.
   std::uint64_t next_event(std::uint64_t now) const override;
 
   const SwitchConfig& config() const { return config_; }
@@ -135,8 +130,9 @@ class Switch : public sim::Module {
   /// always 0 in credit mode.
   std::uint64_t retransmissions() const;
   /// Credit-starvation cycles summed over this switch's senders (zero
-  /// credits, window parked downstream); always 0 in ACK/nACK mode.
-  std::uint64_t credit_stalls() const;
+  /// credits, window parked downstream) through cycle `now`; always 0 in
+  /// ACK/nACK mode.
+  std::uint64_t credit_stalls(std::uint64_t now) const;
 
   /// True when no flit is buffered or in flight inside the switch.
   bool idle() const;
@@ -190,10 +186,6 @@ class Switch : public sim::Module {
   std::uint8_t out_vc(std::size_t in_port, std::uint8_t in_vc,
                       std::size_t out_port) const;
 
-  /// is_idle() with the senders' zero-credit counter clause relaxed to
-  /// gate_idle_leap — the sleep bound the time-leap scheduler uses.
-  bool leap_idle() const;
-
   SwitchConfig config_;
   std::vector<InputPort> inputs_;
   std::vector<OutputPort> outputs_;
@@ -212,13 +204,6 @@ class Switch : public sim::Module {
   std::uint64_t flits_switched_ = 0;
   std::uint64_t active_cycles_ = 0;
   std::vector<std::uint64_t> packets_out_;
-
-  /// Stall catch-up bookkeeping (time-leap): the first cycle this module
-  /// has not yet ticked, and the kernel whose clock measures the gap. A
-  /// module that ticks every cycle (kFull) keeps next_tick_ ==
-  /// cycle() so both corrections below are identically zero.
-  std::uint64_t next_tick_ = 0;
-  const sim::Kernel* kernel_ = nullptr;
 };
 
 }  // namespace xpl::switchlib

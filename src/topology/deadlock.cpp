@@ -45,7 +45,7 @@ DeadlockReport check_deadlock(const Topology& topo,
     return static_cast<std::uint32_t>(link * vcs + vc);
   };
 
-  tables.for_each_path([&](std::uint32_t from_sw,
+  tables.for_each_path([&](std::uint32_t from_sw, std::uint32_t,
                            std::span<const std::uint8_t> links) {
     std::uint32_t cur = from_sw;
     std::int64_t prev_link = -1;

@@ -77,14 +77,15 @@ class RoutingTables {
     }
   }
 
-  /// Calls fn(from_switch, links) once per distinct switch path the
-  /// table's routes take (each NI-pair route is one of these plus an exit
-  /// port).
+  /// Calls fn(from_switch, to_switch, links) once per distinct switch
+  /// path the table's routes take (each NI-pair route is one of these
+  /// plus an exit port).
   template <typename Fn>
   void for_each_path(Fn&& fn) const {
+    const std::size_t e = endpoints_.size();
     for (std::size_t p = 0; p < paths_.size(); ++p) {
       if (paths_[p].offset == kNoPath) continue;
-      fn(endpoints_[p / endpoints_.size()], path(p));
+      fn(endpoints_[p / e], endpoints_[p % e], path(p));
     }
   }
 
@@ -125,9 +126,9 @@ class RoutingTables {
 RoutingTables compute_all_routes(const Topology& topo,
                                  RoutingAlgorithm algorithm);
 
-/// Switch sequence visited by a route starting at NI `src` (used by the
-/// buffer-sizing pass and tests). Includes the injection switch first; a
-/// route's link selectors alone give the same sequence.
+/// Switch sequence visited by a route starting at NI `src` (a test
+/// reference). Includes the injection switch first; a route's link
+/// selectors alone give the same sequence.
 std::vector<std::uint32_t> route_switch_path(
     const Topology& topo, std::uint32_t src,
     std::span<const std::uint8_t> route);

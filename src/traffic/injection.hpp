@@ -95,7 +95,6 @@ class InjectionEngine final : public sim::Module {
   void tick(sim::Kernel& kernel) override {
     if (active_) roll_ahead(kernel.cycle() + 1);
   }
-  bool is_idle() const override { return !active_; }
   std::uint64_t next_event(std::uint64_t now) const override {
     // Wake at the last rolled cycle: that tick rolls the next one.
     if (!active_ || next_ >= horizon_) return sim::kNever;

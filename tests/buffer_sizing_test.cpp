@@ -2,9 +2,13 @@
 // optimizations: buffer sizes".
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cmath>
+
 #include "src/compiler/compiler.hpp"
 #include "src/synth/component_models.hpp"
 #include "src/topology/generators.hpp"
+#include "src/topology/routing.hpp"
 
 namespace xpl::compiler {
 namespace {
@@ -32,6 +36,57 @@ TEST(BufferSizing, CentreGetsDeeperQueuesThanCorners) {
     EXPECT_GE(d, 2u);
     EXPECT_LE(d, 8u);
   }
+}
+
+// The sizing rule spelled out per NI-pair route: every route adds one
+// to each switch it visits, and depths scale with load / max load.
+std::vector<std::size_t> per_route_depths(const NocSpec& spec,
+                                          std::size_t min_depth,
+                                          std::size_t max_depth) {
+  const auto tables =
+      topology::compute_all_routes(spec.topo, spec.net.routing);
+  std::vector<double> load(spec.topo.num_switches(), 0.0);
+  tables.for_each([&](std::uint32_t src, std::uint32_t,
+                      const topology::RouteRef& route) {
+    for (const std::uint32_t sw :
+         topology::route_switch_path(spec.topo, src, route.links)) {
+      load[sw] += 1.0;
+    }
+  });
+  const double max_load = *std::max_element(load.begin(), load.end());
+  std::vector<std::size_t> depths(load.size(), min_depth);
+  for (std::size_t s = 0; s < depths.size(); ++s) {
+    depths[s] = min_depth + static_cast<std::size_t>(std::lround(
+                                load[s] / max_load *
+                                double(max_depth - min_depth)));
+  }
+  return depths;
+}
+
+TEST(BufferSizing, PathWeightsMatchThePerRouteCount) {
+  // The pass walks each switch pair's path once, weighted by the NI
+  // pairs sharing it. Its depths must equal a count over every NI-pair
+  // route, on a large mesh and on a dateline torus with an uneven NI
+  // plan (so the request and response weights differ per switch).
+  XpipesCompiler xpipes;
+  NocSpec mesh = mesh_spec(12, 12);
+  const auto mesh_depths = xpipes.optimize_buffer_sizes(mesh, 2, 8);
+  EXPECT_EQ(mesh_depths, per_route_depths(mesh, 2, 8));
+
+  NocSpec torus;
+  torus.name = "buf_torus";
+  topology::NiPlan plan = topology::NiPlan::uniform(36, 1, 1);
+  for (std::size_t s = 0; s < 36; ++s) {
+    plan.initiators[s] = s % 3;
+    plan.targets[s] = (s / 2) % 2 + (s % 5 == 0 ? 1 : 0);
+  }
+  torus.topo = topology::make_torus(6, 6, plan);
+  torus.net.vcs = 2;
+  torus.net.target_window = 1 << 12;
+  const auto torus_depths = xpipes.optimize_buffer_sizes(torus, 1, 16);
+  EXPECT_EQ(torus_depths, per_route_depths(torus, 1, 16));
+  EXPECT_GT(*std::max_element(torus_depths.begin(), torus_depths.end()),
+            *std::min_element(torus_depths.begin(), torus_depths.end()));
 }
 
 TEST(BufferSizing, OverrideReachesInstantiatedSwitches) {

@@ -26,8 +26,8 @@ class TestSender : public sim::Module {
              std::size_t total)
       : sim::Module("sender"), tx_(flow, wires, cfg), total_(total) {}
 
-  void tick(sim::Kernel&) override {
-    tx_.begin_cycle();
+  void tick(sim::Kernel& kernel) override {
+    tx_.begin_cycle(kernel.cycle());
     if (next_ < total_ && tx_.can_accept()) {
       tx_.accept(Flit(BitVector(32, next_ & 0xFFFFFFFF), /*head=*/true,
                       /*tail=*/true));
@@ -113,7 +113,7 @@ TEST(Credit, CleanLinkDeliversEverything) {
   EXPECT_TRUE(h.sender.done());
   h.expect_all_delivered(100);
   EXPECT_EQ(h.sender.tx().retransmissions(), 0u);
-  EXPECT_EQ(h.sender.tx().credit_stalls(), 0u);
+  EXPECT_EQ(h.sender.tx().credit_stalls(h.kernel.cycle()), 0u);
 }
 
 TEST(Credit, CleanPipelinedLinkSustainsFullThroughput) {
@@ -133,7 +133,7 @@ TEST(Credit, BackpressureStallsAtZeroCreditsLosslessly) {
   h.expect_all_delivered(150);
   // A 60%-stalled receiver must have driven the sender to zero credits,
   // and back-pressure never retransmits under credits.
-  EXPECT_GT(h.sender.tx().credit_stalls(), 0u);
+  EXPECT_GT(h.sender.tx().credit_stalls(h.kernel.cycle()), 0u);
   EXPECT_EQ(h.sender.tx().retransmissions(), 0u);
   EXPECT_EQ(h.receiver.rx().flow_rejections(), 0u);
 }
@@ -147,7 +147,7 @@ TEST(Credit, SenderNeverExceedsCreditCount) {
   // transmitted and the rest stage locally.
   std::size_t accepted = 0;
   for (int cycle = 0; cycle < 100; ++cycle) {
-    tx.begin_cycle();
+    tx.begin_cycle(kernel.cycle());
     if (tx.can_accept()) {
       tx.accept(Flit(BitVector(8, static_cast<std::uint64_t>(cycle % 256)),
                      true, true));
@@ -163,7 +163,7 @@ TEST(Credit, SenderNeverExceedsCreditCount) {
   EXPECT_EQ(accepted, cfg.window);
   EXPECT_EQ(tx.in_flight(), cfg.window);
   // Every cycle after the window filled is a credit-starvation cycle.
-  EXPECT_GT(tx.credit_stalls(), 0u);
+  EXPECT_GT(tx.credit_stalls(kernel.cycle()), 0u);
   EXPECT_FALSE(tx.idle());
 }
 
@@ -177,14 +177,14 @@ TEST(Credit, SenderStaysBusyUntilCreditsReturn) {
   CreditSender tx(wires, cfg);
   CreditReceiver rx(wires, cfg);
 
-  tx.begin_cycle();
+  tx.begin_cycle(kernel.cycle());
   tx.accept(Flit(BitVector(8, 1), true, true));
   tx.end_cycle();
   kernel.step();  // flit on the wire
   EXPECT_TRUE(!tx.idle());
 
   // Receiver latches it but its owner cannot take it yet.
-  tx.begin_cycle();
+  tx.begin_cycle(kernel.cycle());
   EXPECT_EQ(rx.begin_cycle(/*can_take=*/false), nullptr);
   rx.end_cycle();
   tx.end_cycle();
@@ -192,12 +192,12 @@ TEST(Credit, SenderStaysBusyUntilCreditsReturn) {
   EXPECT_TRUE(!tx.idle());  // credit still outstanding
 
   // Owner drains; the credit beat crosses back next cycle.
-  tx.begin_cycle();
+  tx.begin_cycle(kernel.cycle());
   ASSERT_NE(rx.begin_cycle(/*can_take=*/true), nullptr);
   rx.end_cycle();
   tx.end_cycle();
   kernel.step();
-  tx.begin_cycle();  // collects the returned credit
+  tx.begin_cycle(kernel.cycle());  // collects the returned credit
   tx.end_cycle();
   EXPECT_TRUE(tx.idle());
 }
@@ -206,6 +206,10 @@ TEST(Credit, SenderStaysBusyUntilCreditsReturn) {
 // (the staged slot, starved_, spent_, buffered_). A randomized accept /
 // credit-return / drain schedule checks every answer, every cycle,
 // against a scan over the lanes rebuilt from the wires and credits().
+// The sender's owner also sleeps through random cycles whenever the
+// sender's sleep claim (gate_idle) allows it, as the time-leap kernel
+// would: credit_stalls(now), read mid-gap, must still count every
+// starved cycle, slept or ticked.
 class CreditCounters : public ::testing::TestWithParam<std::size_t> {};
 
 TEST_P(CreditCounters, MatchLaneScanEveryCycle) {
@@ -222,6 +226,7 @@ TEST_P(CreditCounters, MatchLaneScanEveryCycle) {
   std::vector<std::size_t> staged(vcs, 0);    // accepted, not yet sent
   std::vector<std::size_t> buffered(vcs, 0);  // arrived, not yet drained
   std::uint64_t stalls = 0;
+  std::uint64_t slept_stalls = 0;  // stalls of cycles the owner slept
   std::uint64_t next_payload = 0;
   std::vector<std::vector<std::uint64_t>> sent(vcs), got(vcs);
 
@@ -232,12 +237,16 @@ TEST_P(CreditCounters, MatchLaneScanEveryCycle) {
     // sit starved for stretches and then recover.
     const bool draining = cycle >= kDrainFrom;
     const double take_p = draining || (cycle / 200) % 2 == 1 ? 0.9 : 0.15;
+    // A sleeping owner skips the sender's whole tick. gate_idle promises
+    // the tick would read no credit and drive nothing, so the skip is
+    // invisible except for the stall it would have counted.
+    const bool asleep = tx.gate_idle() && rng.chance(0.5);
 
-    tx.begin_cycle();
+    if (!asleep) tx.begin_cycle(kernel.cycle());
     // Like every owner, stage at most one flit per cycle: on a randomly
     // chosen lane, which may be starved while others hold credits.
     const std::size_t lane = rng.next_below(vcs);
-    if (!draining && rng.chance(0.8) && tx.can_accept(lane)) {
+    if (!asleep && !draining && rng.chance(0.8) && tx.can_accept(lane)) {
       Flit f(BitVector(16, next_payload & 0xFFFF), true, true);
       f.vc = static_cast<std::uint8_t>(lane);
       sent[lane].push_back(next_payload & 0xFFFF);
@@ -267,21 +276,22 @@ TEST_P(CreditCounters, MatchLaneScanEveryCycle) {
       staged_total += staged[v];
       starved = starved || tx.credits(v) == 0;
     }
-    if (staged_total == 0 && starved) ++stalls;
-    tx.end_cycle();
+    if (staged_total == 0 && starved) {
+      ++stalls;
+      if (asleep) ++slept_stalls;
+    }
+    if (!asleep) tx.end_cycle();
     if (wires.fwd->written() && wires.fwd->staged().valid) {
       --staged[wires.fwd->staged().flit.vc];
     }
     kernel.step();
 
     // Lane-scan reference for every O(1) answer.
-    staged_total = 0;
-    starved = false;
     std::size_t in_flight = 0;
     std::size_t buffered_total = 0;
+    staged_total = 0;
     for (std::size_t v = 0; v < vcs; ++v) {
       staged_total += staged[v];
-      starved = starved || tx.credits(v) == 0;
       in_flight += staged[v] + (cfg.window - tx.credits(v));
       buffered_total += buffered[v];
     }
@@ -289,19 +299,18 @@ TEST_P(CreditCounters, MatchLaneScanEveryCycle) {
     // reverse one, so a valid committed beat is the endpoint's dirty flag.
     const bool fwd_valid = wires.fwd->read().valid;
     const bool rev_valid = wires.rev->read().valid;
-    const bool leap_idle = staged_total == 0 && !fwd_valid && !rev_valid;
-    ASSERT_EQ(tx.gate_idle_leap(), leap_idle) << "cycle " << cycle;
-    ASSERT_EQ(tx.gate_idle(), leap_idle && !starved) << "cycle " << cycle;
-    ASSERT_EQ(tx.stall_pending(), staged_total == 0 && starved)
+    ASSERT_EQ(tx.gate_idle(), staged_total == 0 && !fwd_valid && !rev_valid)
         << "cycle " << cycle;
     ASSERT_EQ(tx.in_flight(), in_flight) << "cycle " << cycle;
-    ASSERT_EQ(tx.credit_stalls(), stalls) << "cycle " << cycle;
+    ASSERT_EQ(tx.credit_stalls(kernel.cycle()), stalls) << "cycle " << cycle;
     ASSERT_EQ(rx.buffered(), buffered_total) << "cycle " << cycle;
     ASSERT_EQ(rx.gate_idle(), buffered_total == 0 && !fwd_valid && !rev_valid)
         << "cycle " << cycle;
   }
-  // The schedule starved lanes and drained back to idle, losslessly.
-  EXPECT_GT(tx.credit_stalls(), 0u);
+  // The schedule starved lanes, slept through some of the starved
+  // cycles, and drained back to idle, losslessly.
+  EXPECT_GT(slept_stalls, 0u);
+  EXPECT_GT(stalls, slept_stalls);
   EXPECT_TRUE(tx.gate_idle());
   EXPECT_TRUE(rx.gate_idle());
   EXPECT_EQ(tx.in_flight(), 0u);
@@ -328,7 +337,7 @@ TEST(FlowControl, SeamDispatchesToGoBackN) {
   h.expect_all_delivered(120);
   EXPECT_GT(h.receiver.rx().flow_rejections(), 0u);
   EXPECT_GT(h.sender.tx().retransmissions(), 0u);
-  EXPECT_EQ(h.sender.tx().credit_stalls(), 0u);
+  EXPECT_EQ(h.sender.tx().credit_stalls(h.kernel.cycle()), 0u);
 }
 
 }  // namespace

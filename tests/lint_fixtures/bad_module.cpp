@@ -4,8 +4,9 @@
 
 namespace fixture {
 
-// A concrete module that never claims quiescence: the kernel loop could
-// never let it sleep, and nothing documents whether that is intended.
+// A concrete module that never claims quiescence: the default
+// next_event() keeps it awake every cycle, and nothing documents whether
+// that is intended.
 class Counter : public sim::Module {  // xlint-expect: XL201
  public:
   void tick(sim::Kernel& kernel) override { ++count_; }
@@ -14,14 +15,16 @@ class Counter : public sim::Module {  // xlint-expect: XL201
   std::uint64_t count_ = 0;
 };
 
-// is_idle() reads `done_`, which tick() never writes: the quiescence
+// next_event() reads `done_`, which tick() never writes: the quiescence
 // claim is decoupled from the state that actually advances.
 class Drainer : public sim::Module {
  public:
   void tick(sim::Kernel& kernel) override {
     if (pending_ > 0) --pending_;
   }
-  bool is_idle() const override { return done_; }  // xlint-expect: XL202
+  std::uint64_t next_event(std::uint64_t now) const override {  // xlint-expect: XL202
+    return done_ ? sim::kNever : now + 1;
+  }
 
  private:
   std::uint64_t pending_ = 0;
@@ -29,15 +32,17 @@ class Drainer : public sim::Module {
 };
 
 // Time-driven sleeper without a declared wake: tick() compares the
-// kernel clock against a stored cycle, and is_idle() lets the module
-// sleep — under the time-leap scheduler nothing would ever revisit it
-// at the cycle it is waiting for.
+// kernel clock against a stored cycle, and next_event() can only say
+// kNever or now + 1 — under the time-leap scheduler nothing would ever
+// revisit it at the cycle it is waiting for.
 class Timer : public sim::Module {
  public:
   void tick(sim::Kernel& kernel) override {
     if (kernel.cycle() >= fire_at_) fired_ = true;
   }
-  bool is_idle() const override { return fired_; }  // xlint-expect: XL203
+  std::uint64_t next_event(std::uint64_t now) const override {  // xlint-expect: XL203
+    return fired_ ? sim::kNever : now + 1;
+  }
 
  private:
   std::uint64_t fire_at_ = 100;
@@ -45,14 +50,17 @@ class Timer : public sim::Module {
 };
 
 // Same hazard advertised by the member name instead of a clock read: a
-// due/deadline member is a self-scheduled future cycle, and sleeping on
-// is_idle() without a next_event() override oversleeps it.
+// due/deadline member is a self-scheduled future cycle, and a
+// next_event() that never names it oversleeps it.
 class Resender : public sim::Module {
  public:
   void tick(sim::Kernel& kernel) override {
     if (pending_ > 0 && --resend_due_ == 0) --pending_;
   }
-  bool is_idle() const override { return pending_ == 0; }
+  std::uint64_t next_event(std::uint64_t now) const override {
+    if (pending_ == 0) return sim::kNever;
+    return now + 1;
+  }
 
  private:
   std::uint64_t resend_due_ = 8;  // xlint-expect: XL203

@@ -9,7 +9,9 @@ namespace fixture {
 class Probe : public sim::Module {
  public:
   void tick(sim::Kernel& kernel) override { last_ = wire_->read(); }
-  bool is_idle() const override { return last_ == 0; }
+  std::uint64_t next_event(std::uint64_t now) const override {
+    return last_ == 0 ? sim::kNever : now + 1;
+  }
 
  private:
   sim::Signal<int>* wire_;  // xlint-expect: XL303
@@ -21,7 +23,9 @@ class Probe : public sim::Module {
 class Driver : public sim::Module {
  public:
   void tick(sim::Kernel& kernel) override { step(); }
-  bool is_idle() const override { return armed_ == false; }
+  std::uint64_t next_event(std::uint64_t now) const override {
+    return armed_ ? now + 1 : sim::kNever;
+  }
 
   void arm(int value) {
     out_.write(value);  // xlint-expect: XL301
@@ -45,7 +49,9 @@ class Fanout : public sim::Module {
     wire.watch(this);  // xlint-expect: XL302
   }
   void tick(sim::Kernel& kernel) override { ++beats_; }
-  bool is_idle() const override { return beats_ == 0; }
+  std::uint64_t next_event(std::uint64_t now) const override {
+    return beats_ == 0 ? sim::kNever : now + 1;
+  }
 
  private:
   std::uint64_t beats_ = 0;

@@ -1,5 +1,5 @@
 // Fully conforming modules, as the signal/module checks see them:
-// is_idle() reads exactly the state tick() advances, every Signal write
+// next_event() reads exactly the state tick() advances, every Signal write
 // sits on the tick path, at most two watchers register per wire, and
 // stored signal handles carry the passive-observer annotation.
 // tests/lint_test.py asserts zero findings on this file.
@@ -18,7 +18,9 @@ class Pulse : public sim::Module {
 
   // Quiescence is exactly "no pulses left": the same counter tick()
   // decrements.
-  bool is_idle() const override { return remaining_ == 0; }
+  std::uint64_t next_event(std::uint64_t now) const override {
+    return remaining_ == 0 ? sim::kNever : now + 1;
+  }
 
   void watch_output(sim::Module* consumer, sim::Module* observer) {
     out_.watch(consumer);
@@ -39,7 +41,9 @@ class Scope : public sim::Module {
   void tick(sim::Kernel& kernel) override {
     if (probe_->read() != 0) ++samples_;
   }
-  bool is_idle() const override { return samples_ == 0; }
+  std::uint64_t next_event(std::uint64_t now) const override {
+    return samples_ == 0 ? sim::kNever : now + 1;
+  }
 
  private:
   // xlint: signal-handle-ok(passive observer on an externally owned wire; uses Signal's second watcher slot)
@@ -47,13 +51,15 @@ class Scope : public sim::Module {
   std::uint64_t samples_ = 0;
 };
 
-// An always-false idle claim is a valid (conservative) contract, but it
-// reads none of the tick state, so it documents why.
+// An always-awake claim is a valid (conservative) contract, but it reads
+// none of the tick state, so it documents why.
 class Spinner : public sim::Module {
  public:
   void tick(sim::Kernel& kernel) override { ++cycles_; }
   // xlint: idle-ok(free-running heartbeat; never quiesces by design)
-  bool is_idle() const override { return false; }
+  std::uint64_t next_event(std::uint64_t now) const override {
+    return now + 1;
+  }
 
  private:
   std::uint64_t cycles_ = 0;
@@ -67,9 +73,8 @@ class Alarm : public sim::Module {
   void tick(sim::Kernel& kernel) override {
     if (kernel.cycle() >= fire_at_) fired_ = true;
   }
-  bool is_idle() const override { return fired_; }
   std::uint64_t next_event(std::uint64_t now) const override {
-    return fired_ ? ~std::uint64_t{0} : fire_at_;
+    return fired_ ? sim::kNever : fire_at_;
   }
 
  private:
@@ -83,9 +88,8 @@ class Retry : public sim::Module {
   void tick(sim::Kernel& kernel) override {
     if (pending_ > 0 && --resend_due_ == 0) --pending_;
   }
-  bool is_idle() const override { return pending_ == 0; }
   std::uint64_t next_event(std::uint64_t now) const override {
-    return now + 1;  // counts down every cycle while pending
+    return pending_ == 0 ? sim::kNever : now + resend_due_;
   }
 
  private:

@@ -9,7 +9,9 @@ namespace fixture {
 class Relay : public sim::Module {
  public:
   void tick(sim::Kernel& kernel) override;
-  bool is_idle() const override { return backlog_ == 0; }
+  std::uint64_t next_event(std::uint64_t now) const override {
+    return backlog_ == 0 ? sim::kNever : now + 1;
+  }
 
  private:
   void forward();

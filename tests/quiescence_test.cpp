@@ -1,25 +1,27 @@
 // Per-module quiescence invariants for the time-leap kernel's active set.
 //
-// The time-leap kernel skips a module whenever its is_idle() predicate
-// holds, so the predicate's contract is load-bearing for correctness:
-// is_idle() may return true only when the next tick would provably
-// change no internal state and write no signal value differing from
-// what the wires already hold. These tests pin that contract from three
-// directions:
+// The time-leap kernel puts a module to sleep whenever its
+// next_event(now) returns kNever (until a watched write or wake()), so
+// that contract is load-bearing for correctness: kNever may be claimed
+// only when every further tick would provably change no internal state
+// and write no signal value differing from what the wires already hold
+// (a starved credit sender's stall count aside: it is caught up in
+// closed form). These tests pin that contract from three directions:
 //
 //  * kernel-level: active-set mechanics with toy modules (sleep, wake
 //    on watched writes, same-cycle wake(), two-watcher fanout);
-//  * one-step oracle: on a single-module bench, every is_idle() == true
-//    claim is verified by stepping once more and requiring the kernel
-//    digest to be a fixed point;
-//  * module-level: each network module class must actually reach idle
-//    after a drain (gating must not be vacuous), must stay awake
+//  * one-step oracle: on a single-module bench, every kNever claim is
+//    verified by stepping once more and requiring the kernel digest to
+//    be a fixed point — including a credit-starved switch, which sleeps
+//    while its stall count must keep matching per-cycle ticking;
+//  * module-level: each network module class must actually reach kNever
+//    after a drain (sleeping must not be vacuous), must not sleep
 //    through time-driven state (SlaveCore's latency window), and the
 //    network as a whole must never be fully asleep with work pending.
 //
 // The cycle-by-cycle proof that skipping never changes results lives in
-// tests/kernel_equiv_test.cpp; this file proves the predicates say
-// "idle" exactly when they are entitled to.
+// tests/kernel_equiv_test.cpp; this file proves the claims say "asleep"
+// exactly when they are entitled to.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -32,11 +34,20 @@
 #include "src/noc/network.hpp"
 #include "src/ocp/agents.hpp"
 #include "src/sim/kernel.hpp"
+#include "src/switchlib/switch.hpp"
 #include "src/topology/generators.hpp"
 #include "src/traffic/traffic.hpp"
 
 namespace xpl {
 namespace {
+
+/// A module's sleep claim as the kernel reads it right after the last
+/// tick (`now` = the cycle just ticked): true when the module would
+/// leave the active set until a watched write or wake().
+bool sleeps(const sim::Module& m, const sim::Kernel& kernel) {
+  const std::uint64_t now = kernel.cycle() == 0 ? 0 : kernel.cycle() - 1;
+  return m.next_event(now) == sim::kNever;
+}
 
 // ---------------------------------------------------------------------
 // Kernel-level active-set mechanics.
@@ -62,7 +73,9 @@ class Pulser : public sim::Module {
     }
   }
 
-  bool is_idle() const override { return pulses_left_ == 0 && !dirty_; }
+  std::uint64_t next_event(std::uint64_t now) const override {
+    return pulses_left_ == 0 && !dirty_ ? sim::kNever : now + 1;
+  }
 
   void add_pulse() {
     ++pulses_left_;
@@ -92,7 +105,9 @@ class Counter : public sim::Module {
 
   /// Input-driven: a nonzero value on the wire means the next tick
   /// counts it, so the module may sleep only on a zero wire.
-  bool is_idle() const override { return in_.read() == 0; }
+  std::uint64_t next_event(std::uint64_t now) const override {
+    return in_.read() == 0 ? sim::kNever : now + 1;
+  }
 
   std::size_t seen() const { return seen_; }
 
@@ -180,15 +195,17 @@ TEST(Quiescence, BothWatcherSlotsAreWoken) {
   EXPECT_EQ(kernel.awake_count(), 0u);
 }
 
-/// Records the cycles it ticks at; idle whenever asked, so it ticks only
-/// when woken.
+/// Records the cycles it ticks at; asleep whenever asked, so it ticks
+/// only when woken.
 class TickLog : public sim::Module {
  public:
   explicit TickLog(sim::Signal<std::uint64_t>& in) : sim::Module("log") {
     in.watch(*this);
   }
   void tick(sim::Kernel& kernel) override { ticks_.push_back(kernel.cycle()); }
-  bool is_idle() const override { return true; }
+  std::uint64_t next_event(std::uint64_t) const override {
+    return sim::kNever;
+  }
   const std::vector<std::uint64_t>& ticks() const { return ticks_; }
 
  private:
@@ -205,7 +222,9 @@ class Fanout : public sim::Module {
       for (sim::Signal<std::uint64_t>* s : outs_) s->write(++value_);
     }
   }
-  bool is_idle() const override { return kicks_ == 0; }
+  std::uint64_t next_event(std::uint64_t now) const override {
+    return kicks_ == 0 ? sim::kNever : now + 1;
+  }
   void kick() {
     ++kicks_;
     wake();
@@ -262,14 +281,15 @@ TEST(Quiescence, MidTickWakesFollowRegistrationOrderAcrossWords) {
 }
 
 // ---------------------------------------------------------------------
-// One-step oracle: a claimed-idle module on a single-module bench must
-// leave the kernel digest a fixed point when stepped with inert inputs.
+// One-step oracle: a module claiming kNever on a single-module bench
+// must leave the kernel digest a fixed point when stepped with inert
+// inputs.
 // ---------------------------------------------------------------------
 
 TEST(Quiescence, LinkIdleClaimsAreFixedPoints) {
   // The bench owns every signal and the link is the only module, so
-  // stepping once with no testbench writes exercises exactly the
-  // is_idle() contract: claimed idle => nothing may change.
+  // stepping once with no testbench writes exercises exactly the sleep
+  // contract: claimed kNever => nothing may change.
   sim::Kernel kernel;  // full scheduler: every claim is *checked*, not used
   link::LinkWires up = link::LinkWires::make(kernel);
   link::LinkWires down = link::LinkWires::make(kernel);
@@ -302,16 +322,96 @@ TEST(Quiescence, LinkIdleClaimsAreFixedPoints) {
       wrote = true;
     }
     kernel.step();
-    if (wrote || !dut.is_idle()) continue;
+    if (wrote || !sleeps(dut, kernel)) continue;
     const std::uint64_t d0 = kernel.digest();
     kernel.step();  // no stimulus: the claim must be a fixed point
     ASSERT_EQ(kernel.digest(), d0)
-        << "link claimed idle at cycle " << cycle << " but changed state";
-    ASSERT_TRUE(dut.is_idle());
+        << "link claimed kNever at cycle " << cycle << " but changed state";
+    ASSERT_TRUE(sleeps(dut, kernel));
     ++checked;
   }
   EXPECT_GT(checked, 20u) << "stimulus never let the link go idle";
   EXPECT_GT(dut.flits_carried(), 0u) << "stimulus never exercised the link";
+}
+
+TEST(Quiescence, StarvedCreditSwitchIsAFixedPoint) {
+  // A credit-starved switch with nothing buffered sleeps (kNever) although
+  // its sender counts a stall every cycle: the count is caught up in
+  // closed form, which the old strict idle predicate could not express.
+  // The same bench runs under both schedulers in lock step. Under kFull
+  // every kNever claim is checked (digest fixed point, one stall per
+  // step); under kTimeLeap the switch really sleeps, and its
+  // credit_stalls(now), read mid-gap, must equal the kFull count.
+  struct Bench {
+    sim::Kernel kernel;
+    link::LinkWires in;
+    link::LinkWires out;
+    link::CreditSender feed;  // the testbench's side of the input link
+    switchlib::Switch dut;
+
+    static switchlib::SwitchConfig config() {
+      switchlib::SwitchConfig c;
+      c.num_inputs = 1;
+      c.num_outputs = 1;
+      c.flow = link::FlowControl::kCredit;
+      c.protocol = link::ProtocolConfig::for_link(0);
+      return c;
+    }
+    explicit Bench(sim::Scheduler sched)
+        : kernel(sched),
+          in(link::LinkWires::make(kernel)),
+          out(link::LinkWires::make(kernel)),
+          feed(in, config().protocol),
+          dut("dut", config(), {in}, {out}) {
+      kernel.add_module(dut);
+    }
+    // One cycle: the testbench offers a single-flit packet for output 0
+    // while `offer` holds; nothing ever returns a credit on the output.
+    // Returns whether the packet went in.
+    bool step(bool offer) {
+      feed.begin_cycle(kernel.cycle());
+      const bool sent = offer && feed.can_accept();
+      if (sent) {
+        feed.accept(Flit(BitVector(32, 0), /*head=*/true, /*tail=*/true));
+      }
+      feed.end_cycle();
+      kernel.step();
+      return sent;
+    }
+  };
+  Bench full(sim::Scheduler::kFull);
+  Bench leap(sim::Scheduler::kTimeLeap);
+  const std::size_t window = Bench::config().protocol.window;
+
+  // Exactly one window of flits: all of them leave the switch, and the
+  // output sender ends with zero credits and nothing left to send.
+  std::size_t offered = 0;
+  std::size_t checked = 0;
+  for (int cycle = 0; cycle < 60; ++cycle) {
+    const bool offer = offered < window;
+    if (full.step(offer)) ++offered;
+    leap.step(offer);
+    const std::uint64_t now = full.kernel.cycle();
+    ASSERT_EQ(full.kernel.digest(), leap.kernel.digest()) << "cycle " << now;
+    ASSERT_EQ(leap.dut.credit_stalls(now), full.dut.credit_stalls(now))
+        << "mid-gap stall count diverged at cycle " << now;
+    if (!sleeps(full.dut, full.kernel) || !full.feed.gate_idle()) continue;
+
+    ASSERT_GT(full.dut.credit_stalls(now), 0u) << "switch is not starved";
+    ASSERT_FALSE(leap.dut.awake()) << "starved switch kept awake";
+    const std::uint64_t d0 = full.kernel.digest();
+    const std::uint64_t stalls = full.dut.credit_stalls(now);
+    full.step(false);
+    leap.step(false);
+    ASSERT_EQ(full.kernel.digest(), d0)
+        << "starved switch claimed kNever but changed state";
+    ASSERT_TRUE(sleeps(full.dut, full.kernel));
+    ASSERT_EQ(full.dut.credit_stalls(now + 1), stalls + 1);
+    ASSERT_EQ(leap.dut.credit_stalls(now + 1), stalls + 1);
+    ++checked;
+  }
+  EXPECT_EQ(full.dut.flits_switched(), window);
+  EXPECT_GT(checked, 10u) << "the switch never starved asleep";
 }
 
 // ---------------------------------------------------------------------
@@ -348,28 +448,34 @@ struct OcpBench {
 };
 
 TEST(Quiescence, MasterIdleTracksItsWorkQueue) {
-  OcpBench b(/*latency=*/2);
-  EXPECT_TRUE(b.master.is_idle());
-  EXPECT_TRUE(b.slave.is_idle());
+  OcpBench b(/*latency=*/2, sim::Scheduler::kTimeLeap);
+  b.kernel.run(3);
+  EXPECT_TRUE(sleeps(b.master, b.kernel));
+  EXPECT_TRUE(sleeps(b.slave, b.kernel));
+  ASSERT_EQ(b.kernel.awake_count(), 0u);
 
   ocp::Transaction txn;
   txn.cmd = ocp::Cmd::kRead;
   txn.addr = 0x40;
   txn.burst_len = 1;
   b.master.push_transaction(txn);
-  EXPECT_FALSE(b.master.is_idle()) << "queued work must keep it awake";
+  EXPECT_TRUE(b.master.awake()) << "queued work must wake it";
+  b.kernel.step();  // issues the request beat
+  EXPECT_FALSE(sleeps(b.master, b.kernel)) << "a beat on the wire";
 
   b.kernel.run_until([&] { return b.master.quiescent(); }, 5000);
   b.kernel.run(20);
-  EXPECT_TRUE(b.master.is_idle());
-  EXPECT_TRUE(b.slave.is_idle());
+  EXPECT_TRUE(sleeps(b.master, b.kernel));
+  EXPECT_TRUE(sleeps(b.slave, b.kernel));
+  EXPECT_EQ(b.kernel.awake_count(), 0u);
   EXPECT_EQ(b.master.completed().size(), 1u);
 }
 
 TEST(Quiescence, SlaveStaysAwakeThroughItsLatencyWindow) {
   // The service-latency wait is time-driven: no wire write will re-arm
-  // the slave, so is_idle() == true mid-window would hang the time-leap
-  // kernel. Probe the middle of a long window directly.
+  // the slave, so kNever mid-window would hang the time-leap kernel.
+  // Probe the middle of a long window directly: the claim must name a
+  // finite wake cycle.
   OcpBench b(/*latency=*/30);
   ocp::Transaction txn;
   txn.cmd = ocp::Cmd::kRead;
@@ -377,15 +483,15 @@ TEST(Quiescence, SlaveStaysAwakeThroughItsLatencyWindow) {
   txn.burst_len = 1;
   b.master.push_transaction(txn);
   b.kernel.run(15);  // request delivered; response ~15 cycles away
-  EXPECT_FALSE(b.slave.is_idle())
+  EXPECT_FALSE(sleeps(b.slave, b.kernel))
       << "slave slept on a job awaiting its ready_cycle";
-  EXPECT_TRUE(b.master.is_idle())
+  EXPECT_TRUE(sleeps(b.master, b.kernel))
       << "awaiting a response is sleepable (the beat wakes it)";
 
   b.kernel.run_until([&] { return b.master.quiescent(); }, 5000);
   b.kernel.run(20);
   EXPECT_EQ(b.master.completed().size(), 1u);
-  EXPECT_TRUE(b.slave.is_idle());
+  EXPECT_TRUE(sleeps(b.slave, b.kernel));
 }
 
 // ---------------------------------------------------------------------
@@ -400,9 +506,10 @@ noc::NetworkConfig mesh_config() {
 }
 
 TEST(Quiescence, EveryModuleClassReachesIdleAfterDrain) {
-  // Gating must not be vacuous for any module class: after a full drain
-  // every switch, link, NI and core must report idle, the active set
-  // must be empty, and the asleep network must be a digest fixed point.
+  // Sleeping must not be vacuous for any module class: after a full
+  // drain every switch, link, NI and core must claim kNever, the active
+  // set must be empty, and the asleep network must be a digest fixed
+  // point.
   noc::NetworkConfig cfg = mesh_config();
   cfg.vcs = 2;
   noc::Network net(topology::make_mesh(3, 2, topology::NiPlan::uniform(6, 1, 1)),
@@ -418,13 +525,63 @@ TEST(Quiescence, EveryModuleClassReachesIdleAfterDrain) {
   net.step(20);  // let trailing drive-idle resets land and the set decay
 
   for (const sim::Module* m : net.kernel().modules()) {
-    EXPECT_TRUE(m->is_idle()) << "still claims busy after drain: "
-                              << m->name();
+    EXPECT_TRUE(sleeps(*m, net.kernel()))
+        << "still claims work after drain: " << m->name();
   }
   EXPECT_EQ(net.kernel().awake_count(), 0u);
   const std::uint64_t d0 = net.kernel().digest();
   net.step(50);
   EXPECT_EQ(net.kernel().digest(), d0);
+}
+
+TEST(Quiescence, StarvedSwitchesSleepOnASaturatedCreditMesh) {
+  // Full and time-leap runs of one saturated credit mesh, in lock step.
+  // A switch whose sender sits starved with nothing left to send claims
+  // kNever while its stall count keeps growing. Read mid-gap, every
+  // switch's credit_stalls(now) must equal the per-cycle kFull count.
+  // A hotspot saturates the mesh and parks whole packets in front of it,
+  // which leaves drained switches starved; the seed is pinned so that
+  // this happens often (127 starved-asleep switch-cycles).
+  noc::NetworkConfig cfg = mesh_config();
+  cfg.flow = link::FlowControl::kCredit;
+  cfg.vcs = 2;
+  noc::NetworkConfig full_cfg = cfg;
+  full_cfg.scheduler = sim::Scheduler::kFull;
+  const auto topo = [] {
+    return topology::make_mesh(3, 3, topology::NiPlan::uniform(9, 1, 1));
+  };
+  noc::Network full(topo(), full_cfg);
+  noc::Network leap(topo(), cfg);
+  traffic::TrafficConfig tcfg;
+  tcfg.pattern = traffic::Pattern::kHotspot;
+  tcfg.hotspot_fraction = 0.7;
+  tcfg.injection_rate = 0.4;
+  tcfg.seed = 2;
+  traffic::TrafficDriver full_driver(full, tcfg);
+  traffic::TrafficDriver leap_driver(leap, tcfg);
+
+  std::vector<std::uint64_t> last(leap.num_switches(), 0);
+  std::size_t starved_asleep = 0;
+  for (std::size_t c = 0; c < 1500; ++c) {
+    full_driver.step();
+    full.step();
+    leap_driver.step();
+    leap.step();
+    const std::uint64_t now = leap.kernel().cycle();
+    for (std::size_t s = 0; s < leap.num_switches(); ++s) {
+      const switchlib::Switch& sw = leap.switch_at(s);
+      const std::uint64_t stalls = sw.credit_stalls(now);
+      ASSERT_EQ(stalls, full.switch_at(s).credit_stalls(now))
+          << "switch " << s << " at cycle " << now;
+      if (!sw.awake() && stalls > last[s]) {
+        ASSERT_TRUE(sleeps(sw, leap.kernel())) << "switch " << s;
+        ++starved_asleep;
+      }
+      last[s] = stalls;
+    }
+  }
+  EXPECT_EQ(full.kernel().digest(), leap.kernel().digest());
+  EXPECT_GT(starved_asleep, 20u) << "switches rarely slept while starved";
 }
 
 TEST(Quiescence, NetworkIsNeverFullyAsleepWithWorkPending) {
@@ -470,8 +627,8 @@ TEST(Quiescence, ServiceWindowSleepsOnTheCalendarAndIsLeapt) {
   // End-to-end view of the latency-window contract: one read through a
   // quiet network; while the slave waits out its (long) service latency
   // everything else goes to sleep around it, and the slave itself parks
-  // on the wake calendar (is_idle() stays false, next_event() names the
-  // window's end), so the kernel leaps the window instead of walking it.
+  // on the wake calendar (next_event() names the window's end), so the
+  // kernel leaps the window instead of walking it.
   noc::NetworkConfig cfg = mesh_config();
   cfg.slave_latency = 60;
   noc::Network net(topology::make_mesh(2, 2, topology::NiPlan::uniform(4, 1, 1)),

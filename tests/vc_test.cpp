@@ -111,7 +111,7 @@ TEST(VcLink, CreditLanesAreIndependent) {
 
   std::size_t lane1_accepted = 0;
   for (int cycle = 0; cycle < 60; ++cycle) {
-    tx.begin_cycle();
+    tx.begin_cycle(kernel.cycle());
     if (tx.can_accept(0)) tx.accept(make_flit(0, cycle));
     if (tx.can_accept(1)) tx.accept(make_flit(1, cycle));
     tx.end_cycle();
@@ -130,14 +130,14 @@ TEST(VcLink, CreditLanesAreIndependent) {
   // Stop offering traffic: once lane 1 drains, the sender sits idle with
   // lane 0's whole window parked downstream — the credit-stall signal.
   for (int cycle = 0; cycle < 10; ++cycle) {
-    tx.begin_cycle();
+    tx.begin_cycle(kernel.cycle());
     tx.end_cycle();
     kernel.step();
     rx.begin_cycle(/*can_take_mask=*/0b10);
     rx.end_cycle();
     kernel.step();
   }
-  EXPECT_GT(tx.credit_stalls(), 0u);
+  EXPECT_GT(tx.credit_stalls(kernel.cycle()), 0u);
 }
 
 // ------------------------------------------------- dateline assignment

@@ -5,8 +5,8 @@ the fact (docs/LINTING.md maps each rule to its backstop):
 
   determinism          XL101 unordered-iter, XL102 pointer-order,
                        XL103 unstable-sort, XL104 banned-call
-  module contract      XL201 missing-is-idle, XL202 idle-state-coupling,
-                       XL203 missing-next-event
+  module contract      XL201 missing-next-event, XL202 claim-state-coupling,
+                       XL203 blind-next-event
   signal discipline    XL301 write-outside-tick, XL302 watcher-budget,
                        XL303 signal-handle
   format stability     XL401 raw-float-export, XL402 stray-number-parse
@@ -30,9 +30,9 @@ RULES: dict[str, tuple[str, str]] = {
     "XL102": ("pointer-order", "pointer values used as an ordering key"),
     "XL103": ("sort", "std::sort with a single-key comparator (tie order unspecified)"),
     "XL104": ("banned", "wall-clock/env/libc-rng call on a simulation path"),
-    "XL201": ("idle", "concrete sim::Module subclass without is_idle() override"),
-    "XL202": ("idle", "is_idle() reads none of the state tick() advances"),
-    "XL203": ("next-event", "time-driven sleeper without a next_event() override"),
+    "XL201": ("idle", "concrete sim::Module subclass without a next_event() override"),
+    "XL202": ("idle", "next_event() reads none of the state tick() advances"),
+    "XL203": ("next-event", "time-driven module whose next_event() never names a wake cycle"),
     "XL301": ("write", "Signal write outside a tick()/exchange()-reachable path"),
     "XL302": ("watch", "more than two static watch() registrations on one wire"),
     "XL303": ("signal-handle", "raw Signal handle stored in a module outside the CutLink seam"),
@@ -95,9 +95,16 @@ UNORDERED_DECL_RE = re.compile(r"\bunordered_(?:map|set|multimap|multiset)\s*<")
 IDENT_RE = re.compile(r"[A-Za-z_]\w*")
 
 # Members whose names advertise a self-scheduled future cycle. A module
-# that tracks one of these and still claims is_idle() can sleep under
-# the time-leap scheduler past the very cycle the member names.
+# that tracks one of these and whose next_event() can only say kNever or
+# now + 1 can sleep under the time-leap scheduler past the very cycle
+# the member names.
 DUE_MEMBER_RE = re.compile(r"(?:^|_)(?:due|deadline)s?(?:_|$)")
+
+RETURN_RE = re.compile(r"\breturn\b([^;]*);")
+
+# A next_event() answer that names no wake cycle: kNever, or an
+# identifier plus one (the parameter; a member plus one is a due cycle).
+BLIND_LEAF_RE = re.compile(r"(?:sim::)?kNever|(?P<now>[A-Za-z_]\w*)\s*\+\s*1")
 
 # A read of the kernel clock (Kernel::cycle()); begin_cycle()/end_cycle()
 # don't match — `_` is a word character, so \b stops at the prefix.
@@ -512,57 +519,54 @@ class Analyzer:
             extent = "\n".join(
                 sf.code_lines()[decl_ci.start_line - 1 : decl_ci.end_line]
             )
-            if "is_idle" not in mc.methods:
-                if not re.search(r"\bis_idle\s*\(", extent):
+            if "next_event" not in mc.methods:
+                if not re.search(r"\bnext_event\s*\(", extent):
                     self._emit(
                         sf,
                         mc.decl_site[1],
                         "XL201",
-                        f"module '{mc.name}' never overrides is_idle(): the kernel "
-                        "loop could never let it sleep, and DESIGN.md §2 requires an "
-                        "explicit quiescence claim for every concrete module — "
-                        "override it (return false is an acceptable claim) or "
-                        "annotate idle-ok(<reason>)",
+                        f"module '{mc.name}' never overrides next_event(): the "
+                        "default (now + 1) keeps it awake every cycle, and DESIGN.md "
+                        "§2 requires an explicit quiescence claim for every concrete "
+                        "module — override it (return now + 1 is an acceptable "
+                        "claim) or annotate idle-ok(<reason>)",
                     )
-                    continue
-                self._check_next_event(mc, sf, extent, file_by_path)
                 continue
             member_names = {name for _f, _t, _l, name in mc.members}
-            idle_tokens = set(IDENT_RE.findall(mc.methods["is_idle"]))
+            claim_tokens = set(IDENT_RE.findall(mc.methods["next_event"]))
             reach_tokens: set[str] = set()
             for name in mc.tick_reachable():
                 reach_tokens.update(IDENT_RE.findall(mc.methods[name]))
-            coupled = idle_tokens & member_names & reach_tokens
+            coupled = claim_tokens & member_names & reach_tokens
             if not coupled and mc.tick_reachable():
-                path, line = mc.method_sites.get("is_idle", mc.decl_site)
+                path, line = mc.method_sites.get("next_event", mc.decl_site)
                 self._emit(
                     file_by_path.get(path, sf),
                     line,
                     "XL202",
-                    f"'{mc.name}::is_idle' references none of the members its tick "
-                    "path touches: a quiescence claim decoupled from the state it "
-                    "guards rots silently (kernel_equiv/quiescence tests catch it "
-                    "only dynamically) — read the state it guards or annotate "
+                    f"'{mc.name}::next_event' references none of the members its "
+                    "tick path touches: a quiescence claim decoupled from the state "
+                    "it guards rots silently (kernel_equiv/quiescence tests catch "
+                    "it only dynamically) — read the state it guards or annotate "
                     "idle-ok(<reason>)",
                 )
-            self._check_next_event(mc, sf, extent, file_by_path)
+            self._check_next_event(mc, sf, member_names, file_by_path)
 
     def _check_next_event(
         self,
         mc: MergedClass,
         sf: SourceFile,
-        extent: str,
+        member_names: set[str],
         file_by_path: dict[str, SourceFile],
     ) -> None:
-        """XL203: a module that both claims quiescence (overrides
-        is_idle) and behaves time-drivenly — its tick path reads the
-        kernel clock, or it tracks a due/deadline member — must declare
-        its wake cycle via next_event(). Under the time-leap scheduler a
-        sleeping module is revisited only at its declared next_event (or
-        on a signal wake); a time-driven sleeper without one oversleeps
-        the very cycle its state names, and only the differential suite
-        would catch it — dynamically, per scenario."""
-        if "next_event" in mc.methods or re.search(r"\bnext_event\s*\(", extent):
+        """XL203: a time-driven module — its tick path reads the kernel
+        clock, or it tracks a due/deadline member — whose next_event()
+        can only answer kNever or now + 1. Under the time-leap scheduler
+        a module that said kNever is revisited only on a signal wake; a
+        time-driven one must name the cycle it waits for instead, or it
+        oversleeps the very cycle its state names, and only the
+        differential suite would catch it — dynamically, per scenario."""
+        if not _names_no_wake(mc.methods["next_event"], member_names):
             return
         reach = mc.tick_reachable()
         if not reach:
@@ -579,7 +583,7 @@ class Analyzer:
         if not reads_clock and due_member is None:
             return
         if reads_clock:
-            path, line = mc.method_sites.get("is_idle", mc.decl_site)
+            path, line = mc.method_sites.get("next_event", mc.decl_site)
             why = "reads Kernel::cycle() on its tick path"
             if due_member is not None:
                 why += f" and holds due/deadline member '{due_member[2]}'"
@@ -590,10 +594,25 @@ class Analyzer:
             file_by_path.get(path, sf),
             line,
             "XL203",
-            f"module '{mc.name}' overrides is_idle() and {why} but never "
-            "overrides next_event(): the time-leap scheduler revisits a "
-            "sleeping module only at its declared wake cycle, so a "
-            "time-driven sleeper without one oversleeps its own deadline — "
-            "declare the wake (sim::Module::next_event contract, "
-            "src/sim/kernel.hpp) or annotate next-event-ok(<reason>)",
+            f"module '{mc.name}' {why}, but its next_event() only answers "
+            "kNever or now + 1: the time-leap scheduler revisits a module "
+            "that said kNever only on a signal wake, so a time-driven one "
+            "oversleeps its own deadline — return the wake cycle "
+            "(sim::Module::next_event contract, src/sim/kernel.hpp) or "
+            "annotate next-event-ok(<reason>)",
         )
+
+
+def _names_no_wake(body: str, members: set[str]) -> bool:
+    """True when every answer next_event() `body` can return is kNever or
+    the parameter plus one, and kNever is one of them: the claim can put
+    the module to sleep but never says when to wake it."""
+    leaves: list[str] = []
+    for expr in RETURN_RE.findall(body):
+        _cond, question, branches = expr.partition("?")
+        # `c ? a : b` answers a or b; `::` is scope, not the ternary colon.
+        leaves += re.split(r"(?<!:):(?!:)", branches) if question else [expr]
+    blind = [BLIND_LEAF_RE.fullmatch(leaf.strip()) for leaf in leaves]
+    if not blind or any(m is None or m.group("now") in members for m in blind):
+        return False
+    return any(m.group("now") is None for m in blind)
