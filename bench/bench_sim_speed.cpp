@@ -83,22 +83,6 @@ xpl::noc::NetworkConfig config(std::size_t mesh_side = 2) {
   return cfg;
 }
 
-void BM_IdleCycles(benchmark::State& state) {
-  using namespace xpl;
-  const auto n = static_cast<std::size_t>(state.range(0));
-  noc::Network net(
-      topology::make_mesh(n, n, topology::NiPlan::uniform(n * n, 1, 1)),
-      config(n));
-  for (auto _ : state) {
-    net.step();
-  }
-  state.SetItemsProcessed(state.iterations());
-  state.counters["switches"] = static_cast<double>(net.num_switches());
-  state.counters["signal_pools"] =
-      static_cast<double>(net.signal_pool_count());
-}
-BENCHMARK(BM_IdleCycles)->Arg(2)->Arg(4)->Arg(8);
-
 // Loaded simulation throughput, parametrized over the link-level flow
 // control (arg 1: 0 = ack_nack, 1 = credit) and, for the saturated
 // variant, the virtual-channel count. The moderate-rate variant tracks
@@ -152,14 +136,12 @@ xpl::sim::Scheduler sched_from_arg(std::int64_t v) {
 
 // The time-leap headline: a quiescent network advanced in batched spans,
 // where the calendar is empty and every span collapses into one leap.
-// BM_IdleCycles above steps one cycle per iteration (its rows feed the
-// cross-record BM_IdleCycles gate and must keep their names and
-// semantics); this variant hands the kernel kIdleSpan cycles at a time,
-// which is the granularity real campaigns use (TrafficDriver::run) and
-// the only one where multi-cycle leaps can engage. The full and
-// time-leap rows are registered back-to-back and paired within one
-// record by CI (time_leap >= 100x full; see .github/workflows/ci.yml) —
-// same throttle-drift rationale as the partitioned twins below.
+// The kernel gets kIdleSpan cycles at a time, which is the granularity
+// real campaigns use (TrafficDriver::run) and the only one where
+// multi-cycle leaps can engage. The full and time-leap rows are
+// registered back-to-back and paired within one record
+// (time_leap >= 100x full; bench/pair_gates.txt) — same throttle-drift
+// rationale as the partitioned twins below.
 void BM_IdleCyclesSched(benchmark::State& state) {
   using namespace xpl;
   const auto n = static_cast<std::size_t>(state.range(0));
@@ -195,8 +177,8 @@ BENCHMARK(BM_IdleCyclesSched)
 // cycles at 64 initiators x rate 2e-5) dwarf the ~60-cycle packet drain:
 // leapt_frac lands around 0.92 and the walked cycles that remain are the
 // irreducible in-flight ones. tests/timeleap_test.cpp pins the digests,
-// this row pins the wall clock: CI pairs the two rows within one record
-// at time_leap >= 35x full.
+// this row pins the wall clock: bench/pair_gates.txt pairs the two rows
+// within one record at time_leap >= 35x full.
 void BM_LowLoadCampaign(benchmark::State& state) {
   using namespace xpl;
   const auto n = static_cast<std::size_t>(state.range(0));
@@ -277,9 +259,9 @@ BENCHMARK(BM_NoisyCycles)->ArgNames({"mesh"})->Arg(8);
 // threads=1: the pure bookkeeping overhead of the partitioned datapath
 // (cut mailboxes, per-partition dirty lists, epoch loop) with zero
 // parallel upside. bench_compare pairs each twin against its
-// unpartitioned sibling *within one record* (see
-// .github/workflows/ci.yml) — the cut must cost less than 10% before
-// threads can start paying it back. Registered directly after the
+// unpartitioned sibling *within one record* (bench/pair_gates.txt: the
+// floor is 0.80; the cut should cost less than 10% before threads can
+// start paying it back). Registered directly after the
 // sibling on purpose: burstable/throttled runners drift 2-3x over
 // minutes, so the paired rows must run back-to-back to measure the
 // datapath rather than the clock.
@@ -337,8 +319,8 @@ BENCHMARK(BM_SaturatedCyclesPartitioned)
 // Time-leap's failure-mode guard: at saturation the network never
 // quiesces, leapt_frac pins to ~0, and the active set and calendar must
 // cost no more than ticking everything. The two rows are paired within
-// one record by CI (time_leap >= 0.95x full, the same bounded-overhead
-// shape as the partitioned twins above).
+// one record (time_leap >= 0.95x full; bench/pair_gates.txt — the same
+// bounded-overhead shape as the partitioned twins above).
 void BM_SaturatedSched(benchmark::State& state) {
   using namespace xpl;
   const auto n = static_cast<std::size_t>(state.range(0));

@@ -2,8 +2,9 @@
 """Compare two BENCH_*.json perf records and print per-benchmark deltas.
 
 Usage:
-    bench_compare.py BASELINE.json CURRENT.json [--fail-below PCT]
-    bench_compare.py --auto-baseline CURRENT.json [--fail-below PCT]
+    bench_compare.py BASELINE.json CURRENT.json
+    bench_compare.py --auto-baseline CURRENT.json
+    bench_compare.py --gates GATES.txt RECORD.json
 
 With --auto-baseline the baseline is the committed BENCH_pr<N>.json with
 the highest N (searched next to this script's repo root, or in
@@ -19,24 +20,14 @@ Both files follow the bench_sim_speed / xsweep record shape:
 Benchmarks are matched by name. The report lists matched benchmarks with
 their items/s delta, then names entries present in only one record
 (benchmark parametrizations change across PRs; that is informational,
-not an error). With --fail-below PCT the script exits nonzero if any
-matched benchmark regressed by more than PCT percent — CI runs it
-report-only by default so a noisy shared runner cannot block a merge.
+not an error). The report always exits 0: shared runners are too noisy
+to block on a cross-record delta.
 
---require-min-ratio PREFIX:RATIO (repeatable) is the opposite gate: it
-demands an *improvement*, exiting nonzero unless every matched benchmark
-whose name starts with PREFIX runs at >= RATIO x the baseline. CI uses
-it to hold the activity-gated kernel to its speedup claim against the
-last pre-gating record (BM_IdleCycles vs BENCH_pr6.json); the required
-ratio is far above runner noise, so this gate is safe to make blocking.
-
---require-pair-ratio CURRENT=BASELINE=RATIO (repeatable) gates a
-*renamed* benchmark against a differently-named baseline entry: exit
-nonzero unless current[CURRENT] runs at >= RATIO x baseline[BASELINE].
-'=' separates the fields because benchmark names contain ':'
-(e.g. BM_LoadedCycles/mesh:8/flow:0). CI uses it to hold the
-partitioned-at-threads=1 twins to bounded overhead against the
-unpartitioned pre-partitioning record.
+--gates GATES.txt checks pair gates within ONE record instead: each table
+line names a numerator row, a denominator row, a floor and a one-line
+reason, and the script exits nonzero unless every numerator runs at
+>= floor x its denominator (bench/pair_gates.txt is CI's table; names
+contain ':' and '/', never whitespace).
 """
 
 import argparse
@@ -70,6 +61,45 @@ def load_results(path):
     return record.get("bench", "?"), results
 
 
+def load_gates(path):
+    """(numerator, denominator, floor text, reason) per table line."""
+    gates = []
+    with open(path, "r", encoding="utf-8") as f:
+        for lineno, line in enumerate(f, 1):
+            fields = line.split(None, 3)
+            if not fields or fields[0].startswith("#"):
+                continue
+            if len(fields) < 4:
+                sys.exit(f"{path}:{lineno}: want NUMERATOR DENOMINATOR "
+                         "FLOOR REASON")
+            try:
+                float(fields[2])
+            except ValueError:
+                sys.exit(f"{path}:{lineno}: bad floor {fields[2]!r}")
+            gates.append((fields[0], fields[1], fields[2],
+                          fields[3].strip()))
+    return gates
+
+
+def check_gates(gates_path, record_path):
+    """Prints one verdict per gate; 1 if any gate fails, else 0."""
+    _kind, results = load_results(record_path)
+    failed = False
+    for num, den, floor, reason in load_gates(gates_path):
+        n = results.get(num, {}).get("items_per_s")
+        d = results.get(den, {}).get("items_per_s")
+        if not n or not d or d <= 0:
+            print(f"FAIL: {num} vs {den}: missing entry or no items_per_s")
+            failed = True
+            continue
+        ratio = n / d
+        verdict = "ok" if ratio >= float(floor) else "FAIL"
+        print(f"{verdict}: {num}: {ratio:.2f}x {den} "
+              f"(required >= {floor}x: {reason})")
+        failed = failed or ratio < float(floor)
+    return 1 if failed else 0
+
+
 def fmt_rate(value):
     if value is None:
         return "-"
@@ -96,52 +126,18 @@ def main():
         help="where --auto-baseline searches (default: the repo root)",
     )
     parser.add_argument(
-        "--fail-below",
-        type=float,
+        "--gates",
         default=None,
-        metavar="PCT",
-        help="exit 1 if any matched benchmark regressed more than PCT%%",
-    )
-    parser.add_argument(
-        "--require-min-ratio",
-        action="append",
-        default=[],
-        metavar="PREFIX:RATIO",
-        help="exit 1 unless every matched benchmark whose name starts "
-             "with PREFIX runs at >= RATIO x the baseline (repeatable)",
-    )
-    parser.add_argument(
-        "--require-pair-ratio",
-        action="append",
-        default=[],
-        metavar="CURRENT=BASELINE=RATIO",
-        help="exit 1 unless the CURRENT benchmark in the current record "
-             "runs at >= RATIO x the BASELINE benchmark in the baseline "
-             "record ('=' separators: names contain ':'; repeatable)",
+        metavar="GATES.txt",
+        help="check the pair-gate table against the one record given "
+             "(exit 1 if any gate fails)",
     )
     args = parser.parse_args()
 
-    requirements = []
-    for spec in args.require_min_ratio:
-        prefix, sep, ratio = spec.rpartition(":")
-        if not sep or not prefix:
-            parser.error(f"--require-min-ratio wants PREFIX:RATIO, got {spec!r}")
-        try:
-            requirements.append((prefix, float(ratio)))
-        except ValueError:
-            parser.error(f"bad ratio in --require-min-ratio {spec!r}")
-
-    pair_requirements = []
-    for spec in args.require_pair_ratio:
-        fields = spec.split("=")
-        if len(fields) != 3 or not fields[0] or not fields[1]:
-            parser.error(
-                f"--require-pair-ratio wants CURRENT=BASELINE=RATIO, "
-                f"got {spec!r}")
-        try:
-            pair_requirements.append((fields[0], fields[1], float(fields[2])))
-        except ValueError:
-            parser.error(f"bad ratio in --require-pair-ratio {spec!r}")
+    if args.gates is not None:
+        if args.baseline is not None or args.auto_baseline:
+            parser.error("--gates takes exactly one record")
+        return check_gates(args.gates, args.current)
 
     if args.auto_baseline:
         if args.baseline is not None:
@@ -167,7 +163,6 @@ def main():
     only_base = sorted(set(base) - set(cur))
     only_cur = sorted(set(cur) - set(base))
 
-    worst = 0.0
     if matched:
         width = max(len(name) for name in matched)
         print(f"{'benchmark':<{width}}  {'base':>10}  {'current':>10}  delta")
@@ -175,9 +170,7 @@ def main():
             b = base[name].get("items_per_s")
             c = cur[name].get("items_per_s")
             if b and c and b > 0:
-                pct = 100.0 * (c - b) / b
-                worst = min(worst, pct)
-                delta = f"{pct:+.1f}%"
+                delta = f"{100.0 * (c - b) / b:+.1f}%"
             else:
                 delta = "-"
             print(f"{name:<{width}}  {fmt_rate(b):>10}  {fmt_rate(c):>10}  "
@@ -192,48 +185,7 @@ def main():
         print(f"only in current ({len(only_cur)}):")
         for name in only_cur:
             print(f"  {name}")
-
-    failed = False
-    for prefix, ratio in requirements:
-        names = [n for n in matched if n.startswith(prefix)]
-        if not names:
-            print(f"FAIL: --require-min-ratio {prefix}:{ratio:g} matched "
-                  "no benchmark present in both records")
-            failed = True
-            continue
-        for name in names:
-            b = base[name].get("items_per_s")
-            c = cur[name].get("items_per_s")
-            if not b or not c or b <= 0:
-                print(f"FAIL: {name}: no items_per_s to hold to "
-                      f">= {ratio:g}x")
-                failed = True
-                continue
-            achieved = c / b
-            verdict = "ok" if achieved >= ratio else "FAIL"
-            print(f"{verdict}: {name}: {achieved:.2f}x baseline "
-                  f"(required >= {ratio:g}x)")
-            failed = failed or achieved < ratio
-
-    for cur_name, base_name, ratio in pair_requirements:
-        b = base.get(base_name, {}).get("items_per_s")
-        c = cur.get(cur_name, {}).get("items_per_s")
-        if not b or not c or b <= 0:
-            print(f"FAIL: --require-pair-ratio {cur_name} vs {base_name}: "
-                  "missing entry or no items_per_s")
-            failed = True
-            continue
-        achieved = c / b
-        verdict = "ok" if achieved >= ratio else "FAIL"
-        print(f"{verdict}: {cur_name}: {achieved:.2f}x {base_name} "
-              f"(required >= {ratio:g}x)")
-        failed = failed or achieved < ratio
-
-    if args.fail_below is not None and worst < -args.fail_below:
-        print(f"\nFAIL: worst regression {worst:.1f}% exceeds "
-              f"-{args.fail_below:.1f}%")
-        failed = True
-    return 1 if failed else 0
+    return 0
 
 
 if __name__ == "__main__":

@@ -261,7 +261,6 @@ bool InitiatorNi::idle() const {
          ocp_req_.empty();
 }
 
-// xlint: next-event-ok(the clock only feeds the credit sender's closed-form stall catch-up; no deadline is slept on)
 std::uint64_t InitiatorNi::next_event(std::uint64_t now) const {
   // Deliberately weaker than idle(): outstanding_/reorder_/building_,
   // mid-packet depacketizers and a starved sender are sleepable

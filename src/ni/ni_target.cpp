@@ -206,7 +206,6 @@ bool TargetNi::idle() const {
          ocp_resp_.empty();
 }
 
-// xlint: next-event-ok(the clock only feeds the credit sender's closed-form stall catch-up; no deadline is slept on)
 std::uint64_t TargetNi::next_event(std::uint64_t now) const {
   // Deliberately weaker than idle(): pending_/collecting_, mid-packet
   // depacketizers and a starved sender are sleepable (input-driven)

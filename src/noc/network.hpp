@@ -183,11 +183,6 @@ class Network {
   /// Sum of flits carried over all links.
   std::uint64_t total_link_flits() const;
 
-  /// Shape of the assembled kernel's pooled-commit state (DESIGN.md §2):
-  /// total signals and the number of per-type pools they commit from.
-  std::size_t signal_count() const { return kernel_.signal_count(); }
-  std::size_t signal_pool_count() const { return kernel_.signal_pool_count(); }
-
  private:
   topology::Topology topo_;
   NetworkConfig config_;

@@ -79,8 +79,6 @@ class MasterCore : public sim::Module {
   const std::vector<TransactionResult>& completed() const {
     return completed_;
   }
-  /// Drops recorded results (keeps counters) to bound testbench memory.
-  void clear_completed() { completed_.clear(); }
 
   void tick(sim::Kernel& kernel) override;
 

@@ -444,19 +444,6 @@ class Kernel {
   std::uint64_t run_until(const std::function<bool()>& done,
                           std::uint64_t max_cycles);
 
-  /// Parks `m` on its partition's wake calendar for cycle `due`. Under
-  /// the full reference — or when `due` is not in the future — this wakes
-  /// the module immediately instead: an extra tick before `due` is a no-op
-  /// by the next_event() contract, so callers need no scheduler-specific
-  /// logic.
-  void schedule_wake(Module& m, std::uint64_t due) {
-    if (scheduler_ == Scheduler::kFull || due <= cycle()) {
-      m.wake();
-      return;
-    }
-    partitions_[m.partition_]->calendar.schedule(due, &m);
-  }
-
   /// Cycles skipped (never walked) by clock leaps, summed over partitions.
   /// 0 under the full reference; the bench suite reports
   /// leapt_cycles()/cycles as leapt_frac.
@@ -475,8 +462,6 @@ class Kernel {
   /// this to check every module's next_event() claim after a drain).
   const std::vector<Module*>& modules() const { return modules_; }
   std::size_t signal_count() const { return signal_count_; }
-  /// Distinct signal types in use.
-  std::size_t signal_pool_count() const { return pools_.size(); }
   /// Modules in the active set (== module_count() under kFull).
   std::size_t awake_count() const;
 

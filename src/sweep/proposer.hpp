@@ -30,12 +30,6 @@ class Proposer {
   /// runner overwrites each point's `index` with its evaluation order.
   virtual std::vector<SweepPoint> propose(
       const std::vector<SweepResult>& so_far) = 0;
-
-  /// Export-schema hints mirroring SweepSpec's axis marks: declare true
-  /// when the campaign varies flow control / vcs so the ResultTable's
-  /// conditional columns stay stable for the whole campaign.
-  virtual bool sweeps_flow() const { return false; }
-  virtual bool sweeps_vcs() const { return false; }
 };
 
 }  // namespace xpl::sweep

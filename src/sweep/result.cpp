@@ -11,56 +11,6 @@
 
 namespace xpl::sweep {
 
-namespace {
-
-
-/// JSON string escaping (error messages are free-form exception text).
-std::string json_escape(const std::string& s) {
-  std::string out;
-  out.reserve(s.size());
-  for (const char c : s) {
-    switch (c) {
-      case '"':
-        out += "\\\"";
-        break;
-      case '\\':
-        out += "\\\\";
-        break;
-      case '\n':
-        out += "\\n";
-        break;
-      case '\t':
-        out += "\\t";
-        break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          char buf[8];
-          std::snprintf(buf, sizeof(buf), "\\u%04x",
-                        static_cast<unsigned>(static_cast<unsigned char>(c)));
-          out += buf;
-        } else {
-          out += c;
-        }
-    }
-  }
-  return out;
-}
-
-/// RFC-4180 quoting for free-form CSV fields (error messages may carry
-/// commas, quotes or newlines); plain fields pass through unquoted.
-std::string csv_field(const std::string& s) {
-  if (s.find_first_of(",\"\n\r") == std::string::npos) return s;
-  std::string out = "\"";
-  for (const char c : s) {
-    if (c == '"') out += '"';
-    out += c;
-  }
-  out += '"';
-  return out;
-}
-
-}  // namespace
-
 void ResultTable::set(SweepResult result) {
   const std::size_t i = result.point.index;
   require(i < rows_.size(), "ResultTable: point index out of range");

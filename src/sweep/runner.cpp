@@ -208,7 +208,7 @@ ResultTable SweepRunner::run(const SweepSpec& spec,
   return table;
 }
 
-ResultTable SweepRunner::run_adaptive(Proposer& proposer) const {
+void SweepRunner::run_adaptive(Proposer& proposer) const {
   std::vector<SweepResult> results;
   for (;;) {
     std::vector<SweepPoint> batch = proposer.propose(results);
@@ -227,12 +227,6 @@ ResultTable SweepRunner::run_adaptive(Proposer& proposer) const {
       results.push_back(std::move(r));
     }
   }
-
-  ResultTable table(results.size());
-  if (proposer.sweeps_flow()) table.mark_flow_axis();
-  if (proposer.sweeps_vcs()) table.mark_vcs_axis();
-  for (SweepResult& r : results) table.set(std::move(r));
-  return table;
 }
 
 }  // namespace xpl::sweep

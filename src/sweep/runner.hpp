@@ -60,10 +60,10 @@ class SweepRunner {
   ResultTable run(const SweepSpec& spec, const RunOptions& opts) const;
 
   /// Adaptive campaign: the proposer drives point selection from results
-  /// so far (proposer.hpp). Results land in evaluation order — batch
-  /// order within a batch — so adaptive campaigns are as deterministic
-  /// as grid ones for any --jobs.
-  ResultTable run_adaptive(Proposer& proposer) const;
+  /// so far (proposer.hpp) and keeps whatever it needs of them. Results
+  /// reach it in evaluation order — batch order within a batch — so
+  /// adaptive campaigns are as deterministic as grid ones for any --jobs.
+  void run_adaptive(Proposer& proposer) const;
 
   /// Builds, simulates and estimates one point — the unit of work the
   /// pool executes; exposed so tests and custom drivers can run single

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cstdio>
 #include <fstream>
+#include <optional>
 #include <set>
 #include <sstream>
 
@@ -22,13 +23,12 @@ using text::fail;
 using text::parse_f64;
 using text::parse_u64;
 
-/// line 0 = not parsing a file (validating an in-memory spec).
-traffic::Pattern parse_pattern(const std::string& name, std::size_t line) {
+/// The synthetic pattern `name` names; nullopt for anything else.
+std::optional<traffic::Pattern> synthetic_pattern(const std::string& name) {
   if (name == "uniform") return traffic::Pattern::kUniformRandom;
   if (name == "hotspot") return traffic::Pattern::kHotspot;
   if (name == "permutation") return traffic::Pattern::kPermutation;
-  if (line == 0) throw Error("sweep: unknown pattern '" + name + "'");
-  fail({"sweep", line}, "unknown pattern '" + name + "'");
+  return std::nullopt;
 }
 
 /// "app:mpeg4" -> "mpeg4"; empty string when `name` is not an app value.
@@ -37,33 +37,49 @@ std::string app_benchmark_of(const std::string& name) {
   return {};
 }
 
-/// Accepts a pattern-axis token: a synthetic pattern name or
-/// "app:<embedded benchmark>". line 0 = validating an in-memory spec.
-void check_pattern_token(const std::string& name, std::size_t line) {
-  const std::string app = app_benchmark_of(name);
-  if (app.empty()) {
-    parse_pattern(name, line);  // throws on unknown synthetic pattern
-    return;
+void check_scheduler(const std::string& name, const text::Where& at) {
+  if (name != "gated" && name != "full" && name != "time_leap") {
+    fail(at, "unknown scheduler '" + name +
+                 "' (expected gated | full | time_leap)");
   }
-  if (workload::is_benchmark(app)) return;
-  if (line == 0) throw Error("sweep: unknown app benchmark '" + app + "'");
-  fail({"sweep", line}, "unknown app benchmark '" + app + "'");
-}
-
-const std::set<std::string>& known_topologies() {
-  static const std::set<std::string> kinds{"mesh",      "torus", "ring",
-                                           "star",      "spidergon",
-                                           "cmesh"};
-  return kinds;
-}
-
-const std::set<std::string>& known_routings() {
-  static const std::set<std::string> kinds{"auto", "minimal", "xy",
-                                           "updown"};
-  return kinds;
 }
 
 }  // namespace
+
+void check_topology(const std::string& name, const text::Where& at) {
+  static const std::set<std::string> known_topologies{
+      "mesh", "torus", "ring", "star", "spidergon", "cmesh"};
+  if (!known_topologies.count(name)) {
+    fail(at, "unknown topology '" + name + "'");
+  }
+}
+
+void check_routing(const std::string& name, const text::Where& at) {
+  static const std::set<std::string> known_routings{"auto", "minimal", "xy",
+                                                    "updown"};
+  if (!known_routings.count(name)) {
+    fail(at, "unknown routing '" + name +
+                 "' (expected auto | minimal | xy | updown)");
+  }
+}
+
+void check_pattern(const std::string& name, const text::Where& at) {
+  const std::string app = app_benchmark_of(name);
+  if (app.empty() && !synthetic_pattern(name)) {
+    fail(at, "unknown pattern '" + name + "'");
+  }
+  if (!app.empty() && !workload::is_benchmark(app)) {
+    fail(at, "unknown app benchmark '" + app + "'");
+  }
+}
+
+void check_flow(const std::string& name, const text::Where& at) {
+  try {
+    link::parse_flow_control(name);  // the link layer owns the names
+  } catch (const Error& e) {
+    fail(at, e.what());
+  }
+}
 
 std::uint64_t derive_seed(std::uint64_t spec_seed, std::uint64_t salt) {
   // splitmix64 finalizer over the combined words — the same mixing the
@@ -155,24 +171,17 @@ void SweepSpec::validate() const {
   non_empty("warmup", warmups.size());
   non_empty("burstiness", burstinesses.size());
   non_empty("injection_rate", injection_rates.size());
-  for (const auto& t : topologies) {
-    require(known_topologies().count(t) != 0,
-            "sweep: unknown topology '" + t + "'");
-  }
-  require(known_routings().count(routing) != 0,
-          "sweep: unknown routing '" + routing +
-              "' (expected auto | minimal | xy | updown)");
-  require(scheduler == "gated" || scheduler == "full" ||
-              scheduler == "time_leap",
-          "sweep: unknown scheduler '" + scheduler +
-              "' (expected gated | full | time_leap)");
+  const text::Where at{"sweep", 0};
+  for (const auto& t : topologies) check_topology(t, at);
+  check_routing(routing, at);
+  check_scheduler(scheduler, at);
   for (const std::size_t v : vcss) {
     require(v >= 1 && v <= link::kMaxVcs,
             "sweep: vcs must be in [1, " + std::to_string(link::kMaxVcs) +
                 "]");
   }
-  for (const auto& f : flows) link::parse_flow_control(f);  // throws
-  for (const auto& p : patterns) check_pattern_token(p, 0);
+  for (const auto& f : flows) check_flow(f, at);
+  for (const auto& p : patterns) check_pattern(p, at);
   for (const double b : burstinesses) {
     require(b >= 0.0 && b < 1.0, "sweep: burstiness must be in [0, 1)");
   }
@@ -267,7 +276,7 @@ SweepPoint SweepSpec::resolve_grid_point(std::size_t grid_index,
 
   const std::string app = app_benchmark_of(patterns[pattern_i]);
   if (app.empty()) {
-    p.traffic.pattern = parse_pattern(patterns[pattern_i], 0);
+    p.traffic.pattern = *synthetic_pattern(patterns[pattern_i]);
   } else {
     // Benchmark traffic: the weight matrix needs the built topology, so
     // run_point derives it there (benchmark_weights is deterministic).
@@ -364,18 +373,11 @@ SweepSpec parse_sweep(const std::string& text) {
       spec.max_burst = static_cast<std::uint32_t>(u64(1, text::kMaxBurst));
     } else if (key == "routing") {
       need(2);
-      if (!known_routings().count(tokens[1])) {
-        fail(at, "unknown routing '" + tokens[1] +
-                     "' (expected auto | minimal | xy | updown)");
-      }
+      check_routing(tokens[1], at);
       spec.routing = tokens[1];
     } else if (key == "scheduler") {
       need(2);
-      if (tokens[1] != "gated" && tokens[1] != "full" &&
-          tokens[1] != "time_leap") {
-        fail(at, "unknown scheduler '" + tokens[1] +
-                     "' (expected gated | full | time_leap)");
-      }
+      check_scheduler(tokens[1], at);
       spec.scheduler = tokens[1];
     } else if (key == "threads") {
       spec.threads = u64(1, text::kMaxThreads);
@@ -385,12 +387,10 @@ SweepSpec parse_sweep(const std::string& text) {
       spec.concentration = u64(1, text::kMaxConcentration);
     } else if (key == "topology") {
       need_values();
-      spec.topologies.assign(tokens.begin() + 1, tokens.end());
-      for (const auto& t : spec.topologies) {
-        if (!known_topologies().count(t)) {
-          fail(at, "unknown topology '" + t + "'");
-        }
+      for (std::size_t t = 1; t < tokens.size(); ++t) {
+        check_topology(tokens[t], at);
       }
+      spec.topologies.assign(tokens.begin() + 1, tokens.end());
     } else if (key == "width") {
       spec.widths = u64_list(1, text::kMaxDimension);
     } else if (key == "height") {
@@ -404,11 +404,7 @@ SweepSpec parse_sweep(const std::string& text) {
     } else if (key == "flow") {
       need_values();
       for (std::size_t t = 1; t < tokens.size(); ++t) {
-        try {
-          link::parse_flow_control(tokens[t]);  // validates
-        } catch (const Error& e) {
-          fail(at, e.what());
-        }
+        check_flow(tokens[t], at);
       }
       spec.flows.assign(tokens.begin() + 1, tokens.end());
     } else if (key == "pattern" || key == "traffic") {
@@ -416,7 +412,7 @@ SweepSpec parse_sweep(const std::string& text) {
       // `traffic app:mpeg4`; the canonical form writes `pattern`.
       need_values();
       for (std::size_t t = 1; t < tokens.size(); ++t) {
-        check_pattern_token(tokens[t], at.line);  // validates
+        check_pattern(tokens[t], at);
       }
       spec.patterns.assign(tokens.begin() + 1, tokens.end());
     } else if (key == "warmup") {

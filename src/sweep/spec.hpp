@@ -69,6 +69,7 @@
 #include <string>
 #include <vector>
 
+#include "src/common/text.hpp"
 #include "src/noc/network.hpp"
 #include "src/topology/topology.hpp"
 #include "src/traffic/traffic.hpp"
@@ -194,6 +195,16 @@ struct SweepSpec {
   SweepPoint resolve_grid_point(std::size_t grid_index,
                                 std::size_t campaign_index) const;
 };
+
+/// The campaign vocabulary, shared by `.sweep` and `.tune`: each check
+/// accepts one token or fails through text::fail at `at`. Parsers pass
+/// the token's line ("<fmt> line N: ..."); validate() of an in-memory spec
+/// passes line 0 ("<fmt>: ...").
+void check_topology(const std::string& name, const text::Where& at);
+void check_routing(const std::string& name, const text::Where& at);
+/// A synthetic pattern name or "app:<embedded benchmark>".
+void check_pattern(const std::string& name, const text::Where& at);
+void check_flow(const std::string& name, const text::Where& at);
 
 /// Deterministic per-job seed: splitmix64 of the spec seed and the point's
 /// campaign index. Exposed for tests.

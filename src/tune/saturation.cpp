@@ -3,7 +3,6 @@
 #include <algorithm>
 
 #include "src/common/error.hpp"
-#include "src/link/flow.hpp"
 
 namespace xpl::tune {
 
@@ -17,12 +16,6 @@ SaturationSearch::SaturationSearch(sweep::SweepPoint base,
   require(cfg_.latency_blowup > 1,
           "SaturationSearch: latency_blowup must be > 1");
 }
-
-bool SaturationSearch::sweeps_flow() const {
-  return base_.net.flow != link::FlowControl::kAckNack;
-}
-
-bool SaturationSearch::sweeps_vcs() const { return base_.net.vcs != 1; }
 
 bool SaturationSearch::saturated(double avg_latency, double lat_lo,
                                  double latency_blowup) {
@@ -80,8 +73,6 @@ std::vector<sweep::SweepPoint> SaturationSearch::propose(
           lo_ = probe_;
         }
         break;
-      case Phase::kDone:
-        return {};
     }
   }
 
@@ -100,8 +91,6 @@ std::vector<sweep::SweepPoint> SaturationSearch::propose(
       }
       probe_ = 0.5 * (lo_ + hi_);
       break;
-    case Phase::kDone:
-      return {};
   }
   ++evals_;
   return {point_at(probe_)};

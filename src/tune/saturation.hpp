@@ -40,9 +40,6 @@ class SaturationSearch : public sweep::Proposer {
   std::vector<sweep::SweepPoint> propose(
       const std::vector<sweep::SweepResult>& so_far) override;
 
-  bool sweeps_flow() const override;
-  bool sweeps_vcs() const override;
-
   /// True once the bracket converged (or the search failed — see error()).
   bool converged() const { return done_; }
   /// Highest injection rate proven unsaturated (valid once converged).
@@ -66,7 +63,7 @@ class SaturationSearch : public sweep::Proposer {
 
   sweep::SweepPoint base_;
   SaturationConfig cfg_;
-  enum class Phase { kCalibrate, kExpand, kBisect, kDone } phase_ =
+  enum class Phase { kCalibrate, kExpand, kBisect } phase_ =
       Phase::kCalibrate;
   double lat_lo_ = 0.0;    ///< calibration mean latency at cfg_.lo
   double lo_ = 0.0;        ///< highest known-unsaturated rate

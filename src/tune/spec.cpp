@@ -3,14 +3,12 @@
 #include <cmath>
 #include <fstream>
 #include <limits>
-#include <set>
 #include <sstream>
 
 #include "src/common/error.hpp"
 #include "src/common/text.hpp"
 #include "src/link/flow.hpp"
 #include "src/sweep/format.hpp"
-#include "src/workload/benchmarks.hpp"
 
 namespace xpl::tune {
 
@@ -20,16 +18,30 @@ using text::fail;
 using text::parse_f64;
 using text::parse_u64;
 
-const std::set<std::string>& known_topologies() {
-  static const std::set<std::string> kinds{"mesh", "torus", "ring", "star",
-                                           "spidergon"};
-  return kinds;
+// The single-line value rules, written once: parse_tune reports them at
+// their line, validate() of an in-memory spec at line 0.
+
+void check_rate(double rate, const text::Where& at) {
+  if (!(rate > 0.0 && rate <= 1.0)) fail(at, "rate must be in (0, 1]");
 }
 
-const std::set<std::string>& known_routings() {
-  static const std::set<std::string> kinds{"auto", "minimal", "xy",
-                                           "updown"};
-  return kinds;
+void check_objective(const Objective& o, const text::Where& at) {
+  if (!(o.latency >= 0 && o.p95 >= 0 && o.throughput >= 0 && o.area >= 0 &&
+        o.power >= 0)) {
+    fail(at, "objective weights must be >= 0");
+  }
+  if (!(o.latency + o.p95 + o.throughput + o.area + o.power > 0)) {
+    fail(at, "objective must have at least one positive weight");
+  }
+}
+
+void check_saturation(const SaturationConfig& s, const text::Where& at) {
+  if (!(s.lo > 0 && s.lo < s.hi && s.hi <= 1.0)) {
+    fail(at, "saturation bracket must satisfy 0 < lo < hi <= 1");
+  }
+  if (!(s.rel_tol > 0 && s.rel_tol < 1)) {
+    fail(at, "saturation tolerance must be in (0, 1)");
+  }
 }
 
 }  // namespace
@@ -42,8 +54,9 @@ double Objective::score(const sweep::SweepResult& r) const {
 }
 
 void TuneSpec::validate() const {
-  require(known_topologies().count(topology) != 0,
-          "tune: unknown topology '" + topology + "'");
+  const text::Where at{"tune", 0};
+  sweep::check_topology(topology, at);
+  sweep::check_pattern(pattern, at);
   require(!fifo_depths.empty(), "tune: axis 'fifo_depth' is empty");
   require(!vcss.empty(), "tune: axis 'vcs' is empty");
   require(!flows.empty(), "tune: axis 'flow' is empty");
@@ -53,39 +66,17 @@ void TuneSpec::validate() const {
             "tune: vcs must be in [1, " + std::to_string(link::kMaxVcs) +
                 "]");
   }
-  for (const auto& f : flows) link::parse_flow_control(f);  // throws
-  for (const auto& r : routings) {
-    require(known_routings().count(r) != 0,
-            "tune: unknown routing '" + r + "'");
-  }
-  if (pattern.rfind("app:", 0) == 0) {
-    require(workload::is_benchmark(pattern.substr(4)),
-            "tune: unknown app benchmark '" + pattern.substr(4) + "'");
-  } else {
-    require(pattern == "uniform" || pattern == "hotspot" ||
-                pattern == "permutation",
-            "tune: unknown pattern '" + pattern + "'");
-  }
-  require(rate > 0.0 && rate <= 1.0, "tune: rate must be in (0, 1]");
+  for (const auto& f : flows) sweep::check_flow(f, at);
+  for (const auto& r : routings) sweep::check_routing(r, at);
+  check_rate(rate, at);
   require(burstiness >= 0.0 && burstiness < 1.0,
           "tune: burstiness must be in [0, 1)");
   require(sim_cycles > 0, "tune: cycles must be > 0");
   require(warmup < sim_cycles,
           "tune: warmup must leave a non-empty measurement window");
   require(budget > 0, "tune: budget must be > 0");
-  const Objective& o = objective;
-  require(o.latency >= 0 && o.p95 >= 0 && o.throughput >= 0 &&
-              o.area >= 0 && o.power >= 0,
-          "tune: objective weights must be >= 0");
-  require(o.latency + o.p95 + o.throughput + o.area + o.power > 0,
-          "tune: objective must have at least one positive weight");
-  if (saturation.enabled) {
-    require(saturation.lo > 0 && saturation.lo < saturation.hi &&
-                saturation.hi <= 1.0,
-            "tune: saturation bracket must satisfy 0 < lo < hi <= 1");
-    require(saturation.rel_tol > 0 && saturation.rel_tol < 1,
-            "tune: saturation tolerance must be in (0, 1)");
-  }
+  check_objective(objective, at);
+  if (saturation.enabled) check_saturation(saturation, at);
 }
 
 std::size_t TuneSpec::num_configs() const {
@@ -148,14 +139,6 @@ std::string TuneSpec::config_label(std::size_t c) const {
   return os.str();
 }
 
-bool TuneSpec::sweeps_flow() const {
-  return flows.size() > 1 || flows.front() != "ack_nack";
-}
-
-bool TuneSpec::sweeps_vcs() const {
-  return vcss.size() > 1 || vcss.front() != 1;
-}
-
 TuneSpec parse_tune(const std::string& text) {
   TuneSpec spec;
   text::LineReader in(text, "tune");
@@ -194,6 +177,7 @@ TuneSpec parse_tune(const std::string& text) {
       spec.budget = u64(1, text::kMaxU64);
     } else if (key == "rate") {
       spec.rate = f64(0.0, 1.0);
+      check_rate(spec.rate, at);
     } else if (key == "burstiness") {
       spec.burstiness = f64(0.0, text::kBelowOne);
     } else if (key == "read_fraction") {
@@ -225,11 +209,10 @@ TuneSpec parse_tune(const std::string& text) {
                        "| power)");
         }
       }
+      check_objective(spec.objective, at);
     } else if (key == "topology") {
       need(2);
-      if (!known_topologies().count(tokens[1])) {
-        fail(at, "unknown topology '" + tokens[1] + "'");
-      }
+      sweep::check_topology(tokens[1], at);
       spec.topology = tokens[1];
     } else if (key == "width") {
       spec.width = u64(1, text::kMaxDimension);
@@ -239,6 +222,7 @@ TuneSpec parse_tune(const std::string& text) {
       spec.flit_width = u64(1, text::kMaxFlitWidth);
     } else if (key == "pattern") {
       need(2);
+      sweep::check_pattern(tokens[1], at);
       spec.pattern = tokens[1];
     } else if (key == "search") {
       if (tokens.size() < 3) {
@@ -258,19 +242,12 @@ TuneSpec parse_tune(const std::string& text) {
         }
       } else if (axis == "flow") {
         for (std::size_t t = 2; t < tokens.size(); ++t) {
-          try {
-            link::parse_flow_control(tokens[t]);  // validates
-          } catch (const Error& e) {
-            fail(at, e.what());
-          }
+          sweep::check_flow(tokens[t], at);
         }
         spec.flows.assign(tokens.begin() + 2, tokens.end());
       } else if (axis == "routing") {
         for (std::size_t t = 2; t < tokens.size(); ++t) {
-          if (!known_routings().count(tokens[t])) {
-            fail(at, "unknown routing '" + tokens[t] +
-                         "' (expected auto | minimal | xy | updown)");
-          }
+          sweep::check_routing(tokens[t], at);
         }
         spec.routings.assign(tokens.begin() + 2, tokens.end());
       } else {
@@ -283,15 +260,12 @@ TuneSpec parse_tune(const std::string& text) {
       spec.saturation.lo = parse_f64(tokens[1], at, 0.0, 1.0);
       spec.saturation.hi = parse_f64(tokens[2], at, 0.0, 1.0);
       spec.saturation.rel_tol = parse_f64(tokens[3], at, 0.0, 1.0);
+      check_saturation(spec.saturation, at);
     } else {
       fail(at, "unknown directive '" + key + "'");
     }
   }
-  try {
-    spec.validate();
-  } catch (const Error& e) {
-    throw Error(std::string(e.what()) + " (in parsed tune spec)");
-  }
+  spec.validate();  // the one cross-line rule: warmup < cycles
   return spec;
 }
 

@@ -39,8 +39,11 @@
 // area | power; score = w_lat*avg_latency + w_p95*p95 - w_thr*throughput
 // + w_area*area + w_power*power, lower is better (throughput's weight
 // rewards, never penalizes). `search` accepts the four axes above; an
-// axis never mentioned stays pinned at its default. The format
-// round-trips exactly: write_tune(parse_tune(text)) is canonical.
+// axis never mentioned stays pinned at its default. `topology`, `pattern`
+// and the flow/routing search values take exactly the `.sweep` tokens
+// (sweep::check_*); a cmesh runs at the `.sweep` default concentration.
+// The format round-trips exactly: write_tune(parse_tune(text)) is
+// canonical.
 #pragma once
 
 #include <cstdint>
@@ -134,10 +137,6 @@ struct TuneSpec {
   sweep::SweepPoint config_point(std::size_t c) const;
   /// Compact config tag, e.g. "q4_v2_credit_minimal".
   std::string config_label(std::size_t c) const;
-
-  /// True when the searched axes vary flow control / vcs (export schema).
-  bool sweeps_flow() const;
-  bool sweeps_vcs() const;
 };
 
 /// Parses a tune specification; throws xpl::Error with a line number on

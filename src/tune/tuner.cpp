@@ -17,48 +17,6 @@ namespace xpl::tune {
 
 namespace {
 
-std::string json_escape(const std::string& s) {
-  std::string out;
-  out.reserve(s.size());
-  for (const char c : s) {
-    switch (c) {
-      case '"':
-        out += "\\\"";
-        break;
-      case '\\':
-        out += "\\\\";
-        break;
-      case '\n':
-        out += "\\n";
-        break;
-      case '\t':
-        out += "\\t";
-        break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          char buf[8];
-          std::snprintf(buf, sizeof(buf), "\\u%04x",
-                        static_cast<unsigned>(static_cast<unsigned char>(c)));
-          out += buf;
-        } else {
-          out += c;
-        }
-    }
-  }
-  return out;
-}
-
-std::string csv_field(const std::string& s) {
-  if (s.find_first_of(",\"\n\r") == std::string::npos) return s;
-  std::string out = "\"";
-  for (const char c : s) {
-    if (c == '"') out += '"';
-    out += c;
-  }
-  out += '"';
-  return out;
-}
-
 /// Deterministic strict ranking over (objective, config): ties on the
 /// float objective — common when two configs differ only in an axis the
 /// workload never exercises — break on a seeded hash of the config id,
@@ -205,9 +163,6 @@ class TunerProposer : public sweep::Proposer {
       }
     }
   }
-
-  bool sweeps_flow() const override { return spec_.sweeps_flow(); }
-  bool sweeps_vcs() const override { return spec_.sweeps_vcs(); }
 
   std::vector<TuneEval>& trajectory() { return trajectory_; }
   bool exhausted() const { return exhausted_; }
@@ -357,7 +312,8 @@ std::string TuneReport::trajectory_csv() const {
        << fmt_double(r.throughput_tpc) << ","
        << fmt_double(r.avg_link_utilization) << ","
        << fmt_double(r.area_mm2) << "," << fmt_double(r.power_mw) << ","
-       << fmt_double(r.fmax_mhz) << "," << csv_field(r.error) << "\n";
+       << fmt_double(r.fmax_mhz) << "," << sweep::csv_field(r.error)
+       << "\n";
   }
   return os.str();
 }
@@ -366,7 +322,7 @@ std::string TuneReport::trajectory_json() const {
   using sweep::fmt_double;
   std::ostringstream os;
   os << "{\n";
-  os << "  \"tune\": \"" << json_escape(spec.name) << "\",\n";
+  os << "  \"tune\": \"" << sweep::json_escape(spec.name) << "\",\n";
   os << "  \"budget\": " << spec.budget << ",\n";
   os << "  \"evaluations\": " << trajectory.size() << ",\n";
   os << "  \"budget_exhausted\": " << (budget_exhausted ? "true" : "false")
@@ -410,7 +366,7 @@ std::string TuneReport::trajectory_json() const {
        << ", \"area_mm2\": " << fmt_double(r.area_mm2)
        << ", \"power_mw\": " << fmt_double(r.power_mw)
        << ", \"fmax_mhz\": " << fmt_double(r.fmax_mhz) << ", \"error\": \""
-       << json_escape(r.error) << "\"}"
+       << sweep::json_escape(r.error) << "\"}"
        << (i + 1 < trajectory.size() ? "," : "") << "\n";
   }
   os << "  ]\n}\n";

@@ -67,4 +67,24 @@ class Resender : public sim::Module {
   std::uint64_t pending_ = 1;
 };
 
+// Feeding the sender's begin_cycle() is exempt, but a second clock read
+// that compares against a stored cycle still makes the module
+// time-driven.
+class Pacer : public sim::Module {
+ public:
+  void tick(sim::Kernel& kernel) override {
+    tx_.begin_cycle(kernel.cycle());
+    if (kernel.cycle() >= release_at_) released_ = true;
+    tx_.end_cycle();
+  }
+  std::uint64_t next_event(std::uint64_t now) const override {  // xlint-expect: XL203
+    return released_ && tx_.gate_idle() ? sim::kNever : now + 1;
+  }
+
+ private:
+  link::LinkSender tx_;
+  std::uint64_t release_at_ = 100;
+  bool released_ = false;
+};
+
 }  // namespace fixture

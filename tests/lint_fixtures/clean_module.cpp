@@ -82,6 +82,23 @@ class Alarm : public sim::Module {
   bool fired_ = false;
 };
 
+// A clock read whose only use is the whole argument of a link sender's
+// begin_cycle() feeds the credit stall catch-up, not a deadline: the
+// module is input-driven and may answer kNever.
+class Sender : public sim::Module {
+ public:
+  void tick(sim::Kernel& kernel) override {
+    tx_.begin_cycle(kernel.cycle());
+    tx_.end_cycle();
+  }
+  std::uint64_t next_event(std::uint64_t now) const override {
+    return tx_.gate_idle() ? sim::kNever : now + 1;
+  }
+
+ private:
+  link::LinkSender tx_;
+};
+
 // A due-tracking member is fine too once the wake is declared.
 class Retry : public sim::Module {
  public:

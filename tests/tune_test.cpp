@@ -88,8 +88,6 @@ TEST(TuneSpec, ParsesEveryDirective) {
   EXPECT_TRUE(spec.saturation.enabled);
   EXPECT_DOUBLE_EQ(spec.saturation.lo, 0.05);
   EXPECT_DOUBLE_EQ(spec.saturation.hi, 0.8);
-  EXPECT_TRUE(spec.sweeps_flow());
-  EXPECT_FALSE(spec.sweeps_vcs());
 }
 
 TEST(TuneSpec, CanonicalRoundTrip) {
@@ -131,15 +129,33 @@ TEST(TuneSpec, MalformedLinesReportTheirLineNumber) {
   expect_tune_line_error(ok + "target_mhz -inf\n", 3);
   expect_tune_line_error(ok + "target_mhz 0\n", 3);
   expect_tune_line_error(ok + "rate inf\n", 3);  // was caught by validate()
+  // Single-line value rules fail at their line, like the token rules.
+  expect_tune_line_error(ok + "pattern bogus\n", 3);
+  expect_tune_line_error(ok + "pattern app:nonesuch\n", 3);
+  expect_tune_line_error(ok + "rate 0\n", 3);
+  expect_tune_line_error(ok + "objective latency 0\n", 3);  // all-zero
+  expect_tune_line_error(ok + "saturation 0.5 0.1 0.01\n", 3);  // lo > hi
 }
 
 TEST(TuneSpec, ValidateRejectsBadValues) {
-  EXPECT_THROW(parse_tune("rate 0\n"), Error);
   EXPECT_THROW(parse_tune("budget 0\n"), Error);
+  // The one cross-line rule, left to validate().
   EXPECT_THROW(parse_tune("cycles 100\nwarmup 100\n"), Error);
-  EXPECT_THROW(parse_tune("objective latency 0\n"), Error);  // all-zero
-  EXPECT_THROW(parse_tune("saturation 0.5 0.1 0.01\n"), Error);  // lo>hi
-  EXPECT_THROW(parse_tune("pattern app:nonesuch\n"), Error);
+  TuneSpec spec;
+  spec.pattern = "bogus";  // in-memory specs reject the same tokens
+  EXPECT_THROW(spec.validate(), Error);
+}
+
+TEST(TuneSpec, AcceptsTheSweepTopologyTokensIncludingCmesh) {
+  const TuneSpec spec = parse_tune(
+      "tune cm\ntopology cmesh\nwidth 2\nheight 2\nsearch fifo_depth 2 "
+      "4\n");
+  const sweep::SweepPoint p = spec.config_point(0);
+  EXPECT_EQ(p.topology, "cmesh");
+  EXPECT_EQ(p.concentration, 4u);  // the .sweep default
+  const std::string canonical = write_tune(spec);
+  EXPECT_NE(canonical.find("topology cmesh\n"), std::string::npos);
+  EXPECT_EQ(write_tune(parse_tune(canonical)), canonical);
 }
 
 TEST(Objective, ScoresWeightedSumAndFailedPoints) {

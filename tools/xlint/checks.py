@@ -110,6 +110,14 @@ BLIND_LEAF_RE = re.compile(r"(?:sim::)?kNever|(?P<now>[A-Za-z_]\w*)\s*\+\s*1")
 # don't match — `_` is a word character, so \b stops at the prefix.
 CYCLE_READ_RE = re.compile(r"\bcycle\s*\(\s*\)")
 
+# A clock read that is the whole argument of a link sender's
+# begin_cycle(now): the credit sender only catches up its stall count in
+# closed form there, so it names no deadline to sleep on.
+BEGIN_CYCLE_CLOCK_RE = re.compile(
+    r"\bbegin_cycle\s*\(\s*(?:\w+\s*(?:\(\s*\))?\s*(?:\.|->)\s*)*"
+    r"cycle\s*\(\s*\)\s*\)"
+)
+
 FLOAT_DECL_RE = re.compile(r"\b(?:double|float)\s+([A-Za-z_]\w*)\s*(?:[;=,)\{]|$)", re.M)
 INT_DECL_RE = re.compile(
     r"\b(?:std::)?(?:u?int\d+_t|size_t|int|long|unsigned|short|bool|char)\s+"
@@ -565,13 +573,18 @@ class Analyzer:
         a module that said kNever is revisited only on a signal wake; a
         time-driven one must name the cycle it waits for instead, or it
         oversleeps the very cycle its state names, and only the
-        differential suite would catch it — dynamically, per scenario."""
+        differential suite would catch it — dynamically, per scenario.
+        A clock read that is the whole argument of begin_cycle(...) does
+        not count: it feeds a link sender's stall catch-up, no deadline."""
         if not _names_no_wake(mc.methods["next_event"], member_names):
             return
         reach = mc.tick_reachable()
         if not reach:
             return
-        reads_clock = any(CYCLE_READ_RE.search(mc.methods[m]) for m in reach)
+        reads_clock = any(
+            CYCLE_READ_RE.search(BEGIN_CYCLE_CLOCK_RE.sub("", mc.methods[m]))
+            for m in reach
+        )
         due_member = next(
             (
                 (path, line, name)
