@@ -10,7 +10,7 @@
 // not average load, is what stresses the buffers.
 //
 // Runs on the src/sweep/ campaign engine: each (app, burstiness) cell is
-// one independent SweepPoint on the work-stealing pool, so the table is
+// one independent SweepPoint on the thread pool, so the table is
 // identical for any worker count.
 #include <cstdio>
 #include <string>

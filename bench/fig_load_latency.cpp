@@ -8,7 +8,7 @@
 //
 // The sweep itself runs on the src/sweep/ campaign engine: each
 // (rate, switch-depth) cell is one independent SweepPoint executed on the
-// work-stealing pool, results keyed by point index so the table is
+// thread pool, results keyed by point index so the table is
 // identical for any worker count.
 #include <cstdio>
 #include <vector>

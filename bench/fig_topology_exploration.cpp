@@ -45,7 +45,7 @@ int main() {
       {"ring_6", topology::make_ring(6, topology::NiPlan::uniform(6, 0, 0))});
 
   // Candidates are independent jobs: run them on the sweep subsystem's
-  // work-stealing pool (results identical for any job count).
+  // thread pool (results identical for any job count).
   options.jobs = 0;  // hardware concurrency
   const auto results = explore(graph, candidates, options);
   const auto front = appgraph::pareto_front(results);

@@ -69,7 +69,7 @@ int main() {
   std::printf("flits carried on links : %llu\n",
               static_cast<unsigned long long>(net.total_link_flits()));
   std::uint64_t corrupted = 0;
-  for (const auto& link : net.links()) corrupted += link->flits_corrupted();
+  for (const auto& link : net.link_stats()) corrupted += link.flits_corrupted;
   std::printf("flits corrupted        : %llu\n",
               static_cast<unsigned long long>(corrupted));
   std::printf("retransmissions        : %llu\n",

@@ -16,7 +16,7 @@ std::vector<ExplorationResult> explore(
 
   // Each candidate is mapped, estimated and simulated from its own Rng
   // and its own Network, so the loop runs on the sweep subsystem's
-  // work-stealing pool; slot `i` makes results independent of schedule.
+  // thread pool; slot `i` makes results independent of schedule.
   const sweep::SweepRunner runner(options.jobs);
   runner.run_indexed(candidates.size(), [&](std::size_t index) {
     const Candidate& candidate = candidates[index];

@@ -87,8 +87,8 @@ NocSpec parse_spec(const std::string& text) {
       need(2);
       try {
         spec.net.flow = link::parse_flow_control(tokens[1]);
-      } catch (const Error&) {
-        fail(at, "unknown flow '" + tokens[1] + "'");
+      } catch (const Error& e) {
+        fail(at, e.what());  // the link layer owns the names
       }
     } else if (key == "vcs") {
       spec.net.vcs = u64(1, link::kMaxVcs);

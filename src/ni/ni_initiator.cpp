@@ -5,22 +5,13 @@
 namespace xpl::ni {
 
 void InitiatorConfig::validate() const {
-  format.validate();
-  require(format.beat_width <= 64,
-          "InitiatorConfig: beat_width above 64 is not supported by the "
-          "OCP data path");
+  PortConfig::validate("InitiatorConfig");
   require(ocp_req_fifo >= 1, "InitiatorConfig: ocp_req_fifo >= 1");
   require(max_outstanding >= 1, "InitiatorConfig: max_outstanding >= 1");
   const std::size_t txn_space =
       std::size_t{1} << format.header.txn_bits;
   require(max_outstanding <= txn_space,
           "InitiatorConfig: max_outstanding exceeds txn id space");
-  protocol.validate();
-  require(vcs >= 1 && vcs <= link::kMaxVcs,
-          "InitiatorConfig: vcs must be in [1, " +
-              std::to_string(link::kMaxVcs) + "]");
-  require(protocol.vcs == vcs,
-          "InitiatorConfig: protocol lane count differs from vcs");
 }
 
 InitiatorNi::InitiatorNi(std::string name, const InitiatorConfig& config,
@@ -31,26 +22,19 @@ InitiatorNi::InitiatorNi(std::string name, const InitiatorConfig& config,
       config_(config),
       ocp_req_(ocp.req, config.ocp_req_fifo),
       ocp_resp_(ocp.resp, config.ocp_resp_credits),
-      tx_(config.flow, net_out, config.protocol),
-      rx_(config.flow, net_in, config.protocol) {
+      back_(config, net_out, net_in) {
   config_.validate();
   // Wake sources: OCP request beats and response credits
   // from the core, ACK/credit returns and response flits from the network.
   ocp_req_.watch(*this);
   ocp_resp_.watch(*this);
-  tx_.watch(*this);
-  rx_.watch(*this);
-  depack_.reserve(config_.vcs);
-  for (std::size_t v = 0; v < config_.vcs; ++v) {
-    depack_.emplace_back(config_.format);
-  }
-  // Steady-state bounds: flit_out_ holds one packetized request (a new
-  // transaction starts only when it is empty); resp_out_ is capped by
-  // resp_queue_depth plus the beats of the response(s) released by one
-  // arrival. Both rings grow (once, deterministically) if a burst length
-  // exceeds the estimate.
-  flit_out_.reserve(config_.format.packet_flits(8));
+  back_.watch(*this);
+  // resp_out_ is capped by resp_queue_depth plus the beats of the
+  // response(s) released by one arrival; it grows (once,
+  // deterministically) if a burst length exceeds the estimate.
   resp_out_.reserve(config_.resp_queue_depth + 8);
+  outstanding_.resize(std::size_t{1} << config_.format.header.txn_bits);
+  thread_order_.resize(std::size_t{1} << config_.format.header.thread_bits);
 }
 
 void InitiatorNi::start_packet(const ocp::ReqBeat& beat) {
@@ -74,19 +58,7 @@ void InitiatorNi::start_packet(const ocp::ReqBeat& beat) {
 
   Building b;
   b.header.route.assign(hit->route.begin(), hit->route.end());
-  switch (beat.cmd) {
-    case ocp::Cmd::kWrite:
-      b.header.cmd = PacketCmd::kWrite;
-      break;
-    case ocp::Cmd::kRead:
-      b.header.cmd = PacketCmd::kRead;
-      break;
-    case ocp::Cmd::kWriteNp:
-      b.header.cmd = PacketCmd::kWriteNp;
-      break;
-    case ocp::Cmd::kIdle:
-      XPL_ASSERT(false);
-  }
+  b.header.cmd = to_packet_cmd(beat.cmd);
   b.header.src = config_.node_id;
   b.header.dst = hit->dst;
   b.header.thread_id = beat.thread_id;
@@ -94,105 +66,82 @@ void InitiatorNi::start_packet(const ocp::ReqBeat& beat) {
   b.header.burst_seq = static_cast<std::uint8_t>(beat.burst_seq);
   b.header.sideband = beat.sideband_flag;
   b.header.addr = hit->offset;
-
-  if (beat.cmd == ocp::Cmd::kWrite) {
-    b.header.txn_id = 0;  // posted: no response to match
-  } else {
-    b.header.txn_id = next_txn_;
-    outstanding_[next_txn_] =
-        Outstanding{beat.cmd, beat.burst_len, beat.thread_id};
-    thread_order_[beat.thread_id].push_back(next_txn_);
-    const std::uint32_t txn_mask =
-        static_cast<std::uint32_t>((1u << config_.format.header.txn_bits) - 1);
-    next_txn_ = (next_txn_ + 1) & txn_mask;
-  }
+  // Posted writes expect no response, so they take no txn id.
+  b.header.txn_id = beat.cmd == ocp::Cmd::kWrite ? 0 : next_txn_;
 
   b.beats_needed = (beat.cmd == ocp::Cmd::kRead) ? 0 : beat.burst_len;
-  if (b.beats_needed > 0) {
-    BitVector data(config_.format.beat_width);
-    data.deposit(0, std::min<std::size_t>(64, config_.format.beat_width),
-                 beat.data);
-    b.beats.push_back(std::move(data));
-  }
+  if (b.beats_needed > 0) b.beats.push_back(to_beat(beat.data, config_.format));
   building_ = std::move(b);
   if (building_->beats.size() == building_->beats_needed) finish_packet();
 }
 
 void InitiatorNi::finish_packet() {
   XPL_ASSERT(building_.has_value());
-  Packet packet;
-  packet.header = building_->header;
-  packet.beats = std::move(building_->beats);
-  auto flits = packetize(packet, config_.format);
-  // Whole packets ride one injection lane keyed by OCP thread: threads
-  // are the protocol's ordering domain, so same-thread requests stay
-  // FIFO on one lane while independent threads spread over the lanes
-  // (vcs == 1: always lane 0, the seed behaviour).
-  const std::uint8_t vc =
-      static_cast<std::uint8_t>(packet.header.thread_id % config_.vcs);
-  for (Flit& flit : flits) {
-    flit.vc = vc;
-    flit_out_.push_back(std::move(flit));
-  }
+  Packet packet{std::move(building_->header), std::move(building_->beats)};
   building_.reset();
-  ++packets_sent_;
+  const Header& h = packet.header;
+  Outstanding out{h.cmd, h.burst_len, h.thread_id, {}};
+  const std::uint32_t txn = h.txn_id;
+  // Packetizing first lets pack_header reject an out-of-range thread id
+  // before it can index thread_order_.
+  back_.send(std::move(packet));
+  if (out.cmd == PacketCmd::kWrite) return;
+  // No other transaction starts while this one builds, so recording it
+  // only now is indistinguishable from recording it at its first beat.
+  thread_order_[out.thread_id].push_back(txn);
+  outstanding_[txn] = std::move(out);
+  ++outstanding_count_;
+  const std::uint32_t txn_mask =
+      static_cast<std::uint32_t>((1u << config_.format.header.txn_bits) - 1);
+  next_txn_ = (next_txn_ + 1) & txn_mask;
 }
 
-void InitiatorNi::deliver_response(const Packet& packet) {
-  ++packets_received_;
+void InitiatorNi::deliver_response(Packet&& packet) {
   require(packet.header.cmd == PacketCmd::kResponse,
           "InitiatorNi: non-response packet arrived at initiator");
-  auto it = outstanding_.find(packet.header.txn_id);
-  require(it != outstanding_.end(),
-          "InitiatorNi: response for unknown transaction");
-  const std::uint32_t thread = it->second.thread_id;
+  // The txn field is txn_bits wide, so the id always indexes the table.
+  std::optional<Outstanding>& slot = outstanding_[packet.header.txn_id];
+  require(slot.has_value(), "InitiatorNi: response for unknown transaction");
 
   // OCP responses are in order within a thread; the network may complete
-  // transactions out of order, so park early arrivals in the reorder
-  // buffer until every older transaction of the thread has answered.
-  reorder_.emplace(packet.header.txn_id, packet);
-  auto order_it = thread_order_.find(thread);
-  XPL_ASSERT(order_it != thread_order_.end());
-  auto& order = order_it->second;
+  // transactions out of order, so park early arrivals in their slot until
+  // every older transaction of the thread has answered.
+  slot->response = std::move(packet);
+  Ring<std::uint32_t>& order = thread_order_[slot->thread_id];
   while (!order.empty()) {
-    const std::uint32_t txn = order.front();
-    auto ready = reorder_.find(txn);
-    if (ready == reorder_.end()) break;
+    std::optional<Outstanding>& ready = outstanding_[order.front()];
+    if (!ready->response.has_value()) break;
 
-    const Outstanding out = outstanding_.at(txn);
-    const Packet& resp_packet = ready->second;
+    const Outstanding& out = *ready;
+    const Packet& resp_packet = *out.response;
     const auto resp_code = static_cast<ocp::Resp>(resp_packet.header.resp);
     const std::uint32_t resp_beats =
-        (out.cmd == ocp::Cmd::kRead) ? out.burst_len : 1;
+        (out.cmd == PacketCmd::kRead) ? out.burst_len : 1;
     for (std::uint32_t i = 0; i < resp_beats; ++i) {
       ocp::RespBeat beat;
       beat.valid = true;
       beat.resp = resp_code;
       beat.thread_id = out.thread_id;
       beat.interrupt = resp_packet.header.interrupt;
-      if (out.cmd == ocp::Cmd::kRead && i < resp_packet.beats.size()) {
+      if (out.cmd == PacketCmd::kRead && i < resp_packet.beats.size()) {
         beat.data = resp_packet.beats[i].to_u64();
       }
       beat.last = (i + 1 == resp_beats);
       resp_out_.push_back(beat);
     }
-    outstanding_.erase(txn);
-    reorder_.erase(ready);
+    ready.reset();
+    --outstanding_count_;
     order.pop_front();
   }
-  if (order.empty()) thread_order_.erase(order_it);
 }
 
 void InitiatorNi::tick(sim::Kernel& kernel) {
   ocp_req_.begin_cycle();
   ocp_resp_.begin_cycle();
-  tx_.begin_cycle(kernel.cycle());
+  back_.begin_cycle(kernel.cycle());
 
   // Network transmit: one flit per cycle from the packetizer output.
-  if (!flit_out_.empty() && tx_.can_accept(flit_out_.front().vc)) {
-    tx_.accept(std::move(flit_out_.front()));
-    flit_out_.pop_front();
-  }
+  back_.transmit();
 
   // Packetization: consume at most one OCP request beat per cycle (the
   // header/payload registers are single datapath resources).
@@ -202,10 +151,7 @@ void InitiatorNi::tick(sim::Kernel& kernel) {
     if (building_.has_value()) {
       // Collect the next write burst beat.
       XPL_ASSERT(beat.beat_index == building_->beats.size());
-      BitVector data(config_.format.beat_width);
-      data.deposit(0, std::min<std::size_t>(64, config_.format.beat_width),
-                   beat.data);
-      building_->beats.push_back(std::move(data));
+      building_->beats.push_back(to_beat(beat.data, config_.format));
       ocp_req_.pop();
       if (building_->beats.size() == building_->beats_needed) {
         finish_packet();
@@ -216,9 +162,9 @@ void InitiatorNi::tick(sim::Kernel& kernel) {
       // for a potential LUT-miss reply.
       const bool txn_slot_free =
           beat.cmd == ocp::Cmd::kWrite ||
-          (outstanding_.size() < config_.max_outstanding &&
-           outstanding_.find(next_txn_) == outstanding_.end());
-      if (flit_out_.empty() && txn_slot_free &&
+          (outstanding_count_ < config_.max_outstanding &&
+           !outstanding_[next_txn_].has_value());
+      if (back_.outbound_empty() && txn_slot_free &&
           resp_out_.size() < config_.resp_queue_depth) {
         XPL_ASSERT(beat.beat_index == 0);
         ocp_req_.pop();
@@ -227,17 +173,11 @@ void InitiatorNi::tick(sim::Kernel& kernel) {
     }
   }
 
-  // Network receive: response flits reassemble into packets, one
-  // reassembler per lane (any lane may be drained — the shared response
+  // Network receive: response packets from any lane (the shared response
   // queue gates them all alike).
-  const bool can_take = resp_out_.size() < config_.resp_queue_depth;
-  const std::uint32_t take_mask =
-      can_take ? (1u << config_.vcs) - 1 : 0u;
-  if (const Flit* flit = rx_.begin_cycle(take_mask)) {
-    XPL_ASSERT(flit->vc < config_.vcs);
-    if (auto packet = depack_[flit->vc].push(*flit)) {
-      deliver_response(*packet);
-    }
+  if (auto packet =
+          back_.receive(resp_out_.size() < config_.resp_queue_depth)) {
+    deliver_response(std::move(*packet));
   }
 
   // OCP response channel: one beat per cycle, credit permitting.
@@ -248,27 +188,22 @@ void InitiatorNi::tick(sim::Kernel& kernel) {
 
   ocp_req_.end_cycle();
   ocp_resp_.end_cycle();
-  tx_.end_cycle();
-  rx_.end_cycle();
+  back_.end_cycle();
 }
 
 bool InitiatorNi::idle() const {
-  for (const Depacketizer& d : depack_) {
-    if (!d.idle()) return false;
-  }
-  return !building_.has_value() && flit_out_.empty() && resp_out_.empty() &&
-         outstanding_.empty() && reorder_.empty() && tx_.idle() &&
-         ocp_req_.empty();
+  // A parked response always belongs to a live outstanding slot.
+  return !building_.has_value() && resp_out_.empty() &&
+         outstanding_count_ == 0 && ocp_req_.empty() && back_.idle();
 }
 
 std::uint64_t InitiatorNi::next_event(std::uint64_t now) const {
-  // Deliberately weaker than idle(): outstanding_/reorder_/building_,
-  // mid-packet depacketizers and a starved sender are sleepable
+  // Deliberately weaker than idle(): outstanding_/building_ and the back
+  // end's mid-packet reassembly and starved sender are sleepable
   // (input-driven) state.
-  const bool asleep = ocp_req_.empty() && flit_out_.empty() &&
-                      resp_out_.empty() && ocp_req_.gate_idle() &&
-                      ocp_resp_.gate_idle() && tx_.gate_idle() &&
-                      rx_.gate_idle();
+  const bool asleep = ocp_req_.empty() && resp_out_.empty() &&
+                      ocp_req_.gate_idle() && ocp_resp_.gate_idle() &&
+                      back_.asleep();
   return asleep ? sim::kNever : now + 1;
 }
 

@@ -1,11 +1,11 @@
 // Target Network Interface.
 //
 // Bridges the xpipes network to an OCP slave core (memory, peripheral).
-// Back end: a go-back-N receiver for request packets and a sender for
-// response packets. Front end: the OCP master socket driving the slave
-// core beat by beat.
+// Back end: the shared BackEnd (back_end.hpp) — a receiver for request
+// packets and a sender for response packets. Front end: the OCP master
+// socket driving the slave core beat by beat.
 //
-// Request packets are depacketized and replayed as OCP bursts; the
+// Request packets are reassembled and replayed as OCP bursts; the
 // originating transaction's identity (source NI, txn id, thread) is held
 // in a per-thread pending queue — OCP slaves respond in order within a
 // thread — and response packets are built with the route looked up in the
@@ -13,35 +13,24 @@
 #pragma once
 
 #include <cstdint>
-#include <deque>
-#include <map>
 #include <optional>
+#include <vector>
 
 #include "src/common/ring.hpp"
-#include "src/link/flow.hpp"
+#include "src/ni/back_end.hpp"
 #include "src/ni/lut.hpp"
 #include "src/ocp/agents.hpp"
-#include "src/packet/packetizer.hpp"
-#include "src/sim/kernel.hpp"
 #include "src/sim/stream.hpp"
 
 namespace xpl::ni {
 
-struct TargetConfig {
-  PacketFormat format{};
-  std::uint32_t node_id = 0;
+/// With protocol.vcs > 1 the job pipeline decouples request ejection
+/// from response injection (see tick()), removing the request-reply
+/// wedge a saturated shared-lane network can otherwise hit.
+struct TargetConfig : PortConfig {
   std::size_t job_queue_depth = 4;   ///< whole request packets buffered
   std::size_t ocp_req_credits = 8;   ///< slave core's request FIFO depth
   std::size_t ocp_resp_fifo = 8;     ///< front-end response buffer (beats)
-  link::FlowControl flow = link::FlowControl::kAckNack;
-  link::ProtocolConfig protocol{};
-  /// Virtual channels on the network ports. Request flits are drained
-  /// from every lane (one reassembler per lane); response packets ride
-  /// the lane of their OCP thread, mirroring the initiator. With vcs > 1
-  /// the job pipeline also decouples request ejection from response
-  /// injection (see tick()), removing the request-reply wedge a
-  /// saturated shared-lane network can otherwise hit.
-  std::size_t vcs = 1;
 
   void validate() const;
 };
@@ -66,12 +55,12 @@ class TargetNi : public sim::Module {
   std::uint64_t next_event(std::uint64_t now) const override;
 
   const TargetConfig& config() const { return config_; }
-  std::uint64_t packets_received() const { return packets_received_; }
-  std::uint64_t packets_sent() const { return packets_sent_; }
+  std::uint64_t packets_received() const { return back_.packets_received(); }
+  std::uint64_t packets_sent() const { return back_.packets_sent(); }
   /// Network-port sender back-pressure (0 unless flow == kCredit)
   /// through cycle `now`.
   std::uint64_t credit_stalls(std::uint64_t now) const {
-    return tx_.credit_stalls(now);
+    return back_.credit_stalls(now);
   }
   bool idle() const;
 
@@ -96,25 +85,21 @@ class TargetNi : public sim::Module {
   TargetConfig config_;
   ResponseLut lut_;
 
-  link::LinkReceiver rx_;
-  link::LinkSender tx_;
+  BackEnd back_;
   sim::StreamProducer<ocp::ReqBeat> ocp_req_;
   sim::StreamConsumer<ocp::RespBeat> ocp_resp_;
 
-  /// One reassembler per lane: request packets interleave across lanes.
-  std::vector<Depacketizer> depack_;
   Ring<Packet> jobs_;                   ///< decoded requests awaiting issue
   std::optional<Packet> issuing_;       ///< request being beat-streamed
   std::uint32_t issue_beat_ = 0;
 
-  /// In-flight response-expecting requests, oldest first, per OCP thread.
-  std::map<std::uint32_t, std::deque<PendingResp>> pending_;
-  std::map<std::uint32_t, RespBuild> collecting_;  ///< per-thread response
-
-  Ring<Flit> flit_out_;
-
-  std::uint64_t packets_received_ = 0;
-  std::uint64_t packets_sent_ = 0;
+  /// In-flight response-expecting requests, oldest first, per OCP thread
+  /// (1 << thread_bits slots); `pending_count_` across all threads.
+  std::vector<Ring<PendingResp>> pending_;
+  std::size_t pending_count_ = 0;
+  /// The response being collected per thread. Only a thread's oldest
+  /// pending request collects, so a slot is set only while pending.
+  std::vector<std::optional<RespBuild>> collecting_;
 };
 
 }  // namespace xpl::ni

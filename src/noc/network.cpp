@@ -275,7 +275,6 @@ Network::Network(topology::Topology topo, const NetworkConfig& config)
     icfg.max_outstanding = config.max_outstanding;
     icfg.flow = config.flow;
     icfg.protocol = ni_protocol;
-    icfg.vcs = config.vcs;
     auto ni_mod = std::make_unique<ni::InitiatorNi>(
         topo_.ni(node).name, icfg, ocp_wires, ni_in_wires[node].up,
         ni_out_wires[node].down);
@@ -308,7 +307,6 @@ Network::Network(topology::Topology topo, const NetworkConfig& config)
     tcfg.ocp_resp_fifo = scfg.resp_credits;
     tcfg.flow = config.flow;
     tcfg.protocol = ni_protocol;
-    tcfg.vcs = config.vcs;
     auto ni_mod = std::make_unique<ni::TargetNi>(
         topo_.ni(node).name, tcfg, ocp_wires, ni_out_wires[node].down,
         ni_in_wires[node].up);
@@ -415,8 +413,10 @@ std::uint64_t Network::total_credit_stalls() const {
 
 std::uint64_t Network::total_link_flits() const {
   std::uint64_t total = 0;
-  for (const auto& l : links_) total += l->flits_carried();
-  for (const auto& c : cut_links_) total += c->flits_carried();
+  for (const LinkSlot& slot : link_slots_) {
+    total += slot.cut != nullptr ? slot.cut->flits_carried()
+                                 : slot.pipe->flits_carried();
+  }
   return total;
 }
 

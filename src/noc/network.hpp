@@ -125,12 +125,6 @@ class Network {
   const switchlib::Switch& switch_at(std::size_t s) const {
     return *switches_.at(s);
   }
-  /// Uncut link modules only (every link when partitions == 1). Legacy
-  /// accessor: statistics must use link_stats(), which also covers the
-  /// links replaced by partition cuts.
-  const std::vector<std::unique_ptr<link::PipelinedLink>>& links() const {
-    return links_;
-  }
   /// Links cut at partition boundaries (empty when partitions == 1).
   const std::vector<std::unique_ptr<link::CutLink>>& cut_links() const {
     return cut_links_;
@@ -145,8 +139,7 @@ class Network {
     std::uint64_t flits_corrupted = 0;
   };
   std::vector<LinkStat> link_stats() const;
-  /// Total link count including cut links (== links().size() when
-  /// unpartitioned); the utilization denominator.
+  /// Total link count including cut links; the utilization denominator.
   std::size_t num_links() const { return link_slots_.size(); }
 
   /// Partition ids indexed by switch id (all zero when partitions == 1).

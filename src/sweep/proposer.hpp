@@ -5,7 +5,7 @@
 // hook behind src/tune/'s search strategies (saturation bisection,
 // successive halving, hill climbing). SweepRunner::run_adaptive calls
 // propose() with every result produced so far (in evaluation order),
-// runs the returned batch on the work-stealing pool, appends the batch's
+// runs the returned batch on the thread pool, appends the batch's
 // results in batch order — never completion order — and repeats until the
 // proposer returns an empty batch. Determinism therefore matches the grid
 // path: the result sequence depends only on the proposer's decisions,

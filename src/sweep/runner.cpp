@@ -1,7 +1,7 @@
 #include "src/sweep/runner.hpp"
 
 #include <algorithm>
-#include <deque>
+#include <atomic>
 #include <exception>
 #include <mutex>
 #include <thread>
@@ -24,70 +24,16 @@ SweepRunner::SweepRunner(std::size_t jobs) : jobs_(jobs) {
 
 void SweepRunner::run_indexed(
     std::size_t n, const std::function<void(std::size_t)>& fn) const {
-  const std::size_t workers = std::min(jobs_, n);
-  if (workers <= 1) {
-    // Same contract as the parallel path: every index runs, the first
-    // exception is rethrown after the loop drains.
-    std::exception_ptr first_error;
-    for (std::size_t i = 0; i < n; ++i) {
-      try {
-        fn(i);
-      } catch (...) {
-        if (!first_error) first_error = std::current_exception();
-      }
-    }
-    if (first_error) std::rethrow_exception(first_error);
-    return;
-  }
-
-  // One deque per worker, jobs dealt round-robin. A worker drains its own
-  // deque from the front and, when empty, steals from the back of the
-  // busiest victim — classic work stealing, coarse (mutex per deque)
-  // because jobs are whole simulations, not microtasks.
-  struct Queue {
-    std::mutex mutex;
-    std::deque<std::size_t> jobs;
-  };
-  std::vector<Queue> queues(workers);
-  for (std::size_t i = 0; i < n; ++i) {
-    queues[i % workers].jobs.push_back(i);
-  }
-
+  // One shared cursor: each worker claims the next unrun index until none
+  // is left, so no worker idles while work remains. Jobs are whole
+  // simulations, so one atomic increment per job costs nothing.
+  std::atomic<std::size_t> cursor{0};
   std::mutex error_mutex;
   std::exception_ptr first_error;
-
-  auto worker = [&](std::size_t self) {
-    for (;;) {
-      std::size_t job = 0;
-      bool found = false;
-      {
-        std::lock_guard<std::mutex> lock(queues[self].mutex);
-        if (!queues[self].jobs.empty()) {
-          job = queues[self].jobs.front();
-          queues[self].jobs.pop_front();
-          found = true;
-        }
-      }
-      if (!found) {
-        // Steal from the victim with the most queued work.
-        std::size_t victim = workers;
-        std::size_t best = 0;
-        for (std::size_t v = 0; v < workers; ++v) {
-          if (v == self) continue;
-          std::lock_guard<std::mutex> lock(queues[v].mutex);
-          if (queues[v].jobs.size() > best) {
-            best = queues[v].jobs.size();
-            victim = v;
-          }
-        }
-        if (victim == workers) return;  // everything drained
-        std::lock_guard<std::mutex> lock(queues[victim].mutex);
-        if (queues[victim].jobs.empty()) continue;  // raced; rescan
-        job = queues[victim].jobs.back();
-        queues[victim].jobs.pop_back();
-      }
+  auto worker = [&] {
+    for (std::size_t i = cursor++; i < n; i = cursor++) {
       try {
-        fn(job);
+        fn(i);
       } catch (...) {
         std::lock_guard<std::mutex> lock(error_mutex);
         if (!first_error) first_error = std::current_exception();
@@ -95,10 +41,15 @@ void SweepRunner::run_indexed(
     }
   };
 
-  std::vector<std::thread> threads;
-  threads.reserve(workers);
-  for (std::size_t w = 0; w < workers; ++w) threads.emplace_back(worker, w);
-  for (auto& t : threads) t.join();
+  const std::size_t workers = std::min(jobs_, n);
+  if (workers <= 1) {
+    worker();
+  } else {
+    std::vector<std::thread> threads;
+    threads.reserve(workers);
+    for (std::size_t w = 0; w < workers; ++w) threads.emplace_back(worker);
+    for (auto& t : threads) t.join();
+  }
   if (first_error) std::rethrow_exception(first_error);
 }
 

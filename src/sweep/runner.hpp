@@ -1,5 +1,5 @@
-// Parallel campaign execution: a work-stealing thread pool over fully
-// independent simulation jobs.
+// Parallel campaign execution: a thread pool over fully independent
+// simulation jobs, handed out from one shared index cursor.
 //
 // Each campaign point builds its own Network on its own sim::Kernel, so
 // jobs share no mutable state and the pool needs no locking around the
@@ -70,8 +70,9 @@ class SweepRunner {
   /// points. Never throws: failures come back as ok == false.
   static SweepResult run_point(const SweepPoint& point);
 
-  /// Generic work-stealing parallel loop: calls fn(i) exactly once for
-  /// each i in [0, n). fn must tolerate concurrent calls on distinct i.
+  /// Generic parallel loop: calls fn(i) exactly once for each i in
+  /// [0, n), workers claiming indices from one shared cursor. fn must
+  /// tolerate concurrent calls on distinct i.
   /// Used by the campaign runner and by appgraph::explore's candidate
   /// loop. Exceptions from fn are captured and the first one rethrown
   /// after all workers drain.

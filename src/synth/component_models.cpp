@@ -10,6 +10,31 @@ namespace xpl::synth {
 
 namespace {
 double log2d(double x) { return std::log2(std::max(2.0, x)); }
+
+// The network back end both NIs share (ni/back_end.hpp): go-back-N sender
+// (retx buffer + counters + CRC gen) and receiver (CRC check + seq), then
+// per extra lane a retransmission window + sequencing and a reassembler
+// (packets interleave across lanes). Adds into `n` term by term, in the
+// order the NI builders always summed them.
+void append_ni_back_end(Netlist& n, const PacketFormat& fmt,
+                        const link::ProtocolConfig& protocol) {
+  const std::size_t wire = wire_bits(fmt.flit_width, protocol);
+  const std::size_t flit_store = fmt.flit_width + 2;
+  n += fifo(protocol.window, flit_store);
+  n += counter(protocol.seq_bits);
+  n += counter(protocol.seq_bits);
+  n += crc_logic(wire, crc_width(protocol.crc));
+  n += crc_logic(wire, crc_width(protocol.crc));
+  n += counter(protocol.seq_bits);
+  for (std::size_t v = 1; v < protocol.vcs; ++v) {
+    n += fifo(protocol.window, flit_store);
+    n += counter(protocol.seq_bits);
+    n += counter(protocol.seq_bits);
+    n += counter(protocol.seq_bits);
+    n += dff_bank(fmt.header.width());
+    n += dff_bank(fmt.beat_width);
+  }
+}
 }  // namespace
 
 std::size_t wire_bits(std::size_t flit_width, const link::ProtocolConfig& p) {
@@ -130,8 +155,6 @@ double switch_logic_levels(const switchlib::SwitchConfig& config) {
 Netlist build_initiator_ni_netlist(const ni::InitiatorConfig& config,
                                    std::size_t num_targets) {
   const PacketFormat& fmt = config.format;
-  const std::size_t wire = wire_bits(fmt.flit_width, config.protocol);
-  const std::size_t flit_store = fmt.flit_width + 2;
   const std::size_t header_bits = fmt.header.width();
   Netlist n;
 
@@ -171,25 +194,8 @@ Netlist build_initiator_ni_netlist(const ni::InitiatorConfig& config,
   n += dff_bank(fmt.beat_width);
   n += fifo(config.resp_queue_depth, fmt.beat_width + 8);
 
-  // ---- Link endpoints: go-back-N sender (retx buffer + counters + CRC
-  // gen) and receiver (CRC check + seq).
-  n += fifo(config.protocol.window, flit_store);
-  n += counter(config.protocol.seq_bits);
-  n += counter(config.protocol.seq_bits);
-  n += crc_logic(wire, crc_width(config.protocol.crc));
-  n += crc_logic(wire, crc_width(config.protocol.crc));
-  n += counter(config.protocol.seq_bits);
-
-  // Additional lanes: per-lane retransmission window + sequencing and a
-  // per-lane response reassembler (packets interleave across lanes).
-  for (std::size_t v = 1; v < config.vcs; ++v) {
-    n += fifo(config.protocol.window, flit_store);
-    n += counter(config.protocol.seq_bits);
-    n += counter(config.protocol.seq_bits);
-    n += counter(config.protocol.seq_bits);
-    n += dff_bank(header_bits);
-    n += dff_bank(fmt.beat_width);
-  }
+  // ---- Network back end: link endpoints and extra lanes.
+  append_ni_back_end(n, fmt, config.protocol);
 
   n.combinational *= 1.08;
   return n;
@@ -206,8 +212,6 @@ double initiator_ni_logic_levels(const ni::InitiatorConfig& config) {
 Netlist build_target_ni_netlist(const ni::TargetConfig& config,
                                 std::size_t num_initiators) {
   const PacketFormat& fmt = config.format;
-  const std::size_t wire = wire_bits(fmt.flit_width, config.protocol);
-  const std::size_t flit_store = fmt.flit_width + 2;
   const std::size_t header_bits = fmt.header.width();
   Netlist n;
 
@@ -237,23 +241,8 @@ Netlist build_target_ni_netlist(const ni::TargetConfig& config,
   n += lut_rom(num_initiators,
                fmt.header.route_bits() + fmt.header.node_bits);
 
-  // ---- Link endpoints (mirror of the initiator).
-  n += fifo(config.protocol.window, flit_store);
-  n += counter(config.protocol.seq_bits);
-  n += counter(config.protocol.seq_bits);
-  n += crc_logic(wire, crc_width(config.protocol.crc));
-  n += crc_logic(wire, crc_width(config.protocol.crc));
-  n += counter(config.protocol.seq_bits);
-
-  // Additional lanes (mirror of the initiator's per-lane structures).
-  for (std::size_t v = 1; v < config.vcs; ++v) {
-    n += fifo(config.protocol.window, flit_store);
-    n += counter(config.protocol.seq_bits);
-    n += counter(config.protocol.seq_bits);
-    n += counter(config.protocol.seq_bits);
-    n += dff_bank(header_bits);
-    n += dff_bank(fmt.beat_width);
-  }
+  // ---- Network back end: link endpoints and extra lanes.
+  append_ni_back_end(n, fmt, config.protocol);
 
   n.combinational *= 1.08;
   return n;

@@ -25,7 +25,7 @@ TEST(Network, BuildsMeshInventory) {
   EXPECT_EQ(net.num_initiators(), 4u);
   EXPECT_EQ(net.num_targets(), 4u);
   // 8 grid links + 2 per NI.
-  EXPECT_EQ(net.links().size(), 8u + 16u);
+  EXPECT_EQ(net.num_links(), 8u + 16u);
   EXPECT_TRUE(net.deadlock_report().deadlock_free);
   EXPECT_TRUE(net.quiescent());
 }

@@ -217,6 +217,47 @@ TEST(NiPair, ThreadsCarriedThrough) {
   }
 }
 
+TEST(NiPair, ThreadIdBeyondTheFieldFailsInPackHeader) {
+  // Thread ids index the NIs' per-thread tables (1 << thread_bits = 4
+  // slots here). Thread 4 must fail where its header is packed, never
+  // index a table, and it must not disturb the transactions on threads
+  // 0..3, which drain first.
+  Harness h;
+  for (std::uint32_t t = 0; t < 4; ++t) {
+    ocp::Transaction read;
+    read.cmd = ocp::Cmd::kRead;
+    read.addr = 0x10400 + 8 * t;
+    read.thread_id = t;
+    h.master.push_transaction(read);
+    ocp::Transaction write = read;
+    write.cmd = ocp::Cmd::kWriteNp;
+    write.burst_len = 2;
+    write.data = {t, t};
+    h.master.push_transaction(write);
+  }
+  // A non-posted burst: its first beat starts the packet, and only the
+  // last one packs the header.
+  ocp::Transaction bad;
+  bad.cmd = ocp::Cmd::kWriteNp;
+  bad.addr = 0x10500;
+  bad.burst_len = 2;
+  bad.data = {1, 2};
+  bad.thread_id = 4;
+  h.master.push_transaction_at(bad, 2000);
+  h.kernel.run_until(
+      [&] { return h.master.completed().size() == 8 && h.ini.idle(); },
+      2000);
+  EXPECT_EQ(h.master.completed().size(), 8u);
+  EXPECT_TRUE(h.ini.idle());
+  EXPECT_TRUE(h.tgt.idle());
+  try {
+    h.kernel.run(3000);  // past the release
+    FAIL() << "expected xpl::Error";
+  } catch (const Error& e) {
+    EXPECT_EQ(std::string(e.what()), "pack_header: thread id overflows field");
+  }
+}
+
 TEST(NiPair, SidebandInterruptPropagates) {
   Harness h;
   ocp::Transaction txn;

@@ -280,6 +280,18 @@ TEST(SpecIo, OversizedSimThreadsFailsAtItsLine) {
   expect_spec_line_error("noc x\nsim_threads 4294967295\n", 2);
 }
 
+TEST(SpecIo, BadFlowTokenReadsAsInTheCampaignFormats) {
+  // .sweep and .tune report the same token with the same words.
+  try {
+    parse_spec("noc x\nflow bogus\n");
+    FAIL() << "expected xpl::Error";
+  } catch (const Error& e) {
+    EXPECT_EQ(std::string(e.what()),
+              "spec line 2: unknown flow control 'bogus' (expected "
+              "ack_nack | credit)");
+  }
+}
+
 TEST(SpecIo, XpipescReportsTheBadLineInsteadOfTerminating) {
   // --print-spec stops right after parsing, so no build ever starts.
   const std::string dir = ::testing::TempDir();

@@ -129,7 +129,7 @@ TEST(Histogram, ToStringListsNonEmptyBins) {
 TEST(LinkLoads, SortedAndConsistent) {
   auto net = loaded_net();
   const auto loads = collect_link_loads(*net, 3000);
-  ASSERT_EQ(loads.size(), net->links().size());
+  ASSERT_EQ(loads.size(), net->num_links());
   std::uint64_t total = 0;
   for (std::size_t i = 0; i < loads.size(); ++i) {
     if (i > 0) {

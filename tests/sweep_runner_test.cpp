@@ -1,5 +1,5 @@
 // Campaign execution: jobs=1 vs jobs=8 bit-identical results, failure
-// recording, the work-stealing loop's coverage/exception contracts, and
+// recording, the pool loop's coverage/exception contracts, and
 // the parse -> run -> export -> reparse round trip.
 #include <gtest/gtest.h>
 

@@ -100,6 +100,39 @@ TEST(NiNetlists, GrowWithFlitWidth) {
   }
 }
 
+// Exact netlist sums of both NIs, shared back-end block (link endpoints +
+// extra lanes) included. No golden covers the extra-lane terms, and
+// floating-point sums keep their bits only if every term is added in the
+// same order, so these compare with ==.
+TEST(NiNetlists, PinnedAcrossWidthsAndLanes) {
+  struct Pin {
+    std::size_t flit_width, lanes;
+    double ini_flops, ini_comb, tgt_flops, tgt_comb;
+  };
+  const Pin pins[] = {
+      {32, 1, 1218, 3177.0360000000001, 1374, 3384.1799999999998},
+      {32, 2, 1551, 3729.672, 1707, 3936.8159999999993},
+      {32, 4, 2217, 4826.8439999999991, 2373, 5033.9879999999994},
+      {64, 1, 1410, 4473.0360000000001, 1566, 4680.1800000000003},
+      {64, 2, 1935, 5457.6719999999996, 2091, 5664.8159999999998},
+      {64, 4, 2985, 7418.8440000000001, 3141, 7625.9880000000003},
+  };
+  for (const Pin& pin : pins) {
+    auto icfg = ini_config(pin.flit_width);
+    icfg.protocol.vcs = pin.lanes;
+    auto tcfg = tgt_config(pin.flit_width);
+    tcfg.protocol.vcs = pin.lanes;
+    const auto i = build_initiator_ni_netlist(icfg, 8);
+    const auto t = build_target_ni_netlist(tcfg, 8);
+    SCOPED_TRACE(testing::Message() << "flit_width " << pin.flit_width
+                                    << ", lanes " << pin.lanes);
+    EXPECT_EQ(i.flops, pin.ini_flops);
+    EXPECT_EQ(i.combinational, pin.ini_comb);
+    EXPECT_EQ(t.flops, pin.tgt_flops);
+    EXPECT_EQ(t.combinational, pin.tgt_comb);
+  }
+}
+
 TEST(NiNetlists, LutScalesWithPeers) {
   const auto few = build_initiator_ni_netlist(ini_config(32), 2);
   const auto many = build_initiator_ni_netlist(ini_config(32), 32);

@@ -1,8 +1,8 @@
 // xsweep — parallel design-space exploration campaigns.
 //
 // Reads a sweep specification (src/sweep/spec.hpp grammar; docs/FORMATS.md
-// is the reference), runs every campaign point on a work-stealing thread
-// pool, and reports the result table plus its Pareto front. Results are
+// is the reference), runs every campaign point on a thread pool, and
+// reports the result table plus its Pareto front. Results are
 // bit-identical for any --jobs value. Campaigns can sweep synthetic
 // patterns, embedded app benchmarks (`pattern app:mpeg4`), injection
 // burstiness, warmup windows — see examples/app_scan.sweep — and the
