@@ -91,6 +91,19 @@ xpl::noc::NetworkConfig config(std::size_t mesh_side = 2) {
 // flit re-traverses the link and is re-CRC-checked), credit mode just
 // idles the stalled senders, and extra lanes relieve head-of-line
 // blocking at the switch inputs.
+//
+// The mesh:8 rows are the ones bench/pair_gates.txt pairs (and their
+// threads>1 twins). They do fixed work: each run warms a fresh network up
+// for kGateWarmup cycles outside the timed loop, and the gated rows then
+// time a fixed Iterations() count (which google-benchmark appends to
+// the row name as /iterations:N), so both sides of a pair simulate the
+// same cycles from the same network state. With adaptive counts the two
+// sides ran different lengths, and a saturated network's per-cycle cost
+// grows with its backlog.
+constexpr std::size_t kGateMesh = 8;
+constexpr std::size_t kGateWarmup = 1000;
+constexpr benchmark::IterationCount kGateCycles = 4000;
+
 void loaded_cycles(benchmark::State& state, double injection_rate,
                    std::size_t vcs, std::size_t partitions = 1,
                    std::size_t sim_threads = 1) {
@@ -108,6 +121,12 @@ void loaded_cycles(benchmark::State& state, double injection_rate,
   traffic::TrafficConfig tcfg;
   tcfg.injection_rate = injection_rate;
   traffic::TrafficDriver driver(net, tcfg);
+  if (n == kGateMesh) {
+    for (std::size_t c = 0; c < kGateWarmup; ++c) {
+      driver.step();
+      net.step();
+    }
+  }
   for (auto _ : state) {
     driver.step();
     net.step();
@@ -224,7 +243,10 @@ BENCHMARK(BM_LoadedCycles)
     ->Args({2, 0})
     ->Args({2, 1})
     ->Args({4, 0})
-    ->Args({4, 1})
+    ->Args({4, 1});
+BENCHMARK(BM_LoadedCycles)
+    ->ArgNames({"mesh", "flow"})
+    ->Iterations(kGateCycles)
     ->Args({8, 0})
     ->Args({8, 1});
 
@@ -276,6 +298,7 @@ void BM_LoadedCyclesPartitioned(benchmark::State& state) {
 // throttle stalls into one side of the ratio only).
 BENCHMARK(BM_LoadedCyclesPartitioned)
     ->ArgNames({"mesh", "flow", "parts", "threads"})
+    ->Iterations(kGateCycles)
     ->Args({8, 0, 2, 1})
     ->Args({8, 1, 2, 1});
 
@@ -301,7 +324,10 @@ BENCHMARK(BM_SaturatedCycles)
     ->Args({4, 0, 4})
     ->Args({4, 1, 1})
     ->Args({4, 1, 2})
-    ->Args({4, 1, 4})
+    ->Args({4, 1, 4});
+BENCHMARK(BM_SaturatedCycles)
+    ->ArgNames({"mesh", "flow", "vcs"})
+    ->Iterations(kGateCycles)
     ->Args({8, 0, 1})
     ->Args({8, 1, 1});
 
@@ -313,6 +339,7 @@ void BM_SaturatedCyclesPartitioned(benchmark::State& state) {
 }
 BENCHMARK(BM_SaturatedCyclesPartitioned)
     ->ArgNames({"mesh", "flow", "parts", "threads"})
+    ->Iterations(kGateCycles)
     ->Args({8, 0, 2, 1})
     ->Args({8, 1, 2, 1});
 

@@ -248,8 +248,8 @@ Network::Network(topology::Topology topo, const NetworkConfig& config)
       scfg.output_vc_class.push_back(
           is_link ? topo_.link(ref.id).vc_class
                   : switchlib::SwitchConfig::kNiClass);
-      scfg.output_dateline.push_back(is_link &&
-                                     topo_.link(ref.id).dateline);
+      scfg.output_dateline.push_back(
+          is_link && topo_.link(ref.id).dateline ? 1 : 0);
     }
     switches_.push_back(std::make_unique<switchlib::Switch>(
         topo_.switch_node(s).name, scfg, std::move(in_wires),

@@ -3,6 +3,7 @@
 #include <algorithm>
 
 #include "src/common/error.hpp"
+#include "src/common/text.hpp"
 
 namespace xpl::ocp {
 
@@ -27,6 +28,9 @@ void MasterCore::push_transaction_at(Transaction txn,
             "MasterCore: write burst_len must match data beats");
   }
   require(txn.burst_len >= 1, "MasterCore: burst_len must be >= 1");
+  require(txn.thread_id < text::kMaxOcpThreads,
+          "MasterCore: thread_id must be below " +
+              std::to_string(text::kMaxOcpThreads));
   if (on_push) on_push(txn, release);
   queue_.push_back({std::move(txn), release});
   // External injection: no signal write re-arms a sleeping master, so the
@@ -65,9 +69,10 @@ void MasterCore::tick(sim::Kernel& kernel) {
     const RespBeat beat = resp_.front();
     resp_.pop();
     XPL_ASSERT(beat.valid);
-    auto it = awaiting_.find(beat.thread_id);
-    XPL_ASSERT(it != awaiting_.end() && !it->second.empty());
-    Pending& pending = it->second.front();
+    XPL_ASSERT(beat.thread_id < awaiting_.size() &&
+               !awaiting_[beat.thread_id].empty());
+    Ring<Pending>& thread = awaiting_[beat.thread_id];
+    Pending& pending = thread.front();
     pending.result.resp = beat.resp;
     pending.result.thread_id = beat.thread_id;
     if (pending.txn.cmd == Cmd::kRead) {
@@ -77,9 +82,8 @@ void MasterCore::tick(sim::Kernel& kernel) {
       pending.result.issue_cycle = pending.issue_cycle;
       pending.result.complete_cycle = kernel.cycle();
       completed_.push_back(std::move(pending.result));
-      it->second.pop_front();
+      thread.pop_front();
       --awaiting_total_;
-      if (it->second.empty()) awaiting_.erase(it);
     }
   }
 
@@ -124,6 +128,9 @@ void MasterCore::tick(sim::Kernel& kernel) {
         Pending pending;
         pending.txn = txn;
         pending.issue_cycle = active_issue_cycle_;
+        if (txn.thread_id >= awaiting_.size()) {
+          awaiting_.resize(txn.thread_id + 1);
+        }
         awaiting_[txn.thread_id].push_back(std::move(pending));
         ++awaiting_total_;
       } else {

@@ -13,6 +13,7 @@
 #include <unordered_map>
 #include <vector>
 
+#include "src/common/ring.hpp"
 #include "src/ocp/ocp.hpp"
 #include "src/sim/kernel.hpp"
 #include "src/sim/stream.hpp"
@@ -104,8 +105,11 @@ class MasterCore : public sim::Module {
   std::uint32_t next_beat_ = 0;
   std::uint64_t active_issue_cycle_ = 0;
 
-  /// Oldest-first in-flight transactions expecting a response, per thread.
-  std::unordered_map<std::uint32_t, std::deque<Pending>> awaiting_;
+  /// Oldest-first in-flight transactions expecting a response, one slot
+  /// per thread id, grown to the highest id issued so far. A slot keeps
+  /// its ring once allocated, and an unused one is an empty Ring, which
+  /// allocates nothing.
+  std::vector<Ring<Pending>> awaiting_;
   std::size_t awaiting_total_ = 0;
 
   std::size_t issued_count_ = 0;

@@ -1,6 +1,6 @@
 #include "src/switchlib/switch.hpp"
 
-#include <algorithm>
+#include <bit>
 #include <sstream>
 
 #include "src/common/error.hpp"
@@ -100,9 +100,13 @@ Switch::Switch(std::string name, const SwitchConfig& config,
     outputs_.push_back(std::move(port));
   }
   packets_out_.assign(config.num_outputs, 0);
-  lane_req_.assign(config.num_inputs * config_.vcs, kNoPort);
-  out_requested_.assign(config.num_outputs, false);
-  req_scratch_.assign(config.num_inputs * config_.vcs, false);
+  words_ = mask_words(config.num_inputs * config_.vcs);
+  req_.assign(config.num_outputs * words_, 0);
+  fresh_.assign(words_, 0);
+  candidates_.assign(words_, 0);
+  in_busy_.assign(config.num_inputs, 0);
+  out_busy_.assign(config.num_outputs, 0);
+  out_locked_.assign(config.num_outputs, 0);
 }
 
 std::size_t Switch::requested_output(const InLane& lane) const {
@@ -113,6 +117,12 @@ std::size_t Switch::requested_output(const InLane& lane) const {
   require(port < config_.num_outputs,
           "Switch: head flit requests a nonexistent output port");
   return port;
+}
+
+void Switch::post_request(std::size_t input, std::size_t v) {
+  const std::size_t req = requested_output(inputs_[input].lanes[v]);
+  if (req == kNoPort) return;
+  mask_set({&req_[req * words_], words_}, input * config_.vcs + v);
 }
 
 std::uint8_t Switch::out_vc(std::size_t in_port, std::uint8_t in_vc,
@@ -128,7 +138,7 @@ std::uint8_t Switch::out_vc(std::size_t in_port, std::uint8_t in_vc,
   if (out_class == SwitchConfig::kNiClass) return in_vc;  // ejection
   std::uint8_t vc = (in_class == out_class) ? in_vc : 0;
   if (!config_.output_dateline.empty() &&
-      config_.output_dateline[out_port]) {
+      config_.output_dateline[out_port] != 0) {
     ++vc;
   }
   require(vc < config_.vcs,
@@ -149,8 +159,13 @@ void Switch::tick(sim::Kernel& kernel) {
   // into the sender, serving output lanes round-robin (one physical wire
   // per output) — and the sender driving its wire. Nothing later in the
   // tick touches a sender, so its wire write here is the one it would
-  // make at the end of the tick.
-  for (OutputPort& out : outputs_) {
+  // make at the end of the tick. A port with nothing queued whose sender
+  // is gate-idle would do nothing at all: it is skipped, and a credit
+  // sender counts the skipped cycles' stalls on its next begin_cycle, as
+  // it does across a sleep.
+  for (std::size_t o = 0; o < outputs_.size(); ++o) {
+    OutputPort& out = outputs_[o];
+    if (out_busy_[o] == 0 && out.tx.gate_idle()) continue;
     out.tx.begin_cycle(now);
     std::size_t v = out.next_tx_lane;
     for (std::size_t k = 0; k < vcs; ++k, v = next_lane(v, vcs)) {
@@ -158,6 +173,9 @@ void Switch::tick(sim::Kernel& kernel) {
       if (lane.fifo.empty() || !out.tx.can_accept(v)) continue;
       out.tx.accept(std::move(lane.fifo.front()));
       lane.fifo.pop_front();
+      if (lane.fifo.empty() && lane.pipe.empty()) {
+        out_busy_[o] &= ~(1u << v);
+      }
       out.next_tx_lane = next_lane(v, vcs);
       break;
     }
@@ -167,8 +185,9 @@ void Switch::tick(sim::Kernel& kernel) {
   // Extra pipeline stages (old-xpipes emulation): release delay-line
   // entries that have spent extra_pipeline cycles in flight.
   if (config_.extra_pipeline > 0) {
-    for (OutputPort& out : outputs_) {
-      for (OutLane& lane : out.lanes) {
+    for (std::size_t o = 0; o < outputs_.size(); ++o) {
+      if (out_busy_[o] == 0) continue;
+      for (OutLane& lane : outputs_[o].lanes) {
         if (!lane.pipe.empty() &&
             now >= lane.pipe.front().second + config_.extra_pipeline) {
           lane.fifo.push_back(std::move(lane.pipe.front().first));
@@ -178,22 +197,22 @@ void Switch::tick(sim::Kernel& kernel) {
     }
   }
 
-  // Stage 2: VC allocation + switch allocation + crossbar traversal. One
-  // input-major pass records each input lane's requested output and marks
-  // the requested outputs; the output loop then costs what its busy ports
-  // do — an output with no locked winner and no requester scans nothing.
-  // A lane's request is recomputed when a flit leaves it, so a tail
-  // followed by the next head can still win a later output this cycle.
-  // One flit traverses the crossbar per output per cycle.
-  bool any_switched = false;
-  std::fill(out_requested_.begin(), out_requested_.end(), false);
-  for (std::size_t i = 0, idx = 0; i < inputs_.size(); ++i) {
-    for (std::size_t v = 0; v < vcs; ++v, ++idx) {
-      const std::size_t req = requested_output(inputs_[i].lanes[v]);
-      lane_req_[idx] = req;
-      if (req != kNoPort) out_requested_[req] = true;
+  // Stage 2: VC allocation + switch allocation + crossbar traversal. The
+  // lanes a flit landed in last cycle post their requests first; every
+  // other slot's request is already in req_. An output with no locked
+  // winner arbitrates over its request mask only. A lane's request is
+  // recomputed when a flit leaves it, so a tail followed by the next head
+  // can still win a later output this cycle, never an earlier one. One
+  // flit traverses the crossbar per output per cycle.
+  for (std::size_t w = 0; w < words_; ++w) {
+    for (std::uint64_t bits = fresh_[w]; bits != 0; bits &= bits - 1) {
+      const std::size_t slot =
+          w * kMaskWordBits + static_cast<std::size_t>(std::countr_zero(bits));
+      post_request(slot / vcs, slot % vcs);
     }
+    fresh_[w] = 0;
   }
+  bool any_switched = false;
   for (std::size_t o = 0; o < outputs_.size(); ++o) {
     OutputPort& out = outputs_[o];
 
@@ -203,10 +222,12 @@ void Switch::tick(sim::Kernel& kernel) {
 
     // In-progress wormholes first (lanes rotate for fairness; at vcs == 1
     // this is the seed's locked-input bypass, arbiter untouched).
+    const std::uint32_t locked = out_locked_[o];
     std::size_t w = out.next_locked_lane;
-    for (std::size_t k = 0; k < vcs; ++k, w = next_lane(w, vcs)) {
+    for (std::size_t k = 0; locked != 0 && k < vcs;
+         ++k, w = next_lane(w, vcs)) {
+      if ((locked >> w & 1u) == 0) continue;
       OutLane& ol = out.lanes[w];
-      if (ol.locked_input == kNoPort) continue;
       // Space accounting covers both the queue and the in-flight delay
       // line.
       if (ol.fifo.size() + ol.pipe.size() >= config_.output_fifo_depth) {
@@ -221,35 +242,39 @@ void Switch::tick(sim::Kernel& kernel) {
       break;
     }
 
-    if (win_in == kNoPort && out_requested_[o]) {
-      // New wormholes: arbitrate over the input lanes whose head flit
-      // requests this output and whose allocated output lane is free
-      // with space.
+    if (win_in == kNoPort) {
+      // New wormholes: arbitrate over the requesting slots whose
+      // allocated output lane is free with space.
+      const std::span<std::uint64_t> req{&req_[o * words_], words_};
       bool any = false;
-      for (std::size_t i = 0, idx = 0; i < inputs_.size(); ++i) {
-        for (std::size_t v = 0; v < vcs; ++v, ++idx) {
-          bool wants = false;
-          if (lane_req_[idx] == o) {
-            const std::uint8_t ov =
-                out_vc(i, static_cast<std::uint8_t>(v), o);
-            const OutLane& ol = out.lanes[ov];
-            wants = ol.locked_input == kNoPort &&
-                    ol.fifo.size() + ol.pipe.size() <
-                        config_.output_fifo_depth;
+      for (std::size_t k = 0; k < words_; ++k) {
+        std::uint64_t wants = 0;
+        for (std::uint64_t bits = req[k]; bits != 0; bits &= bits - 1) {
+          const int b = std::countr_zero(bits);
+          const std::size_t slot =
+              k * kMaskWordBits + static_cast<std::size_t>(b);
+          const std::uint8_t ov =
+              out_vc(slot / vcs, static_cast<std::uint8_t>(slot % vcs), o);
+          const OutLane& ol = out.lanes[ov];
+          if (ol.locked_input == kNoPort &&
+              ol.fifo.size() + ol.pipe.size() < config_.output_fifo_depth) {
+            wants |= std::uint64_t{1} << b;
           }
-          req_scratch_[idx] = wants;
-          any = any || wants;
         }
+        candidates_[k] = wants;
+        any = any || wants != 0;
       }
       if (any) {
-        const auto grant = out.arbiter.grant(req_scratch_);
+        const auto grant = out.arbiter.grant(candidates_);
         XPL_ASSERT(grant.has_value());
+        mask_clear(req, *grant);
         win_in = *grant / vcs;
         win_iv = static_cast<std::uint8_t>(*grant % vcs);
         win_ov = out_vc(win_in, win_iv, o);
         OutLane& ol = out.lanes[win_ov];
         ol.locked_input = win_in;
         ol.locked_in_vc = win_iv;
+        out_locked_[o] |= 1u << win_ov;
         InLane& il = inputs_[win_in].lanes[win_iv];
         il.locked_output = o;
         il.locked_out_vc = win_ov;
@@ -260,8 +285,9 @@ void Switch::tick(sim::Kernel& kernel) {
     if (win_in == kNoPort) continue;
     InLane& il = inputs_[win_in].lanes[win_iv];
     OutLane& ol = out.lanes[win_ov];
-    Flit flit = std::move(il.fifo.front());
-    il.fifo.pop_front();
+    // The flit is rewritten in place at the input lane's front, then
+    // moved once into the output lane.
+    Flit& flit = il.fifo.front();
     if (flit.head) {
       // Consume this hop's route selector.
       flit.payload = consume_route_port(flit.payload, config_.port_bits,
@@ -272,25 +298,30 @@ void Switch::tick(sim::Kernel& kernel) {
       // Wormhole complete: release the path.
       ol.locked_input = kNoPort;
       il.locked_output = kNoPort;
+      out_locked_[o] &= ~(1u << win_ov);
     }
     if (config_.extra_pipeline > 0) {
       ol.pipe.emplace_back(std::move(flit), now);
     } else {
       ol.fifo.push_back(std::move(flit));
     }
+    il.fifo.pop_front();
+    if (il.fifo.empty()) in_busy_[win_in] &= ~(1u << win_iv);
+    out_busy_[o] |= 1u << win_ov;
     // The input lane's head flit changed (and possibly its lock state):
-    // recompute its request for the outputs still to come this cycle.
-    const std::size_t req = requested_output(il);
-    lane_req_[win_in * vcs + win_iv] = req;
-    if (req != kNoPort) out_requested_[req] = true;
+    // post its request for the outputs still to come this cycle.
+    post_request(win_in, win_iv);
     ++flits_switched_;
     any_switched = true;
   }
   if (any_switched) ++active_cycles_;
 
   // Stage 1: latch arriving flits into their lane's input buffer; each
-  // receiver then drives its ACK/nACK / credit wire.
-  for (InputPort& in : inputs_) {
+  // receiver then drives its ACK/nACK / credit wire. A gate-idle receiver
+  // has no flit to hand over and no wire to drive: its port is skipped.
+  for (std::size_t i = 0; i < inputs_.size(); ++i) {
+    InputPort& in = inputs_[i];
+    if (in.rx.gate_idle()) continue;
     std::uint32_t can_take = 0;
     for (std::size_t v = 0; v < vcs; ++v) {
       if (in.lanes[v].fifo.size() < config_.input_fifo_depth) {
@@ -308,6 +339,11 @@ void Switch::tick(sim::Kernel& kernel) {
         require(flit->head, "Switch: body flit arrived with no wormhole");
       }
       lane.expecting_body = !flit->tail;
+      if (lane.fifo.empty()) {
+        // The lane's front changes: its request is posted next cycle.
+        in_busy_[i] |= 1u << flit->vc;
+        mask_set(fresh_, i * vcs + flit->vc);
+      }
       lane.fifo.push_back(*flit);
     }
     in.rx.end_cycle();
@@ -356,15 +392,14 @@ std::string Switch::debug_state() const {
 }
 
 bool Switch::idle() const {
-  for (const InputPort& in : inputs_) {
-    for (const InLane& lane : in.lanes) {
-      if (!lane.fifo.empty() || lane.locked_output != kNoPort) return false;
-    }
+  // A wormhole lock is held at both ends at once, so the output lock
+  // masks cover the input lanes' locks too.
+  for (std::size_t i = 0; i < inputs_.size(); ++i) {
+    if (in_busy_[i] != 0) return false;
   }
-  for (const OutputPort& out : outputs_) {
-    if (!out.tx.idle()) return false;
-    for (const OutLane& lane : out.lanes) {
-      if (!lane.fifo.empty() || !lane.pipe.empty()) return false;
+  for (std::size_t o = 0; o < outputs_.size(); ++o) {
+    if (out_busy_[o] != 0 || out_locked_[o] != 0 || !outputs_[o].tx.idle()) {
+      return false;
     }
   }
   return true;
@@ -378,17 +413,11 @@ std::uint64_t Switch::next_event(std::uint64_t now) const {
   // endpoint watches, and a sender credits its slept-through stalls on
   // the next tick. Buffered flits, delay-line entries and arriving beats
   // need the next cycle.
-  for (const InputPort& in : inputs_) {
-    if (!in.rx.gate_idle()) return now + 1;
-    for (const InLane& lane : in.lanes) {
-      if (!lane.fifo.empty()) return now + 1;
-    }
+  for (std::size_t i = 0; i < inputs_.size(); ++i) {
+    if (in_busy_[i] != 0 || !inputs_[i].rx.gate_idle()) return now + 1;
   }
-  for (const OutputPort& out : outputs_) {
-    if (!out.tx.gate_idle()) return now + 1;
-    for (const OutLane& lane : out.lanes) {
-      if (!lane.fifo.empty() || !lane.pipe.empty()) return now + 1;
-    }
+  for (std::size_t o = 0; o < outputs_.size(); ++o) {
+    if (out_busy_[o] != 0 || !outputs_[o].tx.gate_idle()) return now + 1;
   }
   return sim::kNever;
 }

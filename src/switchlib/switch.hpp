@@ -83,8 +83,9 @@ struct SwitchConfig {
   static constexpr std::uint8_t kNiClass = 0xFF;
   std::vector<std::uint8_t> input_vc_class;
   std::vector<std::uint8_t> output_vc_class;
-  /// Dateline mark of the link behind each output port. Empty = none.
-  std::vector<bool> output_dateline;
+  /// Dateline mark (0 or 1) of the link behind each output port.
+  /// Empty = none.
+  std::vector<std::uint8_t> output_dateline;
 
   const link::ProtocolConfig& input_protocol(std::size_t port) const {
     return input_protocols.empty() ? protocol : input_protocols.at(port);
@@ -181,6 +182,10 @@ class Switch : public sim::Module {
   /// holds a wormhole (locked lanes forward only to their locked output).
   std::size_t requested_output(const InLane& lane) const;
 
+  /// Sets slot (input, v)'s bit in the request mask of its
+  /// requested_output, if any.
+  void post_request(std::size_t input, std::size_t v);
+
   /// Lane a flit on input lane (in_port, in_vc) takes at output
   /// `out_port` — the VC-allocation rule (see file comment).
   std::uint8_t out_vc(std::size_t in_port, std::uint8_t in_vc,
@@ -190,16 +195,27 @@ class Switch : public sim::Module {
   std::vector<InputPort> inputs_;
   std::vector<OutputPort> outputs_;
 
-  /// Stage-2 request state, hoisted out of tick() so arbitration does no
-  /// per-cycle allocation. lane_req_ holds each input lane's
-  /// requested_output() (indexed input * vcs + lane), computed once per
-  /// cycle and again whenever a flit leaves the lane; out_requested_
-  /// marks the outputs some lane requests, so an output with no locked
-  /// winner and no requester skips the (input, lane) scan; req_scratch_
-  /// is the arbiter's request vector.
-  std::vector<std::size_t> lane_req_;
-  std::vector<bool> out_requested_;
-  std::vector<bool> req_scratch_;
+  /// Stage-2 request state, kept across ticks as word masks over the
+  /// (input, lane) slots, slot = input * vcs + lane (the arbiters' index).
+  /// Bit s of req_[o] is set while slot s holds an unlocked head flit
+  /// routed to output o; only two events change it: a flit landing in an
+  /// empty lane (stage 1 marks the slot in fresh_, and the next stage 2
+  /// computes its request before any output is served) and a flit leaving
+  /// a lane in stage 2 (its bit is cleared and its request recomputed).
+  /// Each mask is words_ words; req_ holds output o's at o * words_.
+  std::size_t words_ = 0;
+  std::vector<std::uint64_t> req_;
+  std::vector<std::uint64_t> fresh_;
+  std::vector<std::uint64_t> candidates_;  ///< grant scratch, words_ words
+  /// Per-port lane masks: bit v of in_busy_[i] is set while input lane
+  /// (i, v) buffers a flit, bit v of out_busy_[o] while output lane (o, v)
+  /// queues one or holds one in its delay line, and bit v of
+  /// out_locked_[o] while output lane (o, v) holds a wormhole. A port
+  /// whose busy mask is clear and whose endpoint is gate-idle skips its
+  /// tick work; an output with no lock skips the locked-lane rotation.
+  std::vector<std::uint32_t> in_busy_;
+  std::vector<std::uint32_t> out_busy_;
+  std::vector<std::uint32_t> out_locked_;
 
   std::uint64_t flits_switched_ = 0;
   std::uint64_t active_cycles_ = 0;

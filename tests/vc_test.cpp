@@ -14,6 +14,7 @@
 #include "src/sweep/spec.hpp"
 #include "src/topology/deadlock.hpp"
 #include "src/topology/generators.hpp"
+#include "src/traffic/stats.hpp"
 #include "src/traffic/traffic.hpp"
 
 namespace xpl {
@@ -391,6 +392,59 @@ TEST(VcNetwork, FourLanesCarrySaturatedCreditTraffic) {
       topology::make_mesh(3, 3, topology::NiPlan::uniform(9, 1, 1)), cfg);
   run_saturated(net, 1000);
   EXPECT_EQ(net.total_retransmissions(), 0u);
+}
+
+// A switch with more than 64 (input, lane) slots keeps its request masks
+// in several words. A 2x2 cmesh at concentration 4 gives every switch 8 NI
+// ports plus 2 mesh ports, 80 slots at 8 lanes. The run's statistics,
+// drain cycle and signal digests under both flows were recorded on
+// the lane-scanning switch and must not move.
+TEST(VcNetwork, MoreThan64LaneSlotsPerSwitchRunUnchanged) {
+  struct Expected {
+    link::FlowControl flow;
+    const char* stats;
+    std::uint64_t drained_at;
+    std::uint64_t digests;
+  };
+  const Expected cases[] = {
+      {link::FlowControl::kAckNack,
+       "txns=1007 cycles=1500 thru=0.671333 txn/cy; latency{n=883 "
+       "mean=26.0306 min=1 max=92 p50=30 p95=59} link_flits=17509 retx=197 "
+       "util=0.16212",
+       1540, 15137802035556553098ull},
+      {link::FlowControl::kCredit,
+       "txns=1007 cycles=1500 thru=0.671333 txn/cy; latency{n=883 "
+       "mean=25.4575 min=1 max=83 p50=30 p95=57} link_flits=16499 retx=0 "
+       "credit_stalls=21 util=0.152769",
+       1546, 18007852011086883693ull},
+  };
+  for (const Expected& want : cases) {
+    SCOPED_TRACE(link::flow_control_name(want.flow));
+    noc::NetworkConfig cfg = vc_config(RoutingAlgorithm::kXY, 8);
+    cfg.flow = want.flow;
+    cfg.num_threads = 8;  // lane = thread % vcs: every lane carries traffic
+    noc::Network net(topology::make_cmesh(2, 2, 4), cfg);
+    for (std::size_t s = 0; s < net.num_switches(); ++s) {
+      const switchlib::SwitchConfig& sw = net.switch_at(s).config();
+      ASSERT_GT(sw.num_inputs * sw.vcs, 64u);
+    }
+    traffic::TrafficConfig tcfg;
+    tcfg.injection_rate = 0.04;
+    tcfg.seed = 7;
+    traffic::TrafficDriver driver(net, tcfg);
+    // The signal digests every 100 cycles, folded into one number.
+    constexpr std::uint64_t kCycles = 1500;
+    std::uint64_t digests = 0;
+    for (std::uint64_t c = 0; c < kCycles; c += 100) {
+      driver.run(100);
+      digests = digests * 0x100000001B3ull ^ net.kernel().digest();
+    }
+    net.run_until_quiescent(200000);
+    ASSERT_TRUE(net.quiescent()) << wedged_state(net);
+    EXPECT_EQ(traffic::collect_run(net, kCycles).to_string(), want.stats);
+    EXPECT_EQ(net.kernel().cycle(), want.drained_at);
+    EXPECT_EQ(digests, want.digests);
+  }
 }
 
 TEST(VcNetwork, ErrorInjectionRecoversAcrossLanes) {
