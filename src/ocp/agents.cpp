@@ -28,9 +28,10 @@ void MasterCore::push_transaction_at(Transaction txn,
             "MasterCore: write burst_len must match data beats");
   }
   require(txn.burst_len >= 1, "MasterCore: burst_len must be >= 1");
-  require(txn.thread_id < text::kMaxOcpThreads,
-          "MasterCore: thread_id must be below " +
-              std::to_string(text::kMaxOcpThreads));
+  if (txn.thread_id >= text::kMaxOcpThreads) {
+    throw Error("MasterCore: thread_id must be below " +
+                std::to_string(text::kMaxOcpThreads));
+  }
   if (on_push) on_push(txn, release);
   queue_.push_back({std::move(txn), release});
   // External injection: no signal write re-arms a sleeping master, so the
